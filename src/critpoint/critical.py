@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from .errors import ContractError, ConvergenceError, ParameterError, ScopeError
 from .logderiv import RootSet, as_roots
@@ -35,6 +36,10 @@ ORACLE_MAX_N = 64
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 500
+
+#: rows per block of the O(rows * q) field and repulsion temporaries:
+#: 16 MB per complex temporary at q = 4000
+_CHUNK = 256
 
 _GOLDEN_ANGLE = 2.0 * np.pi * 0.6180339887498949
 
@@ -167,46 +172,63 @@ def _initial_iterates(z, m, chunk):
     mag = np.abs(disp)
     shrink = np.where(mag > cap, cap / np.where(mag == 0, 1.0, mag), 1.0)
     cand = z - disp * shrink
-    best = (np.inf, 0, 1)
-    for i in range(q - 1):
-        d = np.abs(cand[i] - cand[i + 1:])
-        j = int(np.argmin(d))
-        if d[j] < best[0]:
-            best = (float(d[j]), i, i + 1 + j)
-    _, i, j = best
+    i, j = _closest_pair(cand)
     merged = 0.5 * (cand[i] + cand[j])
     return np.append(np.delete(cand, [i, j]), merged)
 
 
-def _aberth_zeros(z, m, tol, max_sweeps, chunk):
+def _closest_pair(c):
+    """(i, j) for the two closest of at least two points: i is the lowest
+    index whose nearest neighbour is closest, j the lowest index at that
+    distance from i.  Distances are recomputed exactly, so ties resolve as
+    in a scan over all pairs."""
+    pts = np.column_stack([c.real, c.imag])
+    _, nb = cKDTree(pts).query(pts, k=2)
+    other = np.where(nb[:, 0] == np.arange(len(c)), nb[:, 1], nb[:, 0])
+    i = int(np.argmin(np.abs(c - c[other])))
+    d = np.abs(c[i] - c)
+    d[i] = np.inf
+    return i, int(np.argmin(d))
+
+
+def _aberth_zeros(z, m, tol, max_sweeps):
     """Zeros of S(w) = sum m_k/(w - z_k) for distinct z_k; returns (w, residuals).
 
-    Convergence requires small Newton corrections *and* certified residuals
-    |S(w)| * dmin <= max(tol, floor) where floor = 8 eps (1+|w|) |S'(w)| dmin
-    is the representable double-precision limit (an iterate cannot sit closer
-    than eps(1+|w|) to the true zero, which bounds the attainable |S|).
+    Iterate i is frozen once its last Newton correction was small,
+    |corr_i| / (1 + |w_i|) < tol, and its residual is certified,
+    |S(w_i)| * dmin_i <= max(tol, floor_i) with floor_i = 8 eps (1+|w_i|)
+    |S'(w_i)| dmin_i, the representable double-precision limit (an iterate
+    cannot sit closer than eps(1+|w_i|) to the true zero, which bounds the
+    attainable |S|).  S depends on the roots alone, so a frozen point's
+    certificate stays valid while the others move.  Each sweep evaluates
+    the field only at the active points; frozen points still repel them, so
+    a sweep costs O(active * q).  The iteration returns when no point is
+    active.
     """
     q = len(z)
     nz = q - 1
     if nz == 0:
         return np.empty(0, complex), np.empty(0)
-    w = _initial_iterates(z, m, chunk)
-    idx = np.arange(nz)
-    corr_small = False
+    w = _initial_iterates(z, m, _CHUNK)
     res = np.full(nz, np.inf)
+    small = np.zeros(nz, bool)
+    act = np.arange(nz)
     for sweep in range(max_sweeps):
-        S, Sp, U, dmin = _field_sums(w, z, m, chunk)
-        res = np.where(S == 0, 0.0, np.abs(S) * dmin)
-        floor = 8.0 * _EPS * (1.0 + np.abs(w)) * np.abs(Sp) * dmin
-        if corr_small and np.all(res <= np.maximum(tol, floor)):
+        wa = w[act]
+        S, Sp, U, dmin = _field_sums(wa, z, m, _CHUNK)
+        res[act] = np.where(S == 0, 0.0, np.abs(S) * dmin)
+        floor = 8.0 * _EPS * (1.0 + np.abs(wa)) * np.abs(Sp) * dmin
+        keep = ~(small[act] & (res[act] <= np.maximum(tol, floor)))
+        act, wa, S, Sp, U = act[keep], wa[keep], S[keep], Sp[keep], U[keep]
+        if len(act) == 0:
             return w, res
-        Rep = np.empty(nz, complex)
-        for a in range(0, nz, chunk):
-            D = w[a:a + chunk, None] - w[None, :]
-            rng = idx[a:a + chunk]
-            D[rng - a, rng] = np.inf
+        Rep = np.empty(len(act), complex)
+        for a in range(0, len(act), _CHUNK):
+            rows = act[a:a + _CHUNK]
+            D = wa[a:a + _CHUNK, None] - w[None, :]
+            D[np.arange(len(rows)), rows] = np.inf
             with np.errstate(divide="ignore"):
-                Rep[a:a + chunk] = (1.0 / D).sum(axis=1)
+                Rep[a:a + _CHUNK] = (1.0 / D).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = 1.0 / (Sp / S + U - Rep)
         corr[S == 0] = 0.0
@@ -214,17 +236,16 @@ def _aberth_zeros(z, m, tol, max_sweeps, chunk):
         if bad.any():
             # collided iterates or an iterate sitting on a pole: nudge apart
             corr[bad] = 0.0
-            w = w.copy()
-            w[bad] += (1.0 + np.abs(w[bad])) * 1e-9 * np.exp(1j * _GOLDEN_ANGLE * (sweep + np.flatnonzero(bad)))
-        w = w - corr
-        corr_small = bool(np.max(np.abs(corr) / (1.0 + np.abs(w))) < tol)
+            wa[bad] += (1.0 + np.abs(wa[bad])) * 1e-9 * np.exp(1j * _GOLDEN_ANGLE * (sweep + act[bad]))
+        w[act] = wa - corr
+        small[act] = np.abs(corr) / (1.0 + np.abs(w[act])) < tol
     raise ConvergenceError(
         f"Aberth iteration did not certify after {max_sweeps} sweeps "
         f"(worst residual {res.max():.3e})", worst_residual=float(res.max()))
 
 
 def critical_points(roots, tol: float = DEFAULT_TOL,
-                    max_sweeps: int = DEFAULT_MAX_SWEEPS, chunk: int = 512) -> CriticalSet:
+                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> CriticalSet:
     """All n-1 critical points by the Aberth iteration on S.
 
     Exact (or near-exact) repeated roots are removed first and re-inserted
@@ -234,11 +255,13 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
     rs = as_roots(roots)
     if rs.n < 2:
         raise ParameterError("critical points need at least two roots")
+    if not np.all(np.isfinite(rs.roots)):
+        raise ParameterError("roots must be finite")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     z, mult, inexact = _cluster_roots(rs.roots)
     repeated = np.repeat(z, (mult - 1).astype(int))
-    zeros, res = _aberth_zeros(z, mult, tol, max_sweeps, chunk)
+    zeros, res = _aberth_zeros(z, mult, tol, max_sweeps)
     points = np.concatenate([zeros, repeated])
     residuals = np.concatenate([res, np.zeros(len(repeated))])
     order = np.argsort(points)

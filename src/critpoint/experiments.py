@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mobius as mb
-from .critical import critical_points, finite_support_critical
+from .critical import critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError)
 from .logderiv import Circle, circle_sup_norm, eval_S, log_minus, log_plus, pole_tolerance

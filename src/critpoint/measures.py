@@ -11,12 +11,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 from . import mobius as mb
 from .errors import ParameterError
 from .logderiv import log_minus
 from .sampler import BaseMeasure, SeedSpec, sample
+
+#: elements per (direction, atom) temporary in sliced_w1: 8 MB per array
+_SLICED_BLOCK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,16 +83,28 @@ def truncated_log_minus_integral(m: EmpiricalMeasure, u: mb.MobiusTransform, cap
 
 def sliced_w1(m1: EmpiricalMeasure, m2: EmpiricalMeasure, directions: int = 64) -> float:
     """Average over theta_j = pi j / directions of the exact 1-d W1 distance
-    between the pushforwards under z -> Re(e^{-i theta_j} z)."""
+    between the pushforwards under z -> Re(e^{-i theta_j} z).
+
+    Per direction, W1 = integral |F - G| dx for the two distribution
+    functions.  One sort of the merged projections, carrying weight +w
+    from m1 and -w from m2, gives F - G between consecutive sorted values
+    as a cumulative sum, so W1 = sum |F - G| * gap.  Directions are
+    processed in blocks whose size keeps each temporary within an element
+    budget.
+    """
     if directions < 1:
         raise ParameterError("directions must be a positive integer")
+    atoms = np.concatenate([m1.atoms, m2.atoms])
+    signed = np.concatenate([m1.weights, -m2.weights])
+    block = max(1, _SLICED_BLOCK_ELEMS // len(atoms))
     total = 0.0
-    for j in range(directions):
-        theta = math.pi * j / directions
-        rot = complex(math.cos(theta), -math.sin(theta))
-        p1 = np.real(rot * m1.atoms)
-        p2 = np.real(rot * m2.atoms)
-        total += wasserstein_distance(p1, p2, m1.weights, m2.weights)
+    for a in range(0, directions, block):
+        theta = math.pi * np.arange(a, min(a + block, directions)) / directions
+        proj = np.cos(theta)[:, None] * atoms.real + np.sin(theta)[:, None] * atoms.imag
+        order = np.argsort(proj, axis=1)
+        x = np.take_along_axis(proj, order, axis=1)
+        f_minus_g = np.cumsum(signed[order], axis=1)[:, :-1]
+        total += float(np.sum(np.abs(f_minus_g) * np.diff(x, axis=1)))
     return total / directions
 
 

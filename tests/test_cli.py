@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import critpoint
 from critpoint.cli import main
 
 
@@ -163,3 +166,13 @@ def test_series_csv_is_rfc4180(tmp_path, capsys):
     for row in rows[1:]:
         assert len(row) == 4
         float(row[3])
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(critpoint.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    p = subprocess.run([sys.executable, "-m", "critpoint.cli", "--help"],
+                       env=dict(os.environ, PYTHONPATH=path),
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert "usage" in p.stdout

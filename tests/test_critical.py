@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import critpoint.critical as critical
 from critpoint.critical import (CriticalSet, FiniteSupportInstance,
                                 critical_points, critical_points_oracle,
                                 finite_support_critical,
@@ -151,11 +152,54 @@ def test_residual_certificates_reported():
     assert cs.method == "aberth"
 
 
+def test_active_set_shrinks_and_certifies(monkeypatch):
+    roots = _random_roots("disk", 1000, 4242)
+    field_sums = critical._field_sums
+    rows = []
+
+    def recording(w, z, m, chunk):
+        rows.append(len(w))
+        return field_sums(w, z, m, chunk)
+
+    monkeypatch.setattr(critical, "_field_sums", recording)
+    tol = critical.DEFAULT_TOL
+    cs = critical_points(roots, tol=tol)
+    assert rows[0] == len(roots) - 1
+    assert all(b <= a for a, b in zip(rows, rows[1:]))
+    assert rows[-1] < rows[0]
+    # every point is certified on the solver's own rule, re-evaluated here
+    _, Sp, _, dmin = field_sums(cs.points, roots, np.ones(len(roots)), critical._CHUNK)
+    eps = np.finfo(float).eps
+    floor = 8 * eps * (1 + np.abs(cs.points)) * np.abs(Sp) * dmin
+    assert np.all(cs.residuals <= np.maximum(tol, floor))
+    n = len(roots)
+    miss = abs(cs.points.sum() - (n - 1) / n * roots.sum())
+    assert miss <= (n - 1) * tol * (1 + np.abs(roots).max())
+
+
+def test_closest_pair_matches_scan():
+    rng = np.random.default_rng(31)
+    grid = (np.arange(5)[:, None] + 1j * np.arange(5)[None, :]).ravel()
+    cases = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (2, 3, 50, 400)]
+    cases += [grid, np.concatenate([grid, grid[[7, 3, 7]]]), np.exp(2j * np.pi * np.arange(64) / 64)]
+    for c in cases:
+        best = (np.inf, 0, 1)
+        for i in range(len(c) - 1):
+            d = np.abs(c[i] - c[i + 1:])
+            j = int(np.argmin(d))
+            if d[j] < best[0]:
+                best = (float(d[j]), i, i + 1 + j)
+        assert critical._closest_pair(c) == best[1:]
+
+
 def test_input_validation():
     with pytest.raises(ParameterError):
         critical_points([1.0])
     with pytest.raises(ParameterError):
         critical_points([1.0, 2.0], tol=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            critical_points([1.0, 2j, bad])
     with pytest.raises(ParameterError):
         FiniteSupportInstance(np.array([1.0, 1.0]), np.array([1, 1]))
     with pytest.raises(ParameterError):

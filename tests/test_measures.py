@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
+from scipy.stats import wasserstein_distance
 
+from critpoint import measures
 from critpoint import mobius as mb
 from critpoint.errors import ParameterError
 from critpoint.measures import (EmpiricalMeasure, from_points,
@@ -62,6 +64,38 @@ def test_sliced_w1_trivial():
     assert sliced_w1(m, m, 16) == 0.0
     d0, d1 = from_points([0.0]), from_points([1.0])
     assert sliced_w1(d0, d1, 2) == pytest.approx(0.5, abs=1e-15)
+
+
+def _sliced_w1_oracle(m1, m2, directions):
+    total = 0.0
+    for j in range(directions):
+        theta = math.pi * j / directions
+        c, s = math.cos(theta), math.sin(theta)
+        p1 = c * m1.atoms.real + s * m1.atoms.imag
+        p2 = c * m2.atoms.real + s * m2.atoms.imag
+        total += wasserstein_distance(p1, p2, m1.weights, m2.weights)
+    return total / directions
+
+
+def test_sliced_w1_matches_per_direction_oracle(monkeypatch):
+    rng = np.random.default_rng(24)
+    unequal = (_random_measure(rng, 37), _random_measure(rng, 250))
+    w1, w2 = rng.random(15) + 0.1, rng.random(40) + 0.1
+    weighted = (EmpiricalMeasure(rng.standard_normal(15) + 1j * rng.standard_normal(15), w1 / w1.sum()),
+                EmpiricalMeasure(rng.standard_normal(40) + 1j * rng.standard_normal(40), w2 / w2.sum()))
+    # 4 directions include theta = 0 and pi/2, where lattice atoms tie in
+    # whole rows and columns, within and across the two measures
+    grid = (np.arange(4)[:, None] + 1j * np.arange(4)[None, :]).ravel()
+    lw = rng.random(16) + 0.1
+    lattice = (EmpiricalMeasure(grid, lw / lw.sum()), from_points(grid[::3] + 1))
+    for m1, m2 in (unequal, weighted, lattice):
+        for directions in (1, 4, 64):
+            want = _sliced_w1_oracle(m1, m2, directions)
+            assert sliced_w1(m1, m2, directions) == pytest.approx(want, abs=1e-12)
+            # a small budget splits the directions into several blocks
+            with monkeypatch.context() as mp:
+                mp.setattr(measures, "_SLICED_BLOCK_ELEMS", 600)
+                assert sliced_w1(m1, m2, directions) == pytest.approx(want, abs=1e-12)
 
 
 def test_sliced_w1_two_atoms_dense_directions():
