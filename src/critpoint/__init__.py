@@ -9,8 +9,7 @@ from .critical import (CriticalSet, FiniteSupportInstance, critical_points,
                        critical_points_oracle, finite_support_critical,
                        multiset_match_distance)
 from .errors import (ContractError, ConvergenceError, CritpointError,
-                     NonDegeneracyError, ParameterError, PoleOnContourError,
-                     ScopeError)
+                     NonDegeneracyError, ParameterError, PoleOnContourError)
 from .experiments import (ExperimentConfig, run_anticoncentration,
                           run_convergence, run_experiment, run_growth,
                           run_jensen, run_lln_logminus)
@@ -43,6 +42,6 @@ __all__ = [
     "ExperimentConfig", "Report", "Verdict", "run_experiment",
     "run_convergence", "run_jensen", "run_anticoncentration", "run_growth",
     "run_lln_logminus",
-    "CritpointError", "ParameterError", "ContractError", "ScopeError",
+    "CritpointError", "ParameterError", "ContractError",
     "ConvergenceError", "NonDegeneracyError", "PoleOnContourError",
 ]

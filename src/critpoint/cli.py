@@ -14,10 +14,10 @@ import sys
 import numpy as np
 
 from .critical import critical_points
-from .errors import ConvergenceError, CritpointError
+from .errors import ConvergenceError, CritpointError, ParameterError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .mobius import MobiusTransform
-from .sampler import BaseMeasure, SeedSpec
+from .sampler import BaseMeasure, SeedSpec, as_complex
 
 _TOP_KEYS = {"measure", "experiment", "n_schedule", "trials", "seed", "tolerances", "out_dir"}
 
@@ -25,20 +25,12 @@ _TOLERANCE_KEYS = {
     "tol_solver", "m_circle", "directions", "r_ball", "R_infty", "k_reference",
     "improvement_factor", "quadrant_max", "jensen_pass_rate", "jensen_slack",
     "probes", "projection", "slope_min", "slope_max", "min_hits",
-    "growth_ratio_max", "circle_center", "circle_radius", "u_transform", "threads",
+    "growth_ratio_max", "circle_center", "circle_radius", "u_transform",
 }
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _as_complex(v, what):
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, (int, float)):
-        return complex(v)
-    raise ConfigError(f"{what} must be a number or [re, im] pair, got {v!r}")
 
 
 def _load_json(path):
@@ -51,8 +43,12 @@ def _load_json(path):
         raise ConfigError(f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def parse_config(doc: dict, seed_override=None, threads=None):
-    """Validate a CLI config document into (experiment name, ExperimentConfig, out_dir)."""
+def parse_config(doc: dict, seed_override=None):
+    """Validate a CLI config document into (experiment name, ExperimentConfig, out_dir).
+
+    Raises ConfigError, or ParameterError from the measure, seed and
+    [re, im] parsers; the CLI maps both to exit code 2.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
@@ -64,11 +60,8 @@ def parse_config(doc: dict, seed_override=None, threads=None):
     experiment = doc["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {sorted(EXPERIMENTS)}, got {experiment!r}")
-    try:
-        measure = BaseMeasure.from_json(doc["measure"])
-        seed = SeedSpec.from_json(doc.get("seed", 0))
-    except CritpointError as exc:
-        raise ConfigError(str(exc)) from exc
+    measure = BaseMeasure.from_json(doc["measure"])
+    seed = SeedSpec.from_json(doc.get("seed", 0))
     if seed_override is not None:
         seed = SeedSpec(int(seed_override), seed.stream_id)
     tol = doc.get("tolerances", {})
@@ -80,21 +73,16 @@ def parse_config(doc: dict, seed_override=None, threads=None):
     kwargs = {k: v for k, v in tol.items()
               if k not in ("probes", "projection", "circle_center", "u_transform")}
     if "probes" in tol:
-        kwargs["probes"] = tuple(_as_complex(p, "probe") for p in tol["probes"])
+        kwargs["probes"] = tuple(as_complex(p, "probe") for p in tol["probes"])
     if "projection" in tol:
         pj = tol["projection"]
         if not (isinstance(pj, (list, tuple)) and len(pj) == 2):
             raise ConfigError("projection must be [a, b]")
         kwargs["projection"] = (float(pj[0]), float(pj[1]))
     if tol.get("circle_center") is not None:
-        kwargs["circle_center"] = _as_complex(tol["circle_center"], "circle_center")
+        kwargs["circle_center"] = as_complex(tol["circle_center"], "circle_center")
     if tol.get("u_transform") is not None:
-        try:
-            kwargs["u_transform"] = MobiusTransform.from_json(tol["u_transform"])
-        except CritpointError as exc:
-            raise ConfigError(str(exc)) from exc
-    if threads is not None:
-        kwargs["threads"] = int(threads)
+        kwargs["u_transform"] = MobiusTransform.from_json(tol["u_transform"])
     try:
         config = ExperimentConfig(
             measure=measure,
@@ -110,7 +98,7 @@ def parse_config(doc: dict, seed_override=None, threads=None):
 
 def _cmd_run(args) -> int:
     doc = _load_json(args.config)
-    experiment, config, out_dir = parse_config(doc, args.seed, args.threads)
+    experiment, config, out_dir = parse_config(doc, args.seed)
     if args.out:
         out_dir = args.out
     try:
@@ -132,7 +120,7 @@ def _cmd_critical(args) -> int:
     doc = _load_json(args.roots)
     if not isinstance(doc, list) or not doc:
         raise ConfigError(f"{args.roots}: expected a nonempty JSON array of [re, im] pairs")
-    roots = np.array([_as_complex(v, "root") for v in doc], dtype=complex)
+    roots = np.array([as_complex(v, "root") for v in doc], dtype=complex)
     try:
         cs = critical_points(roots, tol=args.tol)
     except ConvergenceError as exc:
@@ -161,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seed", type=int, default=None, help="override the master seed")
     runp.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
     runp.add_argument("--quiet", action="store_true", help="suppress the verdict summary")
-    runp.add_argument("--threads", type=int, default=None,
-                      help="worker-pool size hint; results never depend on it")
 
     critp = sub.add_parser("critical", help="critical points of an explicit root list")
     critp.add_argument("--roots", required=True, help="JSON array of [re, im] root pairs")
@@ -178,7 +164,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_critical(args)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -2,8 +2,7 @@
 
 The production path runs a simultaneous Aberth-type iteration on the zeros
 of S(z) = sum m_k/(z - z_k) using only product-form evaluations, so large
-degrees never touch expanded coefficients.  A companion-matrix eigenvalue
-oracle and the finite-support closed form provide independent routes.
+degrees never touch expanded coefficients.
 
 Writing S = Q/R with R = prod (z - z_k) over distinct roots, the Newton
 correction for Q expressed through S alone is
@@ -13,6 +12,14 @@ correction for Q expressed through S alone is
 i.e. Newton on the numerator with Aberth repulsion between iterates.  The
 naive S/S' step is not used: S decays like n/z at infinity, so Newton on S
 chases the spurious zero at infinity from any exterior start.
+
+The independent route (`critical_points_oracle`, `finite_support_critical`)
+uses one identity instead: for weights m_k > 0 and v_k = sqrt(m_k / sum m),
+the zeros of sum m_k/(X - z_k) are the eigenvalues of diag(z) compressed to
+the orthogonal complement of v (Pereira 2003; Malamud 2005).  It is a
+single dense eigenvalue problem, shares no code with the iteration and
+needs neither starting points nor a stopping rule, which is what makes it
+a check on the Aberth solver rather than a second copy of it.
 """
 
 from __future__ import annotations
@@ -23,16 +30,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
-from .errors import ContractError, ConvergenceError, ParameterError, ScopeError
+from .errors import ContractError, ConvergenceError, ParameterError
 from .logderiv import RootSet, as_roots
 
 _EPS = float(np.finfo(float).eps)
 
 #: roots closer than this (relative) are clustered into one multiple root
 DUPLICATE_RTOL = 1e-14
-
-#: companion-matrix oracle degree cap (conditioning guard)
-ORACLE_MAX_N = 64
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 500
@@ -255,8 +259,6 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
     rs = as_roots(roots)
     if rs.n < 2:
         raise ParameterError("critical points need at least two roots")
-    if not np.all(np.isfinite(rs.roots)):
-        raise ParameterError("roots must be finite")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     z, mult, inexact = _cluster_roots(rs.roots)
@@ -283,133 +285,56 @@ def _residuals_against(points: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# companion-matrix oracle
+# independent eigenvalue route
 
 
-def _coeffs_from_roots(roots: np.ndarray) -> np.ndarray:
-    """Monic expanded coefficients, highest degree first."""
-    c = np.ones(1, dtype=complex)
-    for z in roots:
-        c = np.convolve(c, np.array([1.0, -z], dtype=complex))
-    return c
+def _compressed_eigs(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The len(z)-1 zeros of sum_k m_k/(X - z_k) for weights m_k > 0, as the
+    eigenvalues of diag(z) compressed to the complement of v, v_k = sqrt(m_k/sum m).
 
-
-#: working precision (decimal digits) for the oracle's coefficient route;
-#: double precision alone leaves forward errors up to ~1e-3 near n = 64
-_ORACLE_DPS = 40
-
-
-def _mp_coeffs_from_roots(roots: np.ndarray):
-    """Expanded coefficients by balanced product tree in extended precision
-    (exact in the binary inputs up to the working precision)."""
-    import mpmath as mp
-
-    polys = [[mp.mpc(1), mp.mpc(-z)] for z in roots]
-    while len(polys) > 1:
-        nxt = []
-        for i in range(0, len(polys) - 1, 2):
-            a, b = polys[i], polys[i + 1]
-            c = [mp.mpc(0)] * (len(a) + len(b) - 1)
-            for ia, va in enumerate(a):
-                for ib, vb in enumerate(b):
-                    c[ia + ib] += va * vb
-            nxt.append(c)
-        if len(polys) % 2:
-            nxt.append(polys[-1])
-        polys = nxt
-    return polys[0]
-
-
-def _mp_horner(coeffs, w):
-    acc = coeffs[0]
-    for v in coeffs[1:]:
-        acc = acc * w + v
-    return acc
-
-
-def _companion_eigs(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a polynomial (coefficients highest-first) via its companion matrix."""
-    c = np.asarray(coeffs, dtype=complex)
-    c = c / c[0]
-    deg = len(c) - 1
-    if deg == 0:
-        return np.empty(0, dtype=complex)
-    A = np.zeros((deg, deg), dtype=complex)
-    if deg > 1:
-        A[1:, :-1] = np.eye(deg - 1)
-    A[:, -1] = -c[1:][::-1]
-    return np.linalg.eigvals(A)
+    The characteristic polynomial of the compression Q^T diag(z) Q, Q an
+    orthonormal basis of v^perp, is prod_k (X - z_k) * sum_k v_k^2/(X - z_k)
+    (Pereira 2003; Malamud 2005).  Q is the last n-1 columns of the
+    Householder reflector H = I - 2 u u^T/(u^T u), u = v + e_1, which maps
+    e_1 to -v; v_1 > 0 keeps u free of cancellation.
+    """
+    v = np.sqrt(m / m.sum())
+    u = v.copy()
+    u[0] += 1.0
+    Q = np.eye(len(z))[:, 1:] - (2.0 / (u @ u)) * np.outer(u, u[1:])
+    return np.linalg.eigvals(Q.T @ (z[:, None] * Q))
 
 
 def critical_points_oracle(roots) -> CriticalSet:
-    """Independent oracle on the coefficient route: expand P in extended
-    precision, differentiate, take companion-matrix eigenvalues, then refine
-    all eigenvalues together by a Durand-Kerner sweep on those coefficients.
+    """All n-1 critical points as eigenvalues of diag(Z) compressed to the
+    complement of (1, ..., 1)/sqrt(n); the characteristic polynomial of that
+    compression is P'/n, so repeated roots need no special case.
 
-    Everything stays in the coefficient representation (no product-form
-    evaluation), so the route is independent of the Aberth solver.  The
-    refinement is needed because double-precision coefficient conditioning
-    near n = 64 leaves eigenvalue errors far above the 1e-6 comparison
-    scale; the simultaneous (repelling) iteration, unlike per-point Newton,
-    cannot collapse two eigenvalues into one basin.
+    The route is independent of the Aberth solver: one dense LAPACK
+    eigenvalue problem, with no iteration on S, no starting points, no
+    stopping rule and no expanded coefficients.  It costs O(n^3) and has no
+    degree cap.  Residuals are the same certificates |S(W)| * min_k
+    |W - Z_k| that critical_points reports.
     """
-    import mpmath as mp
-
     rs = as_roots(roots)
     if rs.n < 2:
         raise ParameterError("critical points need at least two roots")
-    if rs.n > ORACLE_MAX_N:
-        raise ScopeError(f"oracle limited to n <= {ORACLE_MAX_N}, got {rs.n}")
-    n = rs.n
-    with mp.workdps(_ORACLE_DPS):
-        coeffs = _mp_coeffs_from_roots(rs.roots)
-        dcoeffs = [c * (n - k) for k, c in enumerate(coeffs[:-1])]
-        lead = dcoeffs[0]
-        starts = _companion_eigs(np.array([complex(c) for c in dcoeffs]))
-        w = [mp.mpc(z) for z in starts]
-        d = len(w)
-        # split exactly coincident starts (multiple eigenvalues) so the
-        # Weierstrass denominators stay nonzero
-        for i in range(d):
-            for j in range(i):
-                if w[i] == w[j]:
-                    w[i] += (1 + abs(w[i])) * mp.mpc(1e-6) * mp.expjpi(2 * 0.618033988749895 * i)
-        tol = mp.mpf("1e-25")
-        for _ in range(60):
-            worst = mp.mpf(0)
-            for i in range(d):
-                denom = lead
-                for j in range(d):
-                    if j != i:
-                        denom *= w[i] - w[j]
-                if denom == 0:
-                    continue
-                step = _mp_horner(dcoeffs, w[i]) / denom
-                w[i] = w[i] - step
-                worst = max(worst, abs(step) / (1 + abs(w[i])))
-            if worst <= tol:
-                break
-        pts = np.array([complex(v) for v in w])
-    residuals = _residuals_against(pts, rs.roots)
-    order = np.argsort(pts)
-    return CriticalSet(pts[order], residuals[order], "companion")
+    pts = np.sort(_compressed_eigs(rs.roots, np.ones(rs.n)))
+    return CriticalSet(pts, _residuals_against(pts, rs.roots), "eigen")
 
 
 # ---------------------------------------------------------------------------
-# finite-support closed form
+# finite support
 
 
 def finite_support_critical(inst: FiniteSupportInstance) -> CriticalSet:
     """Each atom z_i with multiplicity N_i - 1, plus the r-1 zeros of
-    Q(X) = sum_i N_i prod_{j != i} (X - z_j)."""
+    sum_i N_i/(X - z_i), the eigenvalues of diag(atoms) compressed to the
+    complement of v_i = sqrt(N_i/n).  Only the r distinct atoms enter the
+    eigenvalue problem."""
     atoms = inst.atoms
     counts = inst.counts
-    r = len(atoms)
-    qcoeffs = np.zeros(r, dtype=complex)
-    for i in range(r):
-        others = np.delete(atoms, i)
-        qcoeffs += counts[i] * _coeffs_from_roots(others)
-    extra = _companion_eigs(qcoeffs) if r > 1 else np.empty(0, complex)
+    extra = _compressed_eigs(atoms, counts.astype(float))
     repeated = np.repeat(atoms, counts - 1)
     res_extra = _residuals_against(extra, inst.expanded_roots().roots)
     points = np.concatenate([extra, repeated])

@@ -13,10 +13,6 @@ class ContractError(CritpointError, ValueError):
     """A call violates an operation's precondition (e.g. shrinking a trajectory)."""
 
 
-class ScopeError(CritpointError, ValueError):
-    """The request is outside the supported problem size (e.g. oracle degree cap)."""
-
-
 class ConvergenceError(CritpointError, RuntimeError):
     """The iterative solver failed to certify a solution.
 

@@ -70,8 +70,6 @@ class ExperimentConfig:
     circle_radius: float | None = None
     # lln
     u_transform: mb.MobiusTransform | None = None
-    # accepted for the CLI surface; execution is sequential either way
-    threads: int | None = None
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_schedule)
@@ -119,7 +117,6 @@ class ExperimentConfig:
                 "circle_radius": self.circle_radius,
                 "u_transform": (None if self.u_transform is None
                                 else self.u_transform.to_json()),
-                "threads": self.threads,
             },
         }
 

@@ -6,6 +6,7 @@ pairwise (numpy's blocked pairwise reduction) over a canonical root order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +36,8 @@ class RootSet:
         r = np.ascontiguousarray(np.atleast_1d(np.asarray(self.roots, dtype=complex)))
         if r.ndim != 1 or r.size < 1:
             raise ParameterError("RootSet needs at least one root")
+        if not np.all(np.isfinite(r)):
+            raise ParameterError("roots must be finite")
         r.setflags(write=False)
         object.__setattr__(self, "roots", r)
 
@@ -53,8 +56,10 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ParameterError(f"circle radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ParameterError(f"circle radius must be finite and positive, got {self.radius}")
+        if not cmath.isfinite(complex(self.center)):
+            raise ParameterError(f"circle center must be finite, got {self.center}")
 
     def points(self, m: int) -> np.ndarray:
         j = np.arange(m)
@@ -144,12 +149,8 @@ def circle_sup_norm_refined(roots, c: Circle, m_start: int = 4096,
     are evaluated at each doubling since the grids nest.
     """
     rs = as_roots(roots)
-    tau = POLE_RTOL * (1.0 + abs(c.center) + c.radius)
-    if _contour_clearance(rs, c) <= tau:
-        raise PoleOnContourError(
-            f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
     m = int(m_start)
-    best = float(np.max(_abs_S_on_points(rs.roots, c.points(m))))
+    best = circle_sup_norm(rs, c, m)
     last_delta = math.inf
     while m < m_cap:
         # odd multiples of the refined step are exactly the new points

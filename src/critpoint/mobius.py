@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .sampler import SeedSpec
+from .sampler import SeedSpec, as_complex
 
 INFINITY = complex(math.inf, 0.0)
 
@@ -62,7 +62,7 @@ class MobiusTransform:
     def from_json(cls, obj) -> "MobiusTransform":
         if not (isinstance(obj, (list, tuple)) and len(obj) == 4):
             raise ParameterError("mobius JSON must be a list of four [re, im] pairs")
-        return cls(*(complex(float(p[0]), float(p[1])) for p in obj))
+        return cls(*(as_complex(p, "mobius coefficient") for p in obj))
 
 
 def identity() -> MobiusTransform:

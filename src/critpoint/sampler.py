@@ -10,6 +10,9 @@ of (measure, seed, k).
 
 from __future__ import annotations
 
+import cmath
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +23,23 @@ from .errors import ContractError, ParameterError
 
 _KINDS = ("FiniteSupport", "UniformCircle", "UniformDisk", "ComplexGaussian", "ComplexCauchy")
 
+#: (location, scale) parameter names of the continuous kinds
+_LOC_SCALE = {"UniformCircle": ("center", "radius"), "UniformDisk": ("center", "radius"),
+              "ComplexGaussian": ("mean", "scale"), "ComplexCauchy": ("location", "scale")}
+
 _MASK64 = (1 << 64) - 1
+
+
+def as_complex(v, what: str = "value") -> complex:
+    """A JSON number or [re, im] pair as a finite complex; anything else,
+    NaN and infinity included, raises ParameterError."""
+    parts = v if isinstance(v, (list, tuple)) else (v, 0.0)
+    if len(parts) != 2 or not all(isinstance(x, numbers.Real) for x in parts):
+        raise ParameterError(f"{what} must be a number or [re, im] pair, got {v!r}")
+    z = complex(float(parts[0]), float(parts[1]))
+    if not cmath.isfinite(z):
+        raise ParameterError(f"{what} must be finite, got {v!r}")
+    return z
 
 
 def _splitmix64(x: int) -> int:
@@ -105,21 +124,20 @@ class BaseMeasure:
                 raise ParameterError("FiniteSupport needs a nonempty 1-d atom list")
             if weights.shape != atoms.shape:
                 raise ParameterError("atoms and weights must have equal length")
+            if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+                raise ParameterError("FiniteSupport atoms and weights must be finite")
             if np.any(weights <= 0):
                 raise ParameterError("FiniteSupport weights must be strictly positive")
             if abs(weights.sum() - 1.0) > 1e-12:
                 raise ParameterError(f"weights must sum to 1 within 1e-12, got {weights.sum()!r}")
             if len(np.unique(atoms)) != atoms.size:
                 raise ParameterError("FiniteSupport atoms must be pairwise distinct")
-        elif self.kind in ("UniformCircle", "UniformDisk"):
-            if not float(p.get("radius", 0)) > 0:
-                raise ParameterError(f"{self.kind} radius must be strictly positive")
-        elif self.kind == "ComplexGaussian":
-            if not float(p.get("scale", 0)) > 0:
-                raise ParameterError("ComplexGaussian scale must be strictly positive")
-        elif self.kind == "ComplexCauchy":
-            if not float(p.get("scale", 0)) > 0:
-                raise ParameterError("ComplexCauchy scale must be strictly positive")
+        else:
+            loc, scale = _LOC_SCALE[self.kind]
+            if not cmath.isfinite(complex(p.get(loc, 0))):
+                raise ParameterError(f"{self.kind} {loc} must be finite")
+            if not 0 < float(p.get(scale, 0)) < math.inf:
+                raise ParameterError(f"{self.kind} {scale} must be finite and strictly positive")
 
     # ---- constructors -------------------------------------------------
 
@@ -161,20 +179,14 @@ class BaseMeasure:
     # ---- JSON ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        p = self.params
         if self.kind == "FiniteSupport":
             atoms, weights = self.atoms_and_weights()
             params = {"atoms": [[z.real, z.imag] for z in atoms],
                       "weights": [float(w) for w in weights]}
-        elif self.kind in ("UniformCircle", "UniformDisk"):
-            c = complex(p["center"])
-            params = {"center": [c.real, c.imag], "radius": float(p["radius"])}
-        elif self.kind == "ComplexGaussian":
-            c = complex(p["mean"])
-            params = {"mean": [c.real, c.imag], "scale": float(p["scale"])}
         else:
-            c = complex(p["location"])
-            params = {"location": [c.real, c.imag], "scale": float(p["scale"])}
+            loc, scale = _LOC_SCALE[self.kind]
+            c = complex(self.params[loc])
+            params = {loc: [c.real, c.imag], scale: float(self.params[scale])}
         return {"kind": self.kind, "params": params}
 
     @classmethod
@@ -188,35 +200,16 @@ class BaseMeasure:
         params = obj.get("params", {})
         if kind not in _KINDS:
             raise ParameterError(f"unknown measure kind {kind!r}")
-
-        def as_complex(v):
-            if isinstance(v, (list, tuple)) and len(v) == 2:
-                return complex(float(v[0]), float(v[1]))
-            if isinstance(v, (int, float)):
-                return complex(v)
-            raise ParameterError(f"expected [re, im] pair, got {v!r}")
-
+        names = ("atoms", "weights") if kind == "FiniteSupport" else _LOC_SCALE[kind]
+        unknown = set(params) - set(names)
+        if unknown:
+            raise ParameterError(f"unknown params: {sorted(unknown)}")
         if kind == "FiniteSupport":
-            allowed = {"atoms", "weights"}
-            if set(params) - allowed:
-                raise ParameterError(f"unknown params: {sorted(set(params) - allowed)}")
-            atoms = [as_complex(a) for a in params.get("atoms", [])]
+            atoms = [as_complex(a, "atom") for a in params.get("atoms", [])]
             return cls.finite_support(atoms, params.get("weights", []))
-        if kind in ("UniformCircle", "UniformDisk"):
-            allowed = {"center", "radius"}
-            if set(params) - allowed:
-                raise ParameterError(f"unknown params: {sorted(set(params) - allowed)}")
-            ctor = cls.uniform_circle if kind == "UniformCircle" else cls.uniform_disk
-            return ctor(as_complex(params.get("center", 0)), params.get("radius", 0))
-        if kind == "ComplexGaussian":
-            allowed = {"mean", "scale"}
-            if set(params) - allowed:
-                raise ParameterError(f"unknown params: {sorted(set(params) - allowed)}")
-            return cls.complex_gaussian(as_complex(params.get("mean", 0)), params.get("scale", 0))
-        allowed = {"location", "scale"}
-        if set(params) - allowed:
-            raise ParameterError(f"unknown params: {sorted(set(params) - allowed)}")
-        return cls.complex_cauchy(as_complex(params.get("location", 0)), params.get("scale", 0))
+        loc, scale = names
+        return cls(kind, {loc: as_complex(params.get(loc, 0), loc),
+                          scale: float(params.get(scale, 0))})
 
 
 @dataclass(frozen=True)

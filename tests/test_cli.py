@@ -144,14 +144,14 @@ def test_quiet_suppresses_summary(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_threads_flag_does_not_change_results(tmp_path, capsys):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    cfg = write(tmp_path, "c.json", small_convergence_config(out1))
-    assert main(["run", "--config", cfg, "--quiet"]) == 0
-    assert main(["run", "--config", cfg, "--quiet", "--out", out2, "--threads", "4"]) == 0
-    capsys.readouterr()
-    assert (open(os.path.join(out1, "series.csv"), "rb").read()
-            == open(os.path.join(out2, "series.csv"), "rb").read())
+@pytest.mark.parametrize("u_transform", [[[1, 0], [0, 0], [0, 0], [1]],
+                                         [[1, 0], [0, 0], [0, 0], "x"]])
+def test_malformed_u_transform_exit_2(tmp_path, capsys, u_transform):
+    doc = small_convergence_config(str(tmp_path))
+    doc["tolerances"]["u_transform"] = u_transform
+    cfg = write(tmp_path, "c.json", doc)
+    assert main(["run", "--config", cfg]) == 2
+    assert "mobius coefficient" in capsys.readouterr().err
 
 
 def test_series_csv_is_rfc4180(tmp_path, capsys):

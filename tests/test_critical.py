@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from critpoint.critical import (CriticalSet, FiniteSupportInstance,
                                 critical_points, critical_points_oracle,
                                 finite_support_critical,
                                 multiset_match_distance)
-from critpoint.errors import ConvergenceError, ParameterError, ScopeError
+from critpoint.errors import ConvergenceError, ParameterError
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
 from helpers import hull_distance
@@ -48,11 +50,6 @@ def test_oracle_vieta():
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
-def test_oracle_scope_guard():
-    with pytest.raises(ScopeError):
-        critical_points_oracle(np.arange(65, dtype=complex))
-
-
 def test_aberth_matches_oracle_eight_disk_roots():
     roots = _random_roots("disk", 8, 77)
     a = critical_points(roots).points
@@ -60,9 +57,9 @@ def test_aberth_matches_oracle_eight_disk_roots():
     assert multiset_match_distance(a, b) < 1e-6
 
 
-@pytest.mark.parametrize("kind", ["disk", "gauss"])
-@pytest.mark.parametrize("n", [4, 17, 64])
-def test_method_agreement(kind, n):
+@pytest.mark.parametrize("n,kind", [(n, kind) for n in (4, 17, 64, 256)
+                                    for kind in ("disk", "gauss")] + [(1000, "disk")])
+def test_method_agreement(n, kind):
     stream = {"disk": 0, "gauss": 1000}[kind] + n
     roots = _random_roots(kind, n, stream)
     a = critical_points(roots).points
@@ -100,6 +97,27 @@ def test_finite_support_agrees_with_general_solver():
         a = finite_support_critical(inst).points
         b = critical_points(inst.expanded_roots()).points
         assert multiset_match_distance(a, b) < 1e-8
+
+
+@pytest.mark.parametrize("r", [30, 40])
+def test_finite_support_many_atoms_certified(r):
+    for draw in range(5):
+        rng = np.random.default_rng([draw, r])
+        atoms = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        inst = FiniteSupportInstance(atoms, rng.integers(1, 8, size=r))
+        cs = finite_support_critical(inst)
+        assert len(cs) == inst.n - 1
+        assert np.all(cs.residuals <= critical.DEFAULT_TOL)
+
+
+def test_routes_need_no_mpmath(monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    roots = _random_roots("gauss", 12, 5)
+    cs = critical_points_oracle(roots)
+    assert cs.method == "eigen"
+    assert multiset_match_distance(cs.points, critical_points(roots).points) < 1e-6
+    inst = FiniteSupportInstance(np.array([1.0, -1.0, 2j]), np.array([2, 3, 1]))
+    assert len(finite_support_critical(inst)) == inst.n - 1
 
 
 @pytest.mark.parametrize("n", [2, 16, 128, 512])

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from critpoint.critical import critical_points_oracle
 from critpoint.errors import ParameterError, PoleOnContourError
 from critpoint.logderiv import (Circle, RootSet, circle_sup_norm,
                                 circle_sup_norm_refined, eval_S, eval_S_prime,
                                 log_minus, log_plus)
+from critpoint.sampler import BaseMeasure
 
 # sup |S| on C(0.5, 1) for roots {1, -1}: |S(z)| = 2|z| / (|z-1| |z+1|) peaks
 # at z = 1.5, giving 3 / 1.25 (value pinned by refined dense sampling)
@@ -118,3 +120,24 @@ def test_rootset_validation():
     with pytest.raises(ParameterError):
         RootSet(np.array([], dtype=complex))
     assert RootSet(np.array([1j])).n == 1
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BaseMeasure.uniform_disk(complex(NAN, 0.0), 1.0),
+    lambda: BaseMeasure.finite_support([NAN, 1.0], [0.5, 0.5]),
+    lambda: BaseMeasure.finite_support([1.0, -1.0], [NAN, 0.5]),
+    lambda: BaseMeasure.complex_gaussian(0j, INF),
+    lambda: BaseMeasure.from_json({"kind": "UniformCircle",
+                                   "params": {"center": [0, NAN], "radius": 1}}),
+    lambda: eval_S([1.0, NAN], 0.5j),
+    lambda: circle_sup_norm([2.0, complex(0, INF)], Circle(0j, 1.0), 64),
+    lambda: Circle(0j, INF),
+    lambda: critical_points_oracle([1.0, NAN, 2j]),
+], ids=["disk-centre", "atoms", "weights", "gauss-scale", "json-pair", "eval_S",
+        "sup-norm", "circle-radius", "oracle"])
+def test_non_finite_input_rejected(make):
+    with pytest.raises(ParameterError):
+        make()
