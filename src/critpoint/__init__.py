@@ -5,14 +5,15 @@ the n-1 zeros of P' at scale, and measure how the empirical law of the
 critical points tracks the law of the roots.
 """
 
-from .critical import (CriticalSet, FiniteSupportInstance, critical_points,
-                       critical_points_oracle, finite_support_critical,
+from .critical import (CriticalSet, critical_points, critical_points_oracle,
                        multiset_match_distance)
 from .errors import (ContractError, ConvergenceError, CritpointError,
                      NonDegeneracyError, ParameterError, PoleOnContourError)
-from .experiments import (ExperimentConfig, run_anticoncentration,
-                          run_convergence, run_experiment, run_growth,
-                          run_jensen, run_lln_logminus)
+from .experiments import (AnticoncentrationConfig, ConvergenceConfig,
+                          GrowthConfig, JensenConfig, LLNConfig,
+                          run_anticoncentration, run_convergence,
+                          run_experiment, run_growth, run_jensen,
+                          run_lln_logminus)
 from .logderiv import (Circle, EvalResult, RootSet, circle_sup_norm,
                        circle_sup_norm_refined, eval_S, eval_S_prime,
                        log_minus, log_plus)
@@ -32,14 +33,14 @@ __all__ = [
     "BaseMeasure", "SeedSpec", "Trajectory", "sample", "extend", "multinomial_counts",
     "RootSet", "Circle", "EvalResult", "eval_S", "eval_S_prime",
     "circle_sup_norm", "circle_sup_norm_refined", "log_plus", "log_minus",
-    "CriticalSet", "FiniteSupportInstance", "critical_points",
-    "critical_points_oracle", "finite_support_critical", "multiset_match_distance",
+    "CriticalSet", "critical_points", "critical_points_oracle", "multiset_match_distance",
     "EmpiricalMeasure", "from_points", "log_minus_integral",
     "truncated_log_minus_integral", "sliced_w1", "quadrant_discrepancy",
     "reference_quantization",
     "MobiusTransform", "GeneralizedCircle", "identity", "affine", "apply",
     "inverse", "compose", "preimage_unit_circle", "sample_mobius", "sample_affine",
-    "ExperimentConfig", "Report", "Verdict", "run_experiment",
+    "ConvergenceConfig", "JensenConfig", "AnticoncentrationConfig", "GrowthConfig",
+    "LLNConfig", "Report", "Verdict", "run_experiment",
     "run_convergence", "run_jensen", "run_anticoncentration", "run_growth",
     "run_lln_logminus",
     "CritpointError", "ParameterError", "ContractError",

@@ -2,6 +2,19 @@
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed (or the solver could
 not certify), 2 malformed configuration or I/O trouble.
+
+A run config holds "experiment", "measure", "n_schedule", an optional "seed"
+and "out_dir", and the experiment's settings below: "trials" at the top level,
+the rest under "tolerances".  A key the experiment does not read is an error.
+
+    convergence        tol_solver, directions, R_infty, k_reference,
+                       improvement_factor, quadrant_max
+    jensen             trials, tol_solver, m_circle, jensen_pass_rate, jensen_slack
+    anticoncentration  trials, probes, projection, r_ball, slope_min, slope_max, min_hits
+    growth             m_circle, growth_ratio_max, circle_center + circle_radius (or neither)
+    lln                k_reference, u_transform
+
+report.json's "config" is the config as run, defaults filled in; it reads back as one.
 """
 
 from __future__ import annotations
@@ -10,27 +23,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .critical import critical_points
 from .errors import ConvergenceError, CritpointError, ParameterError
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
-from .mobius import MobiusTransform
-from .sampler import BaseMeasure, SeedSpec, as_complex
-
-_TOP_KEYS = {"measure", "experiment", "n_schedule", "trials", "seed", "tolerances", "out_dir"}
-
-_TOLERANCE_KEYS = {
-    "tol_solver", "m_circle", "directions", "r_ball", "R_infty", "k_reference",
-    "improvement_factor", "quadrant_max", "jensen_pass_rate", "jensen_slack",
-    "probes", "projection", "slope_min", "slope_max", "min_hits",
-    "growth_ratio_max", "circle_center", "circle_radius", "u_transform",
-}
-
-
-class ConfigError(ValueError):
-    pass
+from .experiments import EXPERIMENTS, run_experiment
+from .sampler import SeedSpec, as_complex
 
 
 def _load_json(path):
@@ -38,74 +38,38 @@ def _load_json(path):
         with open(path) as f:
             return json.load(f)
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ParameterError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise ParameterError(f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
 def parse_config(doc: dict, seed_override=None):
-    """Validate a CLI config document into (experiment name, ExperimentConfig, out_dir).
+    """Validate a CLI config document into (experiment name, config, out_dir).
 
-    Raises ConfigError, or ParameterError from the measure, seed and
-    [re, im] parsers; the CLI maps both to exit code 2.
+    Raises ParameterError, which the CLI maps to exit code 2.
     """
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("measure", "experiment", "n_schedule"):
-        if key not in doc:
-            raise ConfigError(f"config requires {key!r}")
-    experiment = doc["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {sorted(EXPERIMENTS)}, got {experiment!r}")
-    measure = BaseMeasure.from_json(doc["measure"])
-    seed = SeedSpec.from_json(doc.get("seed", 0))
+        raise ParameterError("config must be a JSON object")
+    doc = dict(doc)
+    experiment = doc.pop("experiment", None)
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        raise ParameterError(f"experiment must be one of {sorted(EXPERIMENTS)}, got {experiment!r}")
+    out_dir = doc.pop("out_dir", ".")
+    config = EXPERIMENTS[experiment][0].from_json(doc)
     if seed_override is not None:
-        seed = SeedSpec(int(seed_override), seed.stream_id)
-    tol = doc.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances must be a JSON object")
-    unknown = set(tol) - _TOLERANCE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in tol.items()
-              if k not in ("probes", "projection", "circle_center", "u_transform")}
-    if "probes" in tol:
-        kwargs["probes"] = tuple(as_complex(p, "probe") for p in tol["probes"])
-    if "projection" in tol:
-        pj = tol["projection"]
-        if not (isinstance(pj, (list, tuple)) and len(pj) == 2):
-            raise ConfigError("projection must be [a, b]")
-        kwargs["projection"] = (float(pj[0]), float(pj[1]))
-    if tol.get("circle_center") is not None:
-        kwargs["circle_center"] = as_complex(tol["circle_center"], "circle_center")
-    if tol.get("u_transform") is not None:
-        kwargs["u_transform"] = MobiusTransform.from_json(tol["u_transform"])
-    try:
-        config = ExperimentConfig(
-            measure=measure,
-            n_schedule=tuple(doc["n_schedule"]),
-            trials=int(doc.get("trials", 1)),
-            seed=seed,
-            **kwargs,
-        )
-    except (CritpointError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return experiment, config, doc.get("out_dir", ".")
+        config = replace(config, seed=SeedSpec(seed_override, config.seed.stream_id))
+    return experiment, config, out_dir
 
 
 def _cmd_run(args) -> int:
     doc = _load_json(args.config)
     experiment, config, out_dir = parse_config(doc, args.seed)
-    if args.out:
-        out_dir = args.out
+    out_dir = args.out or out_dir
     try:
         report = run_experiment(experiment, config)
     except CritpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if not isinstance(exc, ConvergenceError) else 1
+        return 1 if isinstance(exc, ConvergenceError) else 2
     report.write(out_dir)
     if not args.quiet:
         for v in report.verdicts:
@@ -119,16 +83,13 @@ def _cmd_run(args) -> int:
 def _cmd_critical(args) -> int:
     doc = _load_json(args.roots)
     if not isinstance(doc, list) or not doc:
-        raise ConfigError(f"{args.roots}: expected a nonempty JSON array of [re, im] pairs")
+        raise ParameterError(f"{args.roots}: expected a nonempty JSON array of [re, im] pairs")
     roots = np.array([as_complex(v, "root") for v in doc], dtype=complex)
     try:
         cs = critical_points(roots, tol=args.tol)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CritpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConvergenceError) else 2
     print(json.dumps([[w.real, w.imag] for w in cs.points]))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -154,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     critp.add_argument("--roots", required=True, help="JSON array of [re, im] root pairs")
     critp.add_argument("--tol", type=float, default=1e-10, help="solver certificate tolerance")
     critp.add_argument("--out", default=None, help="also write critical.json here")
-    critp.add_argument("--quiet", action="store_true")
     return p
 
 
@@ -164,7 +124,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_critical(args)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -13,10 +13,10 @@ i.e. Newton on the numerator with Aberth repulsion between iterates.  The
 naive S/S' step is not used: S decays like n/z at infinity, so Newton on S
 chases the spurious zero at infinity from any exterior start.
 
-The independent route (`critical_points_oracle`, `finite_support_critical`)
-uses one identity instead: for weights m_k > 0 and v_k = sqrt(m_k / sum m),
-the zeros of sum m_k/(X - z_k) are the eigenvalues of diag(z) compressed to
-the orthogonal complement of v (Pereira 2003; Malamud 2005).  It is a
+The independent route (`critical_points_oracle`) uses one identity instead:
+for weights m_k > 0 and v_k = sqrt(m_k / sum m), the zeros of
+sum m_k/(X - z_k) are the eigenvalues of diag(z) compressed to the
+orthogonal complement of v (Pereira 2003; Malamud 2005).  It is a
 single dense eigenvalue problem, shares no code with the iteration and
 needs neither starting points nor a stopping rule, which is what makes it
 a check on the Aberth solver rather than a second copy of it.
@@ -31,7 +31,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .errors import ContractError, ConvergenceError, ParameterError
-from .logderiv import RootSet, as_roots
+from .logderiv import as_roots
 
 _EPS = float(np.finfo(float).eps)
 
@@ -78,35 +78,6 @@ class CriticalSet:
         return {"points": [[w.real, w.imag] for w in self.points],
                 "residuals": [float(r) for r in self.residuals],
                 "method": self.method}
-
-
-@dataclass(frozen=True)
-class FiniteSupportInstance:
-    """P(X) = prod_i (X - z_i)^{N_i} with distinct atoms and positive counts."""
-
-    atoms: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        atoms = np.atleast_1d(np.asarray(self.atoms, dtype=complex))
-        counts = np.atleast_1d(np.asarray(self.counts, dtype=int))
-        if atoms.size == 0 or atoms.shape != counts.shape:
-            raise ParameterError("need equally many atoms and counts, at least one")
-        if len(np.unique(atoms)) != atoms.size:
-            raise ParameterError("atoms must be pairwise distinct")
-        if np.any(counts < 1):
-            raise ParameterError("all counts must be >= 1")
-        atoms.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    def expanded_roots(self) -> RootSet:
-        return RootSet(np.repeat(self.atoms, self.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +244,9 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
 
 def _residuals_against(points: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """|S(W)| * min_k |W - Z_k| per point; zero where W sits on a root."""
-    if len(points) == 0:
-        return np.empty(0)
     D = points[:, None] - roots[None, :]
-    dmin = np.abs(D).min(axis=1)
-    on_root = dmin == 0
-    D_safe = np.where(D == 0, np.inf, D)
-    with np.errstate(divide="ignore"):
-        S = (1.0 / D_safe).sum(axis=1)
-    return np.where(on_root, 0.0, np.abs(np.where(on_root, 0.0, S)) * dmin)
+    S = (1.0 / np.where(D == 0, np.inf, D)).sum(axis=1)
+    return np.abs(S) * np.abs(D).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,41 +271,25 @@ def _compressed_eigs(z: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def critical_points_oracle(roots) -> CriticalSet:
-    """All n-1 critical points as eigenvalues of diag(Z) compressed to the
-    complement of (1, ..., 1)/sqrt(n); the characteristic polynomial of that
-    compression is P'/n, so repeated roots need no special case.
+    """All n-1 critical points by the eigenvalue route.
 
-    The route is independent of the Aberth solver: one dense LAPACK
-    eigenvalue problem, with no iteration on S, no starting points, no
-    stopping rule and no expanded coefficients.  It costs O(n^3) and has no
-    degree cap.  Residuals are the same certificates |S(W)| * min_k
-    |W - Z_k| that critical_points reports.
+    Exact duplicates group into r distinct atoms z_i with counts N_i.  Each
+    atom is a critical point of multiplicity N_i - 1 (residual 0); the other
+    r-1 are the zeros of sum_i N_i/(X - z_i), found by `_compressed_eigs`.
+    One dense LAPACK eigenvalue problem, O(r^3), with no iteration, starting
+    points or stopping rule: independent of the Aberth solver.  Residuals are
+    the certificates |S(W)| * min_k |W - Z_k| that critical_points reports.
     """
     rs = as_roots(roots)
     if rs.n < 2:
         raise ParameterError("critical points need at least two roots")
-    pts = np.sort(_compressed_eigs(rs.roots, np.ones(rs.n)))
-    return CriticalSet(pts, _residuals_against(pts, rs.roots), "eigen")
-
-
-# ---------------------------------------------------------------------------
-# finite support
-
-
-def finite_support_critical(inst: FiniteSupportInstance) -> CriticalSet:
-    """Each atom z_i with multiplicity N_i - 1, plus the r-1 zeros of
-    sum_i N_i/(X - z_i), the eigenvalues of diag(atoms) compressed to the
-    complement of v_i = sqrt(N_i/n).  Only the r distinct atoms enter the
-    eigenvalue problem."""
-    atoms = inst.atoms
-    counts = inst.counts
+    atoms, counts = np.unique(rs.roots, return_counts=True)
     extra = _compressed_eigs(atoms, counts.astype(float))
     repeated = np.repeat(atoms, counts - 1)
-    res_extra = _residuals_against(extra, inst.expanded_roots().roots)
     points = np.concatenate([extra, repeated])
-    residuals = np.concatenate([res_extra, np.zeros(len(repeated))])
+    residuals = np.concatenate([_residuals_against(extra, rs.roots), np.zeros(len(repeated))])
     order = np.argsort(points)
-    return CriticalSet(points[order], residuals[order], "finite_support")
+    return CriticalSet(points[order], residuals[order], "eigen")
 
 
 # ---------------------------------------------------------------------------

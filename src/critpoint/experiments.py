@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -19,11 +19,12 @@ from . import mobius as mb
 from .critical import critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError)
-from .logderiv import Circle, circle_sup_norm, eval_S, log_minus, log_plus, pole_tolerance
+from .logderiv import (Circle, circle_abs_S, circle_sup_norm, eval_S, log_minus, log_plus,
+                       pole_tolerance)
 from .measures import (EmpiricalMeasure, from_points, log_minus_integral,
                        reference_quantization, sliced_w1, quadrant_discrepancy)
 from .report import Report
-from .sampler import BaseMeasure, SeedSpec, sample
+from .sampler import BaseMeasure, SeedSpec, as_complex, as_int, as_real, sample
 
 # substream purposes (never reuse a number)
 _P_TRAJECTORY = 1
@@ -36,89 +37,159 @@ _P_LLN_MOBIUS = 7
 
 _MOBIUS_ATTEMPTS = 100
 
-EXPERIMENTS = ("convergence", "jensen", "anticoncentration", "growth", "lln")
+
+# ---------------------------------------------------------------------------
+# settings: each field names its checker, used by Python construction and JSON
+
+
+def _positive(parse):
+    def check(v, name):
+        x = parse(v, name)
+        if not x > 0:
+            raise ParameterError(f"{name} must be positive, got {v!r}")
+        return x
+    return check
+
+
+_count = _positive(as_int)
+
+
+def _optional(check):
+    return lambda v, name: None if v is None else check(v, name)
+
+
+def _instance(cls):
+    return lambda v, name: v if isinstance(v, cls) else cls.from_json(v)
+
+
+def _list_of(check, rule, valid):
+    """A list checked entry by entry, then as a whole by valid()."""
+    def parse(v, name):
+        items = (tuple(check(x, name) for x in v)
+                 if isinstance(v, (list, tuple, np.ndarray)) else None)
+        if items is None or not valid(items):
+            raise ParameterError(f"{name} must be {rule}, got {v!r}")
+        return items
+    return parse
+
+
+_schedule = _list_of(_count, "a nonempty increasing list",
+                     lambda ns: len(ns) > 0 and all(a < b for a, b in zip(ns, ns[1:])))
+_probes = _list_of(as_complex, "a nonempty list of distinct points",
+                   lambda ps: len(ps) > 0 and len(set(ps)) == len(ps))
+_projection = _list_of(as_real, "[a, b]", lambda ab: len(ab) == 2)
+
+
+def _setting(check, default=MISSING):
+    return field(default=default, metadata={"check": check})
+
+
+#: fields kept at the top level of the JSON config; the rest go under "tolerances"
+_TOP_LEVEL = ("measure", "n_schedule", "trials", "seed")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    measure: BaseMeasure
-    n_schedule: tuple
-    trials: int = 1
-    seed: SeedSpec = SeedSpec(0, 0)
-    # tolerance knobs
-    tol_solver: float = 1e-10
-    m_circle: int = 4096
-    directions: int = 64
-    r_ball: float | None = None          # default sqrt(#probes)
-    R_infty: float = 10.0
-    # convergence
-    k_reference: int | None = None       # default 1e5 (convergence), 1e6 (lln)
-    improvement_factor: float | None = 4.0
-    quadrant_max: float | None = 0.05
-    # jensen
-    jensen_pass_rate: float = 0.99
-    jensen_slack: float = 0.05
-    # anti-concentration
-    probes: tuple = (2 + 0j, 3j, -2 - 2j)
-    projection: tuple = (1.0, 0.0)
-    slope_min: float = -1.9
-    slope_max: float = -1.2
-    min_hits: int = 10
-    # growth
-    growth_ratio_max: float = 6.0
-    circle_center: complex | None = None
-    circle_radius: float | None = None
-    # lln
-    u_transform: mb.MobiusTransform | None = None
+class BaseConfig:
+    """The settings every experiment reads.  Each subclass names its
+    experiment and adds the settings its runner reads."""
+
+    measure: BaseMeasure = _setting(_instance(BaseMeasure))
+    n_schedule: tuple = _setting(_schedule)
+    seed: SeedSpec = _setting(_instance(SeedSpec), SeedSpec(0, 0))
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_schedule)
-        if len(ns) == 0 or any(n < 1 for n in ns):
-            raise ParameterError("n_schedule must contain positive integers")
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ParameterError("n_schedule must be strictly increasing")
-        object.__setattr__(self, "n_schedule", ns)
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
-        if not self.tol_solver > 0:
-            raise ParameterError("tol_solver must be positive")
-        if self.m_circle < 1 or self.directions < 1:
-            raise ParameterError("m_circle and directions must be positive")
-        probes = tuple(complex(p) for p in self.probes)
-        if len(set(probes)) != len(probes):
-            raise ParameterError("probes must be pairwise distinct")
-        object.__setattr__(self, "probes", probes)
+        for f in fields(self):
+            object.__setattr__(self, f.name, f.metadata["check"](getattr(self, f.name), f.name))
 
     def to_json(self) -> dict:
-        return {
-            "measure": self.measure.to_json(),
-            "n_schedule": list(self.n_schedule),
-            "trials": self.trials,
-            "seed": self.seed.to_json(),
-            "tolerances": {
-                "tol_solver": self.tol_solver,
-                "m_circle": self.m_circle,
-                "directions": self.directions,
-                "r_ball": self.r_ball,
-                "R_infty": self.R_infty,
-                "k_reference": self.k_reference,
-                "improvement_factor": self.improvement_factor,
-                "quadrant_max": self.quadrant_max,
-                "jensen_pass_rate": self.jensen_pass_rate,
-                "jensen_slack": self.jensen_slack,
-                "probes": [[p.real, p.imag] for p in self.probes],
-                "projection": list(self.projection),
-                "slope_min": self.slope_min,
-                "slope_max": self.slope_max,
-                "min_hits": self.min_hits,
-                "growth_ratio_max": self.growth_ratio_max,
-                "circle_center": (None if self.circle_center is None
-                                  else [self.circle_center.real, self.circle_center.imag]),
-                "circle_radius": self.circle_radius,
-                "u_transform": (None if self.u_transform is None
-                                else self.u_transform.to_json()),
-            },
-        }
+        """The config document `parse_config` reads back into an equal config."""
+        doc = {"experiment": self.experiment, "tolerances": {}}
+        for f in fields(self):
+            part = doc if f.name in _TOP_LEVEL else doc["tolerances"]
+            part[f.name] = _to_json(getattr(self, f.name))
+        return doc
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "BaseConfig":
+        """Build from a config document without its "experiment" key."""
+        top = {k: v for k, v in doc.items() if k != "tolerances"}
+        tol = doc.get("tolerances", {})
+        if not isinstance(tol, dict):
+            raise ParameterError("tolerances must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        unknown = (set(top) - (names & set(_TOP_LEVEL))) | (set(tol) - (names - set(_TOP_LEVEL)))
+        if unknown:
+            raise ParameterError(
+                f"unknown or misplaced {cls.experiment} settings: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in top]
+        if missing:
+            raise ParameterError(f"config requires {missing}")
+        return cls(**top, **tol)
+
+
+def _to_json(v):
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, tuple):
+        return [_to_json(x) for x in v]
+    return v
+
+
+@dataclass(frozen=True)
+class ConvergenceConfig(BaseConfig):
+    experiment = "convergence"
+    tol_solver: float = _setting(_positive(as_real), 1e-10)
+    directions: int = _setting(_count, 64)
+    R_infty: float = _setting(as_real, 10.0)
+    k_reference: int = _setting(_count, 100_000)
+    improvement_factor: float | None = _setting(_optional(as_real), 4.0)
+    quadrant_max: float | None = _setting(_optional(as_real), 0.05)
+
+
+@dataclass(frozen=True)
+class JensenConfig(BaseConfig):
+    experiment = "jensen"
+    trials: int = _setting(_count, 1)
+    tol_solver: float = _setting(_positive(as_real), 1e-10)
+    m_circle: int = _setting(_count, 4096)
+    jensen_pass_rate: float = _setting(as_real, 0.99)
+    jensen_slack: float = _setting(as_real, 0.05)
+
+
+@dataclass(frozen=True)
+class AnticoncentrationConfig(BaseConfig):
+    experiment = "anticoncentration"
+    trials: int = _setting(_count, 1)
+    probes: tuple = _setting(_probes, (2 + 0j, 3j, -2 - 2j))
+    projection: tuple = _setting(_projection, (1.0, 0.0))
+    r_ball: float | None = _setting(_optional(_positive(as_real)), None)  # None: sqrt(#probes)
+    slope_min: float = _setting(as_real, -1.9)
+    slope_max: float = _setting(as_real, -1.2)
+    min_hits: int = _setting(_count, 10)
+
+
+@dataclass(frozen=True)
+class GrowthConfig(BaseConfig):
+    experiment = "growth"
+    m_circle: int = _setting(_count, 4096)
+    growth_ratio_max: float = _setting(as_real, 6.0)
+    circle_center: complex | None = _setting(_optional(as_complex), None)
+    circle_radius: float | None = _setting(_optional(_positive(as_real)), None)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.circle_center is None) != (self.circle_radius is None):
+            raise ParameterError("set both circle_center and circle_radius, or neither")
+
+
+@dataclass(frozen=True)
+class LLNConfig(BaseConfig):
+    experiment = "lln"
+    k_reference: int = _setting(_count, 1_000_000)
+    u_transform: mb.MobiusTransform | None = _setting(
+        _optional(_instance(mb.MobiusTransform)), None)
 
 
 def _escaped_mass(m: EmpiricalMeasure, radius: float) -> float:
@@ -129,13 +200,12 @@ def _escaped_mass(m: EmpiricalMeasure, radius: float) -> float:
 # convergence
 
 
-def run_convergence(config: ExperimentConfig) -> Report:
+def run_convergence(config: ConvergenceConfig) -> Report:
     """Distances between the critical-point measure and the root measure
     along one trajectory, at each n of the schedule."""
     rep = Report("convergence", config.to_json())
     t_all = time.perf_counter()
-    k_ref = int(config.k_reference or 100_000)
-    ref = reference_quantization(config.measure, k_ref,
+    ref = reference_quantization(config.measure, config.k_reference,
                                  config.seed.substream(_P_REFERENCE))
     traj = sample(config.measure, config.seed.substream(_P_TRAJECTORY),
                   config.n_schedule[-1])
@@ -199,7 +269,7 @@ def _valid_jensen_transform(u, roots, crit_pts):
     return pre, a_pt
 
 
-def run_jensen(config: ExperimentConfig) -> Report:
+def run_jensen(config: JensenConfig) -> Report:
     """Per fresh trial: sampled roots, sampled transform, check
     sum log^-|u(crit)| - sum log^-|u(root)| <= log sup_{C'} |S| - log |S(a)|
     up to the sup-norm discretization slack."""
@@ -289,7 +359,7 @@ def _check_probes_nondegenerate(measure: BaseMeasure, probes) -> None:
             "(infinite support, or more atoms than probes)")
 
 
-def run_anticoncentration(config: ExperimentConfig) -> Report:
+def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
     """Concentration-function decay of (S_n(z_1), ..., S_n(z_d)).
 
     Each trial draws two independent sample paths and tests whether the
@@ -305,7 +375,7 @@ def run_anticoncentration(config: ExperimentConfig) -> Report:
     probes = np.asarray(config.probes, dtype=complex)
     d = len(probes)
     r_ball = config.r_ball if config.r_ball is not None else math.sqrt(d)
-    aproj, bproj = (float(x) for x in config.projection)
+    aproj, bproj = config.projection
     ns = config.n_schedule
     nmax = ns[-1]
     trials = config.trials
@@ -362,15 +432,15 @@ def run_anticoncentration(config: ExperimentConfig) -> Report:
 # circle-norm growth
 
 
-def run_growth(config: ExperimentConfig) -> Report:
+def run_growth(config: GrowthConfig) -> Report:
     """log^+ of the discrete circle sup norm, against log n, along one
     trajectory on a fixed generic circle."""
     rep = Report("growth", config.to_json())
     t_all = time.perf_counter()
     if config.n_schedule[0] < 2:
         raise ParameterError("growth requires n >= 2 (ratios divide by log n)")
-    if config.circle_center is not None and config.circle_radius is not None:
-        a, r = complex(config.circle_center), float(config.circle_radius)
+    if config.circle_center is not None:
+        a, r = config.circle_center, config.circle_radius
     else:
         g = config.seed.substream(_P_GROWTH_GEOM).generator()
         v = g.standard_normal(3)
@@ -383,11 +453,12 @@ def run_growth(config: ExperimentConfig) -> Report:
     for n in config.n_schedule:
         roots = traj.samples[:n]
         try:
-            sup = circle_sup_norm(roots, circle, config.m_circle)
-            sup2 = circle_sup_norm(roots, circle, 2 * config.m_circle)
+            # the m grid is the even-indexed half of the 2m grid
+            fine = circle_abs_S(roots, circle, 2 * config.m_circle)
         except PoleOnContourError:
             rep.add_row(n, "pole_on_contour", 1.0)
             continue
+        sup, sup2 = float(np.max(fine[::2])), float(np.max(fine))
         ratio = log_plus(sup) / math.log(n)
         ratio2 = log_plus(sup2) / math.log(n)
         ratios.append(ratio)
@@ -407,12 +478,12 @@ def run_growth(config: ExperimentConfig) -> Report:
 # law of large numbers for the log^- integral
 
 
-def run_lln_logminus(config: ExperimentConfig) -> Report:
+def run_lln_logminus(config: LLNConfig) -> Report:
     """int log^-|u| d mu_n along one trajectory against a large-sample
     reference quantization of the base measure."""
     rep = Report("lln", config.to_json())
     t_all = time.perf_counter()
-    k_ref = int(config.k_reference or 1_000_000)
+    k_ref = config.k_reference
     traj = sample(config.measure, config.seed.substream(_P_TRAJECTORY),
                   config.n_schedule[-1])
     ref = reference_quantization(config.measure, k_ref,
@@ -450,16 +521,19 @@ def run_lln_logminus(config: ExperimentConfig) -> Report:
     return rep
 
 
-RUNNERS = {
-    "convergence": run_convergence,
-    "jensen": run_jensen,
-    "anticoncentration": run_anticoncentration,
-    "growth": run_growth,
-    "lln": run_lln_logminus,
-}
+#: experiment name -> (config class, runner)
+EXPERIMENTS = {cls.experiment: (cls, run) for cls, run in (
+    (ConvergenceConfig, run_convergence),
+    (JensenConfig, run_jensen),
+    (AnticoncentrationConfig, run_anticoncentration),
+    (GrowthConfig, run_growth),
+    (LLNConfig, run_lln_logminus),
+)}
 
 
-def run_experiment(name: str, config: ExperimentConfig) -> Report:
-    if name not in RUNNERS:
-        raise ParameterError(f"unknown experiment {name!r}; expected one of {sorted(RUNNERS)}")
-    return RUNNERS[name](config)
+def run_experiment(name: str, config: BaseConfig) -> Report:
+    cls, run = EXPERIMENTS.get(name, (None, None))
+    if cls is None or type(config) is not cls:
+        raise ParameterError(f"no experiment {name!r} takes a {type(config).__name__}; "
+                             f"the experiments are {sorted(EXPERIMENTS)}")
+    return run(config)

@@ -125,12 +125,10 @@ def _contour_clearance(rs: RootSet, c: Circle) -> float:
     return float(np.min(np.abs(np.abs(rs.roots - c.center) - c.radius)))
 
 
-def circle_sup_norm(roots, c: Circle, m: int) -> float:
-    """max_j |S(a + r e^{2 pi i j / m})|, a lower bound for sup_{C(a,r)} |S|.
-
-    Doubling m refines the same nested grid, so the value is nondecreasing
-    in m along powers of two.
-    """
+def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
+    """|S| at the m grid points a + r e^{2 pi i j / m}, j = 0..m-1, which are
+    bit for bit the even-indexed points of the 2m grid.  Raises
+    PoleOnContourError when a root lies on the circle."""
     rs = as_roots(roots)
     if m < 1:
         raise ParameterError("m must be a positive integer")
@@ -138,7 +136,16 @@ def circle_sup_norm(roots, c: Circle, m: int) -> float:
     if _contour_clearance(rs, c) <= tau:
         raise PoleOnContourError(
             f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
-    return float(np.max(_abs_S_on_points(rs.roots, c.points(int(m)))))
+    return _abs_S_on_points(rs.roots, c.points(int(m)))
+
+
+def circle_sup_norm(roots, c: Circle, m: int) -> float:
+    """max_j |S(a + r e^{2 pi i j / m})|, a lower bound for sup_{C(a,r)} |S|.
+
+    Doubling m refines the same nested grid, so the value is nondecreasing
+    in m along powers of two.
+    """
+    return float(np.max(circle_abs_S(roots, c, m)))
 
 
 def circle_sup_norm_refined(roots, c: Circle, m_start: int = 4096,

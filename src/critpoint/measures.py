@@ -15,7 +15,7 @@ import numpy as np
 from . import mobius as mb
 from .errors import ParameterError
 from .logderiv import log_minus
-from .sampler import BaseMeasure, SeedSpec, sample
+from .sampler import BaseMeasure, SeedSpec, as_complex, sample
 
 #: elements per (direction, atom) temporary in sliced_w1: 8 MB per array
 _SLICED_BLOCK_ELEMS = 1 << 20
@@ -53,8 +53,7 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EmpiricalMeasure":
-        atoms = [complex(a[0], a[1]) for a in obj["atoms"]]
-        return cls(np.asarray(atoms), np.asarray(obj["weights"], dtype=float))
+        return cls([as_complex(a, "atom") for a in obj["atoms"]], obj["weights"])
 
 
 def from_points(points) -> EmpiricalMeasure:

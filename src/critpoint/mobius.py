@@ -37,8 +37,9 @@ class MobiusTransform:
 
     def __post_init__(self):
         for name in "abcd":
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        det = self.a * self.d - self.b * self.c
+            object.__setattr__(self, name,
+                               as_complex(getattr(self, name), f"mobius coefficient {name}"))
+        det = self.determinant
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0 or abs(det) < DET_GUARD * scale * scale:
             raise ParameterError(
@@ -47,10 +48,6 @@ class MobiusTransform:
     @property
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
-
-    @property
-    def is_affine(self) -> bool:
-        return self.c == 0
 
     def __call__(self, z):
         return apply(self, z)
@@ -62,7 +59,7 @@ class MobiusTransform:
     def from_json(cls, obj) -> "MobiusTransform":
         if not (isinstance(obj, (list, tuple)) and len(obj) == 4):
             raise ParameterError("mobius JSON must be a list of four [re, im] pairs")
-        return cls(*(as_complex(p, "mobius coefficient") for p in obj))
+        return cls(*obj)
 
 
 def identity() -> MobiusTransform:
@@ -167,20 +164,17 @@ def preimage_unit_circle(u: MobiusTransform) -> GeneralizedCircle:
 
 def _draw(seed: SeedSpec, affine_only: bool) -> MobiusTransform:
     g = seed.generator()
+    k = 2 if affine_only else 4
     for _ in range(1000):
+        re = g.standard_normal(k)
+        im = g.standard_normal(k)
+        coeffs = [complex(x, y) for x, y in zip(re, im)]
         if affine_only:
-            re = g.standard_normal(2)
-            im = g.standard_normal(2)
-            coeffs = (complex(re[0], im[0]), complex(re[1], im[1]), 0j, 1 + 0j)
-        else:
-            re = g.standard_normal(4)
-            im = g.standard_normal(4)
-            coeffs = tuple(complex(x, y) for x, y in zip(re, im))
-        a, b, c, d = coeffs
-        det = a * d - b * c
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        if scale > 0 and abs(det) >= DET_GUARD * scale * scale:
-            return MobiusTransform(a, b, c, d)
+            coeffs += [0j, 1 + 0j]
+        try:
+            return MobiusTransform(*coeffs)
+        except ParameterError:
+            pass
     raise ParameterError("could not draw a transform passing the determinant guard")
 
 

@@ -30,11 +30,26 @@ _LOC_SCALE = {"UniformCircle": ("center", "radius"), "UniformDisk": ("center", "
 _MASK64 = (1 << 64) - 1
 
 
+def as_real(v, what: str = "value") -> float:
+    """A finite real number as a float; anything else raises ParameterError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ParameterError(f"{what} must be a finite real number, got {v!r}")
+    return float(v)
+
+
+def as_int(v, what: str = "value") -> int:
+    """An integer (not a float or a boolean) as an int; else ParameterError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ParameterError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def as_complex(v, what: str = "value") -> complex:
-    """A JSON number or [re, im] pair as a finite complex; anything else,
+    """A number or a JSON [re, im] pair as a finite complex; anything else,
     NaN and infinity included, raises ParameterError."""
-    parts = v if isinstance(v, (list, tuple)) else (v, 0.0)
-    if len(parts) != 2 or not all(isinstance(x, numbers.Real) for x in parts):
+    parts = (v.real, v.imag) if isinstance(v, numbers.Complex) else v
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 2
+            and all(isinstance(x, numbers.Real) for x in parts)):
         raise ParameterError(f"{what} must be a number or [re, im] pair, got {v!r}")
     z = complex(float(parts[0]), float(parts[1]))
     if not cmath.isfinite(z):
@@ -69,10 +84,8 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {type(v).__name__}")
-            if not 0 <= int(v) <= _MASK64:
+            v = as_int(getattr(self, name), name)
+            if not 0 <= v <= _MASK64:
                 raise ParameterError(f"{name} must fit in 64 bits, got {v}")
 
     def generator(self) -> Generator:
@@ -99,7 +112,7 @@ class SeedSpec:
                 raise ParameterError(f"unknown seed fields: {sorted(extra)}")
             if "master_seed" not in obj:
                 raise ParameterError("seed object requires 'master_seed'")
-            return cls(int(obj["master_seed"]), int(obj.get("stream_id", 0)))
+            return cls(obj["master_seed"], obj.get("stream_id", 0))
         raise ParameterError("seed must be an integer or {master_seed, stream_id}")
 
 
@@ -206,10 +219,11 @@ class BaseMeasure:
             raise ParameterError(f"unknown params: {sorted(unknown)}")
         if kind == "FiniteSupport":
             atoms = [as_complex(a, "atom") for a in params.get("atoms", [])]
-            return cls.finite_support(atoms, params.get("weights", []))
+            weights = [as_real(w, "weight") for w in params.get("weights", [])]
+            return cls.finite_support(atoms, weights)
         loc, scale = names
         return cls(kind, {loc: as_complex(params.get(loc, 0), loc),
-                          scale: float(params.get(scale, 0))})
+                          scale: as_real(params.get(scale, 0), scale)})
 
 
 @dataclass(frozen=True)

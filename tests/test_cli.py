@@ -2,12 +2,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import critpoint
-from critpoint.cli import main
+import critpoint.cli as cli
+from critpoint import mobius as mb
+from critpoint.cli import main, parse_config
+from critpoint.experiments import (EXPERIMENTS, AnticoncentrationConfig,
+                                   ConvergenceConfig, GrowthConfig, JensenConfig,
+                                   LLNConfig)
+from critpoint.sampler import BaseMeasure, SeedSpec
+
+CIRCLE = {"kind": "UniformCircle", "params": {"center": [0, 0], "radius": 1}}
 
 
 def write(tmp_path, name, doc):
@@ -18,13 +27,18 @@ def write(tmp_path, name, doc):
 
 def small_convergence_config(out_dir):
     return {
-        "measure": {"kind": "UniformCircle", "params": {"center": [0, 0], "radius": 1}},
+        "measure": CIRCLE,
         "experiment": "convergence",
         "n_schedule": [8, 16],
         "seed": {"master_seed": 7, "stream_id": 0},
         "tolerances": {"k_reference": 500, "improvement_factor": None, "quadrant_max": None},
         "out_dir": out_dir,
     }
+
+
+def small_config(experiment, out_dir, **top):
+    return {"measure": CIRCLE, "experiment": experiment, "n_schedule": [8, 16],
+            "seed": 7, "tolerances": {}, "out_dir": out_dir, **top}
 
 
 def test_critical_subcommand_two_roots(tmp_path, capsys):
@@ -147,11 +161,126 @@ def test_quiet_suppresses_summary(tmp_path, capsys):
 @pytest.mark.parametrize("u_transform", [[[1, 0], [0, 0], [0, 0], [1]],
                                          [[1, 0], [0, 0], [0, 0], "x"]])
 def test_malformed_u_transform_exit_2(tmp_path, capsys, u_transform):
-    doc = small_convergence_config(str(tmp_path))
+    doc = small_config("lln", str(tmp_path))
     doc["tolerances"]["u_transform"] = u_transform
     cfg = write(tmp_path, "c.json", doc)
     assert main(["run", "--config", cfg]) == 2
     assert "mobius coefficient" in capsys.readouterr().err
+
+
+def _with_setting(experiment, key, value, where="tolerances"):
+    def make(out_dir):
+        doc = small_config(experiment, out_dir)
+        if where == "tolerances":
+            doc["tolerances"][key] = value
+        elif where == "top":
+            doc[key] = value
+        else:  # a measure parameter
+            doc["measure"] = {"kind": "UniformDisk", "params": {"center": [0, 0], key: value}}
+        return doc
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    _with_setting("convergence", "k_reference", "abc"),
+    _with_setting("anticoncentration", "projection", ["a", 1]),
+    _with_setting("convergence", "directions", 1.5),
+    _with_setting("growth", "m_circle", 2.5),
+    _with_setting("convergence", "n_schedule", [8.7, 16], "top"),
+    _with_setting("jensen", "trials", 2.9, "top"),
+    _with_setting("growth", "circle_center", [0.5, 0.5]),
+    _with_setting("convergence", "radius", "abc", "measure"),
+    _with_setting("convergence", "seed", {"master_seed": "abc"}, "top"),
+], ids=["k_reference-string", "projection-string", "directions-float", "m_circle-float",
+        "n_schedule-float", "trials-float", "circle_center-alone", "disk-radius-string",
+        "master_seed-string"])
+def test_malformed_setting_exit_2(tmp_path, capsys, make):
+    cfg = write(tmp_path, "c.json", make(str(tmp_path / "out")))
+    assert main(["run", "--config", cfg, "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("experiment,key,value,where", [
+    ("growth", "trials", 999, "top"),
+    ("growth", "probes", [[9, 9]], "tolerances"),
+    ("growth", "tol_solver", 5, "tolerances"),
+    ("lln", "trials", 3, "top"),
+    ("convergence", "m_circle", 512, "tolerances"),
+    ("jensen", "tol_solver", 1e-10, "top"),
+])
+def test_unread_key_exit_2_names_it(tmp_path, capsys, experiment, key, value, where):
+    cfg = write(tmp_path, "c.json", _with_setting(experiment, key, value, where)(str(tmp_path)))
+    assert main(["run", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_no_experiment_accepts_a_setting_it_does_not_read():
+    # every setting of every experiment, at its default, offered to all five
+    settings = {}
+    for cls, _ in EXPERIMENTS.values():
+        doc = cls(measure=BaseMeasure.uniform_circle(), n_schedule=(8,)).to_json()
+        settings.update({k: ("top", doc[k]) for k in ("trials",) if k in doc})
+        settings.update({k: ("tolerances", v) for k, v in doc["tolerances"].items()})
+    rejected = 0
+    for name, (cls, _) in EXPERIMENTS.items():
+        reads = {f.name for f in fields(cls)}
+        for key, (where, value) in settings.items():
+            doc = _with_setting(name, key, value, where)(".")
+            if key in reads:
+                parse_config(doc)
+            else:
+                with pytest.raises(critpoint.ParameterError, match=key):
+                    parse_config(doc)
+                rejected += 1
+    assert rejected == 76
+
+
+@pytest.mark.parametrize("config", [
+    ConvergenceConfig(measure=BaseMeasure.uniform_disk(0.5j, 2.0), n_schedule=(8, 16),
+                      seed=SeedSpec(3, 4), k_reference=500, quadrant_max=None),
+    JensenConfig(measure=BaseMeasure.complex_gaussian(), n_schedule=(50,), trials=7,
+                 jensen_slack=0.1),
+    AnticoncentrationConfig(measure=BaseMeasure.uniform_circle(), n_schedule=(10, 20),
+                            probes=(1.5, 2j), projection=(0.0, 1.0), r_ball=0.5),
+    GrowthConfig(measure=BaseMeasure.complex_cauchy(), n_schedule=(16,), m_circle=64,
+                 circle_center=0.1 + 0.2j, circle_radius=1.7),
+    LLNConfig(measure=BaseMeasure.finite_support([1, -1], [0.25, 0.75]), n_schedule=(10,),
+              u_transform=mb.affine(2.0, -1j)),
+], ids=lambda c: c.experiment)
+def test_config_json_round_trip(config):
+    doc = json.loads(json.dumps(config.to_json()))
+    experiment, back, _ = parse_config(doc)
+    assert experiment == config.experiment
+    if config.measure.has_finite_support:
+        # params hold numpy arrays, which == does not compare as one value
+        assert back.measure.to_json() == config.measure.to_json()
+        back = replace(back, measure=config.measure)
+    assert back == config
+
+
+def test_report_config_reruns_identically(tmp_path, capsys):
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["run", "--config", write(tmp_path, "c1.json",
+                                          small_convergence_config(out1)), "--quiet"]) == 0
+    doc = json.loads(open(os.path.join(out1, "report.json")).read())["config"]
+    assert main(["run", "--config", write(tmp_path, "c2.json", doc),
+                 "--out", out2, "--quiet"]) == 0
+    capsys.readouterr()
+    csv1 = open(os.path.join(out1, "series.csv"), "rb").read()
+    assert csv1 == open(os.path.join(out2, "series.csv"), "rb").read()
+
+
+def test_run_experiment_rejects_another_experiments_config():
+    config = GrowthConfig(measure=BaseMeasure.uniform_circle(), n_schedule=(8,))
+    with pytest.raises(critpoint.ParameterError):
+        cli.run_experiment("jensen", config)
+
+
+def test_docstring_lists_every_setting():
+    for cls, _ in EXPERIMENTS.values():
+        for f in fields(cls):
+            assert f.name in cli.__doc__, (cls.experiment, f.name)
 
 
 def test_series_csv_is_rfc4180(tmp_path, capsys):

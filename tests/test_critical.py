@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import critpoint.critical as critical
-from critpoint.critical import (CriticalSet, FiniteSupportInstance,
-                                critical_points, critical_points_oracle,
-                                finite_support_critical,
-                                multiset_match_distance)
+from critpoint.critical import (CriticalSet, critical_points,
+                                critical_points_oracle, multiset_match_distance)
 from critpoint.errors import ConvergenceError, ParameterError
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
@@ -68,18 +66,15 @@ def test_method_agreement(n, kind):
 
 
 def test_finite_support_linear_Q():
-    inst = FiniteSupportInstance(np.array([1.0, -1.0]), np.array([3, 5]))
-    cs = finite_support_critical(inst)
+    cs = critical_points_oracle(np.repeat([1.0, -1.0], [3, 5]))
     pts = np.sort_complex(cs.points)
     expected = np.sort_complex(np.array([1, 1, -1, -1, -1, -1, 0.25], dtype=complex))
     assert multiset_match_distance(pts, expected) < 1e-12
 
 
 def test_finite_support_n2_and_r1():
-    two = FiniteSupportInstance(np.array([1.0, -1.0]), np.array([1, 1]))
-    assert np.allclose(finite_support_critical(two).points, [0.0])
-    one = FiniteSupportInstance(np.array([2.0 + 1j]), np.array([6]))
-    cs = finite_support_critical(one)
+    assert np.allclose(critical_points_oracle([1.0, -1.0]).points, [0.0])
+    cs = critical_points_oracle(np.repeat([2.0 + 1j], [6]))
     assert len(cs) == 5
     assert np.allclose(cs.points, 2.0 + 1j)
     assert np.all(cs.residuals == 0.0)
@@ -93,9 +88,9 @@ def test_finite_support_agrees_with_general_solver():
         counts = rng.integers(1, 8, size=r)
         if counts.sum() < 2:
             counts[0] += 2
-        inst = FiniteSupportInstance(atoms, counts)
-        a = finite_support_critical(inst).points
-        b = critical_points(inst.expanded_roots()).points
+        roots = np.repeat(atoms, counts)
+        a = critical_points_oracle(roots).points
+        b = critical_points(roots).points
         assert multiset_match_distance(a, b) < 1e-8
 
 
@@ -104,9 +99,9 @@ def test_finite_support_many_atoms_certified(r):
     for draw in range(5):
         rng = np.random.default_rng([draw, r])
         atoms = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        inst = FiniteSupportInstance(atoms, rng.integers(1, 8, size=r))
-        cs = finite_support_critical(inst)
-        assert len(cs) == inst.n - 1
+        counts = rng.integers(1, 8, size=r)
+        cs = critical_points_oracle(np.repeat(atoms, counts))
+        assert len(cs) == counts.sum() - 1
         assert np.all(cs.residuals <= critical.DEFAULT_TOL)
 
 
@@ -116,8 +111,7 @@ def test_routes_need_no_mpmath(monkeypatch):
     cs = critical_points_oracle(roots)
     assert cs.method == "eigen"
     assert multiset_match_distance(cs.points, critical_points(roots).points) < 1e-6
-    inst = FiniteSupportInstance(np.array([1.0, -1.0, 2j]), np.array([2, 3, 1]))
-    assert len(finite_support_critical(inst)) == inst.n - 1
+    assert len(critical_points_oracle(np.repeat([1.0, -1.0, 2j], [2, 3, 1]))) == 5
 
 
 @pytest.mark.parametrize("n", [2, 16, 128, 512])
@@ -218,10 +212,6 @@ def test_input_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError):
             critical_points([1.0, 2j, bad])
-    with pytest.raises(ParameterError):
-        FiniteSupportInstance(np.array([1.0, 1.0]), np.array([1, 1]))
-    with pytest.raises(ParameterError):
-        FiniteSupportInstance(np.array([1.0]), np.array([0]))
     with pytest.raises(ParameterError):
         CriticalSet(np.array([0j]), np.array([0.0, 1.0]), "aberth")
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from critpoint import mobius as mb
-from critpoint.critical import critical_points, finite_support_critical, FiniteSupportInstance
+from critpoint.critical import critical_points, critical_points_oracle
 from critpoint.errors import NonDegeneracyError, ParameterError
-from critpoint.experiments import (ExperimentConfig, run_anticoncentration,
-                                   run_convergence, run_experiment,
-                                   run_growth, run_jensen, run_lln_logminus)
+from critpoint.experiments import (AnticoncentrationConfig, ConvergenceConfig,
+                                   GrowthConfig, JensenConfig, LLNConfig,
+                                   run_anticoncentration, run_convergence,
+                                   run_experiment, run_growth, run_jensen,
+                                   run_lln_logminus)
 from critpoint.logderiv import Circle, circle_sup_norm, eval_S
 from critpoint.measures import from_points, log_minus_integral
 from critpoint.sampler import BaseMeasure, SeedSpec, multinomial_counts, sample
@@ -19,35 +21,68 @@ CIRCLE = BaseMeasure.uniform_circle()
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        ExperimentConfig(measure=CIRCLE, n_schedule=(8, 8))
+        ConvergenceConfig(measure=CIRCLE, n_schedule=(8, 8))
     with pytest.raises(ParameterError):
-        ExperimentConfig(measure=CIRCLE, n_schedule=())
+        ConvergenceConfig(measure=CIRCLE, n_schedule=())
     with pytest.raises(ParameterError):
-        ExperimentConfig(measure=CIRCLE, n_schedule=(4,), trials=0)
+        JensenConfig(measure=CIRCLE, n_schedule=(4,), trials=0)
     with pytest.raises(ParameterError):
-        ExperimentConfig(measure=CIRCLE, n_schedule=(4,), probes=(1j, 1j))
+        AnticoncentrationConfig(measure=CIRCLE, n_schedule=(4,), probes=(1j, 1j))
     with pytest.raises(ParameterError):
-        run_experiment("bogus", ExperimentConfig(measure=CIRCLE, n_schedule=(4,)))
+        run_experiment("bogus", ConvergenceConfig(measure=CIRCLE, n_schedule=(4,)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), directions=1.5),
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), k_reference="abc"),
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), k_reference=None),
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), tol_solver=math.nan),
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), R_infty=None),
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8.7, 16)),
+    lambda: ConvergenceConfig(measure="circle", n_schedule=(8,)),
+    lambda: JensenConfig(measure=CIRCLE, n_schedule=(8,), trials=2.9),
+    lambda: JensenConfig(measure=CIRCLE, n_schedule=(8,), jensen_slack=math.inf),
+    lambda: AnticoncentrationConfig(measure=CIRCLE, n_schedule=(8,), projection=("a", 1)),
+    lambda: AnticoncentrationConfig(measure=CIRCLE, n_schedule=(8,), projection=(1.0,)),
+    lambda: AnticoncentrationConfig(measure=CIRCLE, n_schedule=(8,), probes=()),
+    lambda: AnticoncentrationConfig(measure=CIRCLE, n_schedule=(8,), r_ball=-1.0),
+    lambda: GrowthConfig(measure=CIRCLE, n_schedule=(8,), m_circle=2.5),
+    lambda: GrowthConfig(measure=CIRCLE, n_schedule=(8,), circle_center=0j),
+    lambda: GrowthConfig(measure=CIRCLE, n_schedule=(8,), circle_radius=1.0),
+    lambda: LLNConfig(measure=CIRCLE, n_schedule=(8,), u_transform="identity"),
+    lambda: LLNConfig(measure=CIRCLE, n_schedule=(8,), seed=-1),
+])
+def test_settings_checked_at_construction(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
+def test_settings_accept_json_forms_and_documented_nones():
+    cfg = LLNConfig(measure=CIRCLE.to_json(), n_schedule=[8, 16], seed=3,
+                    u_transform=mb.identity().to_json())
+    assert cfg == LLNConfig(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(3, 0),
+                            u_transform=mb.identity())
+    ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), improvement_factor=None,
+                      quadrant_max=None)
+    AnticoncentrationConfig(measure=CIRCLE, n_schedule=(8,), r_ball=None)
+    assert GrowthConfig(measure=CIRCLE, n_schedule=(8,), circle_center=[1, 2],
+                        circle_radius=3).circle_center == 1 + 2j
 
 
 def test_convergence_finite_support_cross_method():
     # on a finite-support trajectory the general solver must agree with the
-    # closed form at every n of the schedule
+    # eigenvalue route at every n of the schedule
     m = BaseMeasure.finite_support([1.0, -1.0], [0.5, 0.5])
     seed = SeedSpec(3, 3)
-    cfg = ExperimentConfig(measure=m, n_schedule=(2, 4), seed=seed,
-                           k_reference=64, improvement_factor=None, quadrant_max=None)
+    cfg = ConvergenceConfig(measure=m, n_schedule=(2, 4), seed=seed,
+                            k_reference=64, improvement_factor=None, quadrant_max=None)
     rep = run_convergence(cfg)
     assert rep.stats("solver_failed") == {}
     from critpoint.experiments import _P_TRAJECTORY
     traj = sample(m, seed.substream(_P_TRAJECTORY), 4)
     for n in (2, 4):
         roots = traj.samples[:n]
-        counts = [int(np.sum(roots == 1.0)), int(np.sum(roots == -1.0))]
-        atoms = [a for a, c in zip([1.0, -1.0], counts) if c > 0]
-        kept = [c for c in counts if c > 0]
-        closed = finite_support_critical(
-            FiniteSupportInstance(np.array(atoms), np.array(kept)))
+        closed = critical_points_oracle(roots)
         solved = critical_points(roots)
         assert np.allclose(np.sort_complex(closed.points),
                            np.sort_complex(solved.points), atol=1e-8)
@@ -55,8 +90,8 @@ def test_convergence_finite_support_cross_method():
 
 def test_convergence_single_atom_all_distances_zero():
     m = BaseMeasure.finite_support([0.5 + 0.5j], [1.0])
-    cfg = ExperimentConfig(measure=m, n_schedule=(2, 8, 32), seed=SeedSpec(1, 1),
-                           k_reference=16)
+    cfg = ConvergenceConfig(measure=m, n_schedule=(2, 8, 32), seed=SeedSpec(1, 1),
+                            k_reference=16)
     rep = run_convergence(cfg)
     for n in (2, 8, 32):
         assert rep.stat(n, "sliced_w1_nu_mu") == 0.0
@@ -68,8 +103,8 @@ def test_convergence_single_atom_all_distances_zero():
 
 
 def test_convergence_report_shape():
-    cfg = ExperimentConfig(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(9, 0),
-                           k_reference=500, improvement_factor=None, quadrant_max=None)
+    cfg = ConvergenceConfig(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(9, 0),
+                            k_reference=500, improvement_factor=None, quadrant_max=None)
     rep = run_convergence(cfg)
     for stat in ("sliced_w1_nu_mu", "sliced_w1_nu_ref", "quadrant_nu_mu",
                  "escaped_mass_nu", "escaped_mass_mu", "max_residual"):
@@ -94,8 +129,8 @@ def test_jensen_trivial_roots_transform():
 
 
 def test_jensen_run_and_normalized_echo():
-    cfg = ExperimentConfig(measure=BaseMeasure.uniform_disk(), n_schedule=(8,),
-                           trials=50, seed=SeedSpec(21, 0), m_circle=512)
+    cfg = JensenConfig(measure=BaseMeasure.uniform_disk(), n_schedule=(8,),
+                       trials=50, seed=SeedSpec(21, 0), m_circle=512)
     rep = run_jensen(cfg)
     assert rep.stat(8, "trials_valid") >= 45
     assert rep.stat(8, "pass_rate") >= 0.98
@@ -105,16 +140,16 @@ def test_jensen_run_and_normalized_echo():
 
 def test_anticoncentration_degenerate_control():
     m = BaseMeasure.finite_support([1.0, -1.0], [0.5, 0.5])
-    cfg = ExperimentConfig(measure=m, n_schedule=(10, 20), trials=10,
-                           probes=(2 + 0j, 3j, -2 - 2j))
+    cfg = AnticoncentrationConfig(measure=m, n_schedule=(10, 20), trials=10,
+                                  probes=(2 + 0j, 3j, -2 - 2j))
     with pytest.raises(NonDegeneracyError):
         run_anticoncentration(cfg)
 
 
 def test_anticoncentration_probe_on_atom_rejected():
     m = BaseMeasure.finite_support([2.0, -1.0, 1j, -1j], [0.25] * 4)
-    cfg = ExperimentConfig(measure=m, n_schedule=(10,), trials=10,
-                           probes=(2 + 0j, 3j, -2 - 2j))
+    cfg = AnticoncentrationConfig(measure=m, n_schedule=(10,), trials=10,
+                                  probes=(2 + 0j, 3j, -2 - 2j))
     with pytest.raises(ParameterError):
         run_anticoncentration(cfg)
 
@@ -122,15 +157,15 @@ def test_anticoncentration_probe_on_atom_rejected():
 def test_anticoncentration_finite_support_nondegenerate_runs():
     # four atoms vs three probes: rank can reach 4 = d + 1
     m = BaseMeasure.finite_support([1.0, -1.0, 1j, -1j], [0.25] * 4)
-    cfg = ExperimentConfig(measure=m, n_schedule=(10, 40), trials=200,
-                           seed=SeedSpec(10, 1), probes=(2 + 0j, 3j, -2 - 2j))
+    cfg = AnticoncentrationConfig(measure=m, n_schedule=(10, 40), trials=200,
+                                  seed=SeedSpec(10, 1), probes=(2 + 0j, 3j, -2 - 2j))
     rep = run_anticoncentration(cfg)
     assert set(rep.stats("phat")) == {10, 40}
 
 
 def test_anticoncentration_small_run_decays():
-    cfg = ExperimentConfig(measure=CIRCLE, n_schedule=(50, 200, 800),
-                           trials=2000, seed=SeedSpec(5, 3))
+    cfg = AnticoncentrationConfig(measure=CIRCLE, n_schedule=(50, 200, 800),
+                                  trials=2000, seed=SeedSpec(5, 3))
     rep = run_anticoncentration(cfg)
     ph = rep.stats("phat")
     se = rep.stats("stderr")
@@ -141,8 +176,8 @@ def test_anticoncentration_small_run_decays():
 
 
 def test_anticoncentration_inconclusive_verdict():
-    cfg = ExperimentConfig(measure=CIRCLE, n_schedule=(50, 100), trials=5,
-                           r_ball=1e-9, seed=SeedSpec(5, 4))
+    cfg = AnticoncentrationConfig(measure=CIRCLE, n_schedule=(50, 100), trials=5,
+                                  r_ball=1e-9, seed=SeedSpec(5, 4))
     rep = run_anticoncentration(cfg)
     assert not rep.passed
     assert any("inconclusive" in str(v.observed) for v in rep.verdicts)
@@ -151,8 +186,8 @@ def test_anticoncentration_inconclusive_verdict():
 def test_growth_single_atom_ratio():
     # all roots at 0, circle C(0,2): |S_n| = n/2 everywhere on the contour
     m = BaseMeasure.finite_support([0.0], [1.0])
-    cfg = ExperimentConfig(measure=m, n_schedule=(4, 16, 64), seed=SeedSpec(2, 2),
-                           circle_center=0j, circle_radius=2.0, m_circle=64)
+    cfg = GrowthConfig(measure=m, n_schedule=(4, 16, 64), seed=SeedSpec(2, 2),
+                       circle_center=0j, circle_radius=2.0, m_circle=64)
     rep = run_growth(cfg)
     for n in (4, 16, 64):
         assert rep.stat(n, "sup_norm") == pytest.approx(n / 2, rel=1e-12)
@@ -162,9 +197,9 @@ def test_growth_single_atom_ratio():
 
 
 def test_growth_refinement_stability():
-    cfg = ExperimentConfig(measure=CIRCLE, n_schedule=(64, 256, 1024),
-                           seed=SeedSpec(4, 4), circle_center=0.1 + 0.2j,
-                           circle_radius=1.7, m_circle=2048)
+    cfg = GrowthConfig(measure=CIRCLE, n_schedule=(64, 256, 1024),
+                       seed=SeedSpec(4, 4), circle_center=0.1 + 0.2j,
+                       circle_radius=1.7, m_circle=2048)
     rep = run_growth(cfg)
     for n in (64, 256, 1024):
         assert rep.stat(n, "refine_delta") < 0.01
@@ -172,16 +207,16 @@ def test_growth_refinement_stability():
 
 
 def test_growth_draws_generic_circle_when_unset():
-    cfg = ExperimentConfig(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(6, 6),
-                           m_circle=256)
+    cfg = GrowthConfig(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(6, 6),
+                       m_circle=256)
     rep = run_growth(cfg)
     assert len(rep.stats("ratio")) == 2
 
 
 def test_lln_single_atom_exact():
     m = BaseMeasure.finite_support([0.5], [1.0])
-    cfg = ExperimentConfig(measure=m, n_schedule=(10, 100), seed=SeedSpec(8, 8),
-                           u_transform=mb.identity(), k_reference=1000)
+    cfg = LLNConfig(measure=m, n_schedule=(10, 100), seed=SeedSpec(8, 8),
+                    u_transform=mb.identity(), k_reference=1000)
     rep = run_lln_logminus(cfg)
     for n in (10, 100):
         assert rep.stat(n, "log_minus_mu_n") == pytest.approx(math.log(2), rel=1e-12)
@@ -191,8 +226,8 @@ def test_lln_single_atom_exact():
 
 def test_lln_support_outside_disk_is_zero():
     m = BaseMeasure.uniform_circle(5.0 + 0j, 1.0)
-    cfg = ExperimentConfig(measure=m, n_schedule=(50, 500), seed=SeedSpec(12, 0),
-                           u_transform=mb.identity(), k_reference=1000)
+    cfg = LLNConfig(measure=m, n_schedule=(50, 500), seed=SeedSpec(12, 0),
+                    u_transform=mb.identity(), k_reference=1000)
     rep = run_lln_logminus(cfg)
     assert rep.stat(500, "log_minus_mu_n") == 0.0
     assert rep.stat(0, "reference_value") == 0.0
@@ -200,17 +235,17 @@ def test_lln_support_outside_disk_is_zero():
 
 
 def test_lln_uniform_disk_half():
-    cfg = ExperimentConfig(measure=BaseMeasure.uniform_disk(), n_schedule=(20_000,),
-                           seed=SeedSpec(13, 0), u_transform=mb.identity(),
-                           k_reference=200_000)
+    cfg = LLNConfig(measure=BaseMeasure.uniform_disk(), n_schedule=(20_000,),
+                    seed=SeedSpec(13, 0), u_transform=mb.identity(),
+                    k_reference=200_000)
     rep = run_lln_logminus(cfg)
     assert rep.stat(20_000, "log_minus_mu_n") == pytest.approx(0.5, abs=0.02)
     assert rep.passed
 
 
 def test_reports_deterministic():
-    cfg = ExperimentConfig(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(31, 7),
-                           k_reference=500, improvement_factor=None, quadrant_max=None)
+    cfg = ConvergenceConfig(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(31, 7),
+                            k_reference=500, improvement_factor=None, quadrant_max=None)
     a = run_convergence(cfg)
     b = run_convergence(cfg)
     assert a.series_csv() == b.series_csv()

@@ -5,7 +5,7 @@ import pytest
 
 from critpoint.critical import critical_points_oracle
 from critpoint.errors import ParameterError, PoleOnContourError
-from critpoint.logderiv import (Circle, RootSet, circle_sup_norm,
+from critpoint.logderiv import (Circle, RootSet, circle_abs_S, circle_sup_norm,
                                 circle_sup_norm_refined, eval_S, eval_S_prime,
                                 log_minus, log_plus)
 from critpoint.sampler import BaseMeasure
@@ -79,6 +79,16 @@ def test_circle_sup_norm_nested_grids_monotone():
         cur = circle_sup_norm(roots, c, m)
         assert cur >= prev
         prev = cur
+
+
+def test_circle_grid_is_the_even_half_of_the_doubled_grid():
+    rng = np.random.default_rng(8)
+    roots = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    for c, m in ((Circle(0.05 + 0.03j, 0.7), 4096), (Circle(-3.0 + 1e3j, 1e-2), 96)):
+        assert np.array_equal(c.points(2 * m)[::2], c.points(m))
+        fine = circle_abs_S(roots, c, 2 * m)
+        assert np.array_equal(fine[::2], circle_abs_S(roots, c, m))
+        assert float(np.max(fine[::2])) == circle_sup_norm(roots, c, m)
 
 
 def test_circle_sup_norm_refined_jensen_example():

@@ -50,6 +50,26 @@ def test_determinant_guard():
         mb.MobiusTransform(0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), "x", [1.0]])
+def test_non_finite_or_malformed_coefficient_rejected(bad):
+    with pytest.raises(ParameterError):
+        mb.MobiusTransform(bad, 0, 0, 1)
+    with pytest.raises(ParameterError):
+        mb.MobiusTransform(1, 0, 0, bad)
+
+
+def test_draws_are_the_first_passing_normals():
+    # a draw is 2k standard normals (k real parts, then k imaginary parts),
+    # redrawn only when the determinant guard fails
+    for k in range(20):
+        g = SeedSpec(5, k).generator()
+        re, im = g.standard_normal(4), g.standard_normal(4)
+        assert mb.sample_mobius(SeedSpec(5, k)) == mb.MobiusTransform(*(re + 1j * im))
+        g = SeedSpec(5, k).generator()
+        re, im = g.standard_normal(2), g.standard_normal(2)
+        assert mb.sample_affine(SeedSpec(5, k)) == mb.affine(*(re + 1j * im))
+
+
 def test_preimage_identity_and_shift():
     pre = mb.preimage_unit_circle(mb.identity())
     assert pre.is_circle and pre.center == 0 and pre.radius == pytest.approx(1.0)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from critpoint.errors import ContractError, ParameterError
-from critpoint.sampler import (BaseMeasure, SeedSpec, extend,
-                               multinomial_counts, sample)
+from critpoint.sampler import (BaseMeasure, SeedSpec, as_complex, as_int,
+                               as_real, extend, multinomial_counts, sample)
 
 ALL_MEASURES = [
     BaseMeasure.finite_support([1, -1, 2j], [0.2, 0.5, 0.3]),
@@ -142,3 +142,29 @@ def test_cauchy_has_heavy_tails():
     m = BaseMeasure.complex_cauchy(0j, 1.0)
     z = sample(m, SeedSpec(1234, 0), 100_000).samples
     assert np.max(np.abs(z)) > 1_000.0
+
+
+def test_scalar_parsers():
+    assert as_complex(1 - 2j) == 1 - 2j
+    assert as_complex(np.complex128(3j)) == 3j
+    assert as_complex([1, -2.5]) == 1 - 2.5j
+    assert as_complex(4) == 4
+    assert as_real(2) == 2.0 and type(as_real(np.float64(0.5))) is float
+    assert as_int(np.int64(7)) == 7 and type(as_int(np.int64(7))) is int
+    for parse, bad in [(as_real, "1"), (as_real, float("nan")), (as_real, float("-inf")),
+                       (as_real, True), (as_real, None), (as_real, 1j),
+                       (as_int, 2.0), (as_int, "3"), (as_int, False),
+                       (as_complex, "1"), (as_complex, [1]), (as_complex, complex("nan"))]:
+        with pytest.raises(ParameterError):
+            parse(bad)
+
+
+def test_json_scalars_rejected():
+    for bad in [{"kind": "UniformDisk", "params": {"radius": "abc"}},
+                {"kind": "ComplexGaussian", "params": {"scale": [1, 0]}},
+                {"kind": "FiniteSupport", "params": {"atoms": [[1, 0]], "weights": ["1"]}}]:
+        with pytest.raises(ParameterError):
+            BaseMeasure.from_json(bad)
+    for bad in [{"master_seed": "abc"}, {"master_seed": 1.5}, {"master_seed": 1, "stream_id": "2"}]:
+        with pytest.raises(ParameterError):
+            SeedSpec.from_json(bad)
