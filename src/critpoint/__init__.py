@@ -5,44 +5,38 @@ the n-1 zeros of P' at scale, and measure how the empirical law of the
 critical points tracks the law of the roots.
 """
 
-from .critical import (CriticalSet, critical_points, critical_points_oracle,
-                       multiset_match_distance)
-from .errors import (ContractError, ConvergenceError, CritpointError,
-                     NonDegeneracyError, ParameterError, PoleOnContourError)
+from .critical import CriticalSet, critical_points, critical_points_oracle
+from .errors import (ConvergenceError, CritpointError, NonDegeneracyError,
+                     ParameterError, PoleOnContourError)
 from .experiments import (AnticoncentrationConfig, ConvergenceConfig,
                           GrowthConfig, JensenConfig, LLNConfig,
                           run_anticoncentration, run_convergence,
                           run_experiment, run_growth, run_jensen,
                           run_lln_logminus)
-from .logderiv import (Circle, EvalResult, RootSet, circle_sup_norm,
-                       circle_sup_norm_refined, eval_S, eval_S_prime,
+from .logderiv import (Circle, EvalResult, RootSet, circle_sup_norm, eval_S,
                        log_minus, log_plus)
 from .measures import (EmpiricalMeasure, from_points, log_minus_integral,
-                       quadrant_discrepancy, reference_quantization, sliced_w1,
-                       truncated_log_minus_integral)
-from .mobius import (GeneralizedCircle, MobiusTransform, affine, apply,
-                     compose, identity, inverse, preimage_unit_circle,
-                     sample_affine, sample_mobius)
+                       quadrant_discrepancy, reference_quantization, sliced_w1)
+from .mobius import (MobiusTransform, affine, apply, compose, identity, inverse,
+                     preimage_unit_circle, sample_mobius)
 from .report import Report, Verdict
-from .sampler import (BaseMeasure, SeedSpec, Trajectory, extend,
-                      multinomial_counts, sample)
+from .sampler import BaseMeasure, SeedSpec, Trajectory, sample
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseMeasure", "SeedSpec", "Trajectory", "sample", "extend", "multinomial_counts",
-    "RootSet", "Circle", "EvalResult", "eval_S", "eval_S_prime",
-    "circle_sup_norm", "circle_sup_norm_refined", "log_plus", "log_minus",
-    "CriticalSet", "critical_points", "critical_points_oracle", "multiset_match_distance",
+    "BaseMeasure", "SeedSpec", "Trajectory", "sample",
+    "RootSet", "Circle", "EvalResult", "eval_S",
+    "circle_sup_norm", "log_plus", "log_minus",
+    "CriticalSet", "critical_points", "critical_points_oracle",
     "EmpiricalMeasure", "from_points", "log_minus_integral",
-    "truncated_log_minus_integral", "sliced_w1", "quadrant_discrepancy",
-    "reference_quantization",
-    "MobiusTransform", "GeneralizedCircle", "identity", "affine", "apply",
-    "inverse", "compose", "preimage_unit_circle", "sample_mobius", "sample_affine",
+    "sliced_w1", "quadrant_discrepancy", "reference_quantization",
+    "MobiusTransform", "identity", "affine", "apply",
+    "inverse", "compose", "preimage_unit_circle", "sample_mobius",
     "ConvergenceConfig", "JensenConfig", "AnticoncentrationConfig", "GrowthConfig",
     "LLNConfig", "Report", "Verdict", "run_experiment",
     "run_convergence", "run_jensen", "run_anticoncentration", "run_growth",
     "run_lln_logminus",
-    "CritpointError", "ParameterError", "ContractError",
-    "ConvergenceError", "NonDegeneracyError", "PoleOnContourError",
+    "CritpointError", "ParameterError", "ConvergenceError", "NonDegeneracyError",
+    "PoleOnContourError",
 ]

@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
-from .errors import ContractError, ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError
 from .logderiv import as_roots
 
 _EPS = float(np.finfo(float).eps)
@@ -290,20 +289,3 @@ def critical_points_oracle(roots) -> CriticalSet:
     residuals = np.concatenate([_residuals_against(extra, rs.roots), np.zeros(len(repeated))])
     order = np.argsort(points)
     return CriticalSet(points[order], residuals[order], "eigen")
-
-
-# ---------------------------------------------------------------------------
-# multiset comparison
-
-
-def multiset_match_distance(a, b) -> float:
-    """Largest pointwise distance under the optimal (Hungarian) pairing."""
-    pa = np.atleast_1d(np.asarray(a, dtype=complex))
-    pb = np.atleast_1d(np.asarray(b, dtype=complex))
-    if pa.shape != pb.shape:
-        raise ContractError(f"multisets differ in size: {pa.shape} vs {pb.shape}")
-    if pa.size == 0:
-        return 0.0
-    C = np.abs(pa[:, None] - pb[None, :])
-    rows, cols = linear_sum_assignment(C)
-    return float(C[rows, cols].max())

@@ -9,10 +9,6 @@ class ParameterError(CritpointError, ValueError):
     """A value passed to a constructor or operation is invalid."""
 
 
-class ContractError(CritpointError, ValueError):
-    """A call violates an operation's precondition (e.g. shrinking a trajectory)."""
-
-
 class ConvergenceError(CritpointError, RuntimeError):
     """The iterative solver failed to certify a solution.
 

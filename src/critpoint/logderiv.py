@@ -2,6 +2,10 @@
 
 Evaluation near the roots is dominated by cancellation, so sums are
 pairwise (numpy's blocked pairwise reduction) over a canonical root order.
+A circle is sampled on one grid, a + r e^{2 pi i j / m}: `circle_abs_S`
+evaluates |S| there and owns the pole-on-contour test, and
+`circle_sup_norm` is its maximum.  S' is only needed by the solver, which
+computes it with S in `critical._field_sums`.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from .errors import ParameterError, PoleOnContourError
 #: relative pole-detection tolerance: z counts as a pole of S when
 #: min_k |z - Z_k| <= POLE_RTOL * (1 + |z|)
 POLE_RTOL = 1e-12
-
-SUP_NORM_M_CAP = 2 ** 16
 
 
 def pole_tolerance(z: complex) -> float:
@@ -68,7 +70,7 @@ class Circle:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of S (or S') at a point, or a pole marker carrying the root index."""
+    """Value of S at a point, or a pole marker carrying the root index."""
 
     value: complex
     pole_index: Optional[int] = None
@@ -99,16 +101,6 @@ def eval_S(roots, z: complex) -> EvalResult:
         return EvalResult(complex(math.inf), pole_index=k)
     terms = 1.0 / (z - np.sort(rs.roots))
     return EvalResult(complex(np.sum(terms)))
-
-
-def eval_S_prime(roots, z: complex) -> EvalResult:
-    """S'(z) = -sum_k 1/(z - Z_k)^2, same pole convention as eval_S."""
-    rs = as_roots(roots)
-    k = _pole_check(rs, z)
-    if k is not None:
-        return EvalResult(complex(math.inf), pole_index=k)
-    d = z - np.sort(rs.roots)
-    return EvalResult(complex(-np.sum(1.0 / (d * d))))
 
 
 def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, chunk_elems: int = 1 << 22) -> np.ndarray:
@@ -146,30 +138,6 @@ def circle_sup_norm(roots, c: Circle, m: int) -> float:
     in m along powers of two.
     """
     return float(np.max(circle_abs_S(roots, c, m)))
-
-
-def circle_sup_norm_refined(roots, c: Circle, m_start: int = 4096,
-                            rtol: float = 1e-6, m_cap: int = SUP_NORM_M_CAP):
-    """Double m until the discrete sup changes by less than rtol (relative).
-
-    Returns (value, m_used, last_delta); only newly introduced grid points
-    are evaluated at each doubling since the grids nest.
-    """
-    rs = as_roots(roots)
-    m = int(m_start)
-    best = circle_sup_norm(rs, c, m)
-    last_delta = math.inf
-    while m < m_cap:
-        # odd multiples of the refined step are exactly the new points
-        j = np.arange(1, 2 * m, 2)
-        new_pts = c.center + c.radius * np.exp(1j * np.pi * j / m)
-        cand = max(best, float(np.max(_abs_S_on_points(rs.roots, new_pts))))
-        m *= 2
-        last_delta = (cand - best) / cand if cand > 0 else 0.0
-        best = cand
-        if last_delta < rtol:
-            break
-    return best, m, last_delta
 
 
 def log_plus(x):

@@ -73,13 +73,6 @@ def log_minus_integral(m: EmpiricalMeasure, u: mb.MobiusTransform) -> float:
     return float(np.dot(m.weights, log_minus(mags)))
 
 
-def truncated_log_minus_integral(m: EmpiricalMeasure, u: mb.MobiusTransform, cap: float) -> float:
-    """Same integral with log^- replaced by min(log^-, cap); finite, monotone in cap."""
-    images = mb.apply_array(u, m.atoms)
-    vals = np.minimum(log_minus(np.abs(images)), float(cap))
-    return float(np.dot(m.weights, vals))
-
-
 def sliced_w1(m1: EmpiricalMeasure, m2: EmpiricalMeasure, directions: int = 64) -> float:
     """Average over theta_j = pi j / directions of the exact 1-d W1 distance
     between the pushforwards under z -> Re(e^{-i theta_j} z).

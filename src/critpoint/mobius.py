@@ -2,17 +2,21 @@
 
 A transform u(z) = (a z + b)/(c z + d) is kept as its four coefficients.
 The point at infinity is represented by any complex with a non-finite
-part; `INFINITY` is the canonical one.
+part; `INFINITY` is the canonical one.  The preimage of the unit circle is
+a `logderiv.Circle`, or None when it is a line (|a| = |c|), since only a
+compact contour carries a sup norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
+from .logderiv import Circle
 from .sampler import SeedSpec, as_complex
 
 INFINITY = complex(math.inf, 0.0)
@@ -108,85 +112,41 @@ def compose(u: MobiusTransform, v: MobiusTransform) -> MobiusTransform:
     )
 
 
-@dataclass(frozen=True)
-class GeneralizedCircle:
-    """A circle (center, radius) or a line (point, unit direction)."""
-
-    kind: str
-    center: complex = 0j
-    radius: float = 0.0
-    point: complex = 0j
-    direction: complex = 0j
-
-    def __post_init__(self):
-        if self.kind not in ("circle", "line"):
-            raise ParameterError(f"kind must be 'circle' or 'line', got {self.kind!r}")
-        if self.kind == "circle" and not self.radius > 0:
-            raise ParameterError("circle radius must be positive")
-        if self.kind == "line" and not math.isclose(abs(self.direction), 1.0, rel_tol=1e-9):
-            raise ParameterError("line direction must be a unit complex")
-
-    @property
-    def is_circle(self) -> bool:
-        return self.kind == "circle"
-
-    def points(self, k: int) -> np.ndarray:
-        """k sample points on the set (equispaced angles / tangent-spread abscissae)."""
-        if self.is_circle:
-            j = np.arange(k)
-            return self.center + self.radius * np.exp(2j * np.pi * j / k)
-        t = np.tan(np.pi * ((np.arange(k) + 0.5) / k - 0.5))
-        return self.point + t * self.direction
-
-
-def preimage_unit_circle(u: MobiusTransform) -> GeneralizedCircle:
+def preimage_unit_circle(u: MobiusTransform) -> Optional[Circle]:
     """u^{-1}(unit circle) = {z : |a z + b| = |c z + d|}.
 
-    A circle when |a| != |c|; the degenerate |a| = |c| case is a line
-    (the determinant guard rules out an empty or full-plane solution set).
+    A circle when |a| != |c|; None in the degenerate |a| = |c| case, where
+    it is a line (the determinant guard rules out an empty or full-plane
+    solution set).
     """
     a, b, c, d = u.a, u.b, u.c, u.d
+    if abs(abs(a) - abs(c)) <= _LINE_RTOL * max(abs(a), abs(c)):
+        return None
     A = abs(a) ** 2 - abs(c) ** 2
     B = a * b.conjugate() - c * d.conjugate()
     C = abs(b) ** 2 - abs(d) ** 2
-    if abs(abs(a) - abs(c)) <= _LINE_RTOL * max(abs(a), abs(c)):
-        # 2 Re(B z) + C = 0; B != 0 whenever the determinant guard holds
-        p0 = -C * B.conjugate() / (2 * abs(B) ** 2)
-        direction = 1j * B.conjugate() / abs(B)
-        return GeneralizedCircle("line", point=p0, direction=direction)
     center = -B.conjugate() / A
     r2 = abs(B) ** 2 / A ** 2 - C / A
     if r2 <= 0:
         # not reachable for an invertible transform; keep a hard failure
         raise ParameterError(f"degenerate preimage for {u!r}")
-    return GeneralizedCircle("circle", center=center, radius=math.sqrt(r2))
-
-
-def _draw(seed: SeedSpec, affine_only: bool) -> MobiusTransform:
-    g = seed.generator()
-    k = 2 if affine_only else 4
-    for _ in range(1000):
-        re = g.standard_normal(k)
-        im = g.standard_normal(k)
-        coeffs = [complex(x, y) for x, y in zip(re, im)]
-        if affine_only:
-            coeffs += [0j, 1 + 0j]
-        try:
-            return MobiusTransform(*coeffs)
-        except ParameterError:
-            pass
-    raise ParameterError("could not draw a transform passing the determinant guard")
+    return Circle(center, math.sqrt(r2))
 
 
 def sample_mobius(seed: SeedSpec) -> MobiusTransform:
     """Four i.i.d. standard complex Gaussian coefficients, guarded determinant.
 
-    The law is mutually absolutely continuous with the coefficient Lebesgue
-    measure away from the guard region, so full-measure statements transfer.
+    A draw is 4 real parts, then 4 imaginary parts, redrawn only when the
+    determinant guard fails.  The law is mutually absolutely continuous
+    with the coefficient Lebesgue measure away from the guard region, so
+    full-measure statements transfer.
     """
-    return _draw(seed, affine_only=False)
-
-
-def sample_affine(seed: SeedSpec) -> MobiusTransform:
-    """Gaussian alpha, beta with c = 0, d = 1."""
-    return _draw(seed, affine_only=True)
+    g = seed.generator()
+    for _ in range(1000):
+        re = g.standard_normal(4)
+        im = g.standard_normal(4)
+        try:
+            return MobiusTransform(*(complex(x, y) for x, y in zip(re, im)))
+        except ParameterError:
+            pass
+    raise ParameterError("could not draw a transform passing the determinant guard")

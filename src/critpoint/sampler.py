@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .errors import ContractError, ParameterError
+from .errors import ParameterError
 
 _KINDS = ("FiniteSupport", "UniformCircle", "UniformDisk", "ComplexGaussian", "ComplexCauchy")
 
@@ -30,9 +30,13 @@ _LOC_SCALE = {"UniformCircle": ("center", "radius"), "UniformDisk": ("center", "
 _MASK64 = (1 << 64) - 1
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def as_real(v, what: str = "value") -> float:
     """A finite real number as a float; anything else raises ParameterError."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+    if not _is_real(v) or not math.isfinite(v):
         raise ParameterError(f"{what} must be a finite real number, got {v!r}")
     return float(v)
 
@@ -46,10 +50,10 @@ def as_int(v, what: str = "value") -> int:
 
 def as_complex(v, what: str = "value") -> complex:
     """A number or a JSON [re, im] pair as a finite complex; anything else,
-    NaN and infinity included, raises ParameterError."""
-    parts = (v.real, v.imag) if isinstance(v, numbers.Complex) else v
+    booleans, NaN and infinity included, raises ParameterError."""
+    parts = (v.real, v.imag) if isinstance(v, numbers.Complex) and not isinstance(v, bool) else v
     if not (isinstance(parts, (list, tuple)) and len(parts) == 2
-            and all(isinstance(x, numbers.Real) for x in parts)):
+            and all(_is_real(x) for x in parts)):
         raise ParameterError(f"{what} must be a number or [re, im] pair, got {v!r}")
     z = complex(float(parts[0]), float(parts[1]))
     if not cmath.isfinite(z):
@@ -218,9 +222,11 @@ class BaseMeasure:
         if unknown:
             raise ParameterError(f"unknown params: {sorted(unknown)}")
         if kind == "FiniteSupport":
-            atoms = [as_complex(a, "atom") for a in params.get("atoms", [])]
-            weights = [as_real(w, "weight") for w in params.get("weights", [])]
-            return cls.finite_support(atoms, weights)
+            atoms, weights = params.get("atoms", []), params.get("weights", [])
+            if not (isinstance(atoms, (list, tuple)) and isinstance(weights, (list, tuple))):
+                raise ParameterError("FiniteSupport atoms and weights must be lists")
+            return cls.finite_support([as_complex(a, "atom") for a in atoms],
+                                      [as_real(w, "weight") for w in weights])
         loc, scale = names
         return cls(kind, {loc: as_complex(params.get(loc, 0), loc),
                           scale: as_real(params.get(scale, 0), scale)})
@@ -243,58 +249,26 @@ def _uniform_pairs(seed: SeedSpec, count: int) -> np.ndarray:
     return seed.generator().random((count, 2))
 
 
-def _finite_support_indices(measure: BaseMeasure, seed: SeedSpec, count: int) -> np.ndarray:
-    atoms, weights = measure.atoms_and_weights()
-    cum = np.cumsum(weights)
-    u = _uniform_pairs(seed, count)[:, 0]
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(atoms) - 1)
-
-
 def sample(measure: BaseMeasure, seed: SeedSpec, count: int) -> Trajectory:
     """Draw count i.i.d. samples from measure on the stream named by seed."""
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ParameterError(f"count must be a positive integer, got {count!r}")
     count = int(count)
-    kind = measure.kind
+    kind, p = measure.kind, measure.params
+    u = _uniform_pairs(seed, count)
     if kind == "FiniteSupport":
-        atoms, _ = measure.atoms_and_weights()
-        z = atoms[_finite_support_indices(measure, seed, count)]
-    else:
-        u = _uniform_pairs(seed, count)
-        p = measure.params
-        if kind == "UniformCircle":
-            z = p["center"] + p["radius"] * np.exp(2j * np.pi * u[:, 0])
-        elif kind == "UniformDisk":
-            z = p["center"] + p["radius"] * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-        elif kind == "ComplexGaussian":
-            z = p["mean"] + p["scale"] * (ndtri(u[:, 0]) + 1j * ndtri(u[:, 1]))
-        else:  # ComplexCauchy: no finite moments by design
-            z = p["location"] + p["scale"] * (np.tan(np.pi * (u[:, 0] - 0.5))
-                                              + 1j * np.tan(np.pi * (u[:, 1] - 0.5)))
+        atoms, weights = measure.atoms_and_weights()
+        idx = np.searchsorted(np.cumsum(weights), u[:, 0], side="right")
+        z = atoms[np.minimum(idx, len(atoms) - 1)]
+    elif kind == "UniformCircle":
+        z = p["center"] + p["radius"] * np.exp(2j * np.pi * u[:, 0])
+    elif kind == "UniformDisk":
+        z = p["center"] + p["radius"] * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    elif kind == "ComplexGaussian":
+        z = p["mean"] + p["scale"] * (ndtri(u[:, 0]) + 1j * ndtri(u[:, 1]))
+    else:  # ComplexCauchy: no finite moments by design
+        z = p["location"] + p["scale"] * (np.tan(np.pi * (u[:, 0] - 0.5))
+                                          + 1j * np.tan(np.pi * (u[:, 1] - 0.5)))
     z = np.ascontiguousarray(z, dtype=complex)
     z.setflags(write=False)
     return Trajectory(measure, seed, z)
-
-
-def extend(traj: Trajectory, new_count: int) -> Trajectory:
-    """Grow a trajectory; existing entries are reproduced bit-for-bit."""
-    if new_count < len(traj):
-        raise ContractError(f"cannot shrink a trajectory: {new_count} < {len(traj)}")
-    if new_count == len(traj):
-        return traj
-    return sample(traj.measure, traj.seed, new_count)
-
-
-def multinomial_counts(measure: BaseMeasure, seed: SeedSpec, n: int):
-    """Atom occurrence counts (N_1, ..., N_r) of n finite-support samples.
-
-    Matches the atom counts of sample(measure, seed, n) exactly.
-    """
-    if not measure.has_finite_support:
-        raise ParameterError("multinomial_counts requires a FiniteSupport measure")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    atoms, _ = measure.atoms_and_weights()
-    idx = _finite_support_indices(measure, seed, int(n))
-    return np.bincount(idx, minlength=len(atoms)).astype(int)

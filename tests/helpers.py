@@ -1,6 +1,21 @@
-"""Shared test-side geometry: convex hulls for Gauss-Lucas checks."""
+"""Shared test-side geometry: convex hulls for Gauss-Lucas checks and the
+optimal-pairing distance between two point multisets."""
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+
+def multiset_match_distance(a, b) -> float:
+    """Largest pointwise distance under the optimal (Hungarian) pairing."""
+    pa = np.atleast_1d(np.asarray(a, dtype=complex))
+    pb = np.atleast_1d(np.asarray(b, dtype=complex))
+    if pa.shape != pb.shape:
+        raise ValueError(f"multisets differ in size: {pa.shape} vs {pb.shape}")
+    if pa.size == 0:
+        return 0.0
+    C = np.abs(pa[:, None] - pb[None, :])
+    rows, cols = linear_sum_assignment(C)
+    return float(C[rows, cols].max())
 
 
 def _convex_hull(pts):

@@ -173,10 +173,16 @@ def _with_setting(experiment, key, value, where="tolerances"):
         doc = small_config(experiment, out_dir)
         if where == "tolerances":
             doc["tolerances"][key] = value
-        elif where == "top":
+        else:
             doc[key] = value
-        else:  # a measure parameter
-            doc["measure"] = {"kind": "UniformDisk", "params": {"center": [0, 0], key: value}}
+        return doc
+    return make
+
+
+def _with_measure(kind, **params):
+    def make(out_dir):
+        doc = small_config("convergence", out_dir)
+        doc["measure"] = {"kind": kind, "params": params}
         return doc
     return make
 
@@ -189,11 +195,15 @@ def _with_setting(experiment, key, value, where="tolerances"):
     _with_setting("convergence", "n_schedule", [8.7, 16], "top"),
     _with_setting("jensen", "trials", 2.9, "top"),
     _with_setting("growth", "circle_center", [0.5, 0.5]),
-    _with_setting("convergence", "radius", "abc", "measure"),
+    _with_measure("UniformDisk", center=[0, 0], radius="abc"),
     _with_setting("convergence", "seed", {"master_seed": "abc"}, "top"),
+    _with_measure("UniformDisk", center=[True, 0], radius=1),
+    _with_measure("FiniteSupport", atoms=5, weights=[1.0]),
+    _with_measure("FiniteSupport", atoms=[[1, 0]], weights=1.0),
 ], ids=["k_reference-string", "projection-string", "directions-float", "m_circle-float",
         "n_schedule-float", "trials-float", "circle_center-alone", "disk-radius-string",
-        "master_seed-string"])
+        "master_seed-string", "disk-center-boolean", "atoms-not-a-list",
+        "weights-not-a-list"])
 def test_malformed_setting_exit_2(tmp_path, capsys, make):
     cfg = write(tmp_path, "c.json", make(str(tmp_path / "out")))
     assert main(["run", "--config", cfg, "--quiet"]) == 2
@@ -305,3 +315,15 @@ def test_module_entry_point_runs():
                        capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     assert "usage" in p.stdout
+
+
+def test_cli_import_skips_scipy_optimize():
+    # the Hungarian comparator is test-side; starting the CLI must not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(critpoint.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    p = subprocess.run([sys.executable, "-c",
+                        "import sys, critpoint.cli; print('scipy.optimize' in sys.modules)"],
+                       env=dict(os.environ, PYTHONPATH=path),
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"

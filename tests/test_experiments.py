@@ -13,7 +13,7 @@ from critpoint.experiments import (AnticoncentrationConfig, ConvergenceConfig,
                                    run_lln_logminus)
 from critpoint.logderiv import Circle, circle_sup_norm, eval_S
 from critpoint.measures import from_points, log_minus_integral
-from critpoint.sampler import BaseMeasure, SeedSpec, multinomial_counts, sample
+from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
 
 CIRCLE = BaseMeasure.uniform_circle()
@@ -138,6 +138,17 @@ def test_jensen_run_and_normalized_echo():
     assert rep.stat(8, "min_gap") > -cfg.jensen_slack
 
 
+def test_normalized_pass_rate_is_pass_rate():
+    # the normalized comparison is the Jensen inequality divided by n; a
+    # negative slack makes some trials fail so the rates are not all 1
+    cfg = JensenConfig(measure=BaseMeasure.complex_gaussian(), n_schedule=(3, 10, 30),
+                       trials=40, seed=SeedSpec(4, 0), m_circle=256, jensen_slack=-0.5)
+    rep = run_jensen(cfg)
+    rates = rep.stats("pass_rate")
+    assert rep.stats("normalized_pass_rate") == rates
+    assert any(0 < r < 1 for r in rates.values())
+
+
 def test_anticoncentration_degenerate_control():
     m = BaseMeasure.finite_support([1.0, -1.0], [0.5, 0.5])
     cfg = AnticoncentrationConfig(measure=m, n_schedule=(10, 20), trials=10,
@@ -252,14 +263,3 @@ def test_reports_deterministic():
     ja, jb = a.to_json(), b.to_json()
     ja.pop("wall_clock"), jb.pop("wall_clock")
     assert ja == jb
-
-
-def test_multinomial_trajectory_consistency():
-    # the convergence experiment's finite-support trajectories reproduce
-    # multinomial counts on the same stream
-    m = BaseMeasure.finite_support([1.0, -1.0], [0.5, 0.5])
-    seed = SeedSpec(3, 3)
-    z = sample(m, seed, 100).samples
-    counts = multinomial_counts(m, seed, 100)
-    assert counts[0] == int(np.sum(z == 1.0))
-    assert counts[1] == int(np.sum(z == -1.0))

@@ -11,8 +11,7 @@ from critpoint import mobius as mb
 from critpoint.errors import ParameterError
 from critpoint.measures import (EmpiricalMeasure, from_points,
                                 log_minus_integral, quadrant_discrepancy,
-                                reference_quantization, sliced_w1,
-                                truncated_log_minus_integral)
+                                reference_quantization, sliced_w1)
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
 
@@ -43,20 +42,6 @@ def test_log_minus_integral_examples():
     assert log_minus_integral(from_points([2.0, 3.0]), mb.identity()) == 0.0
     a = 1.5 + 0.5j
     assert log_minus_integral(from_points([a]), mb.affine(1, -a)) == math.inf
-
-
-def test_truncated_integral_monotone_and_converging():
-    rng = np.random.default_rng(8)
-    m = from_points(0.5 * (rng.standard_normal(200) + 1j * rng.standard_normal(200)))
-    u = mb.identity()
-    full = log_minus_integral(m, u)
-    prev = -1.0
-    for cap in (1.0, 10.0, 100.0):
-        t = truncated_log_minus_integral(m, u, cap)
-        assert t >= prev
-        assert t <= full + 1e-15
-        prev = t
-    assert prev == pytest.approx(full, rel=1e-12)
 
 
 def test_sliced_w1_trivial():

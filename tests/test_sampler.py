@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from critpoint.errors import ContractError, ParameterError
+from critpoint.errors import ParameterError
 from critpoint.sampler import (BaseMeasure, SeedSpec, as_complex, as_int,
-                               as_real, extend, multinomial_counts, sample)
+                               as_real, sample)
 
 ALL_MEASURES = [
     BaseMeasure.finite_support([1, -1, 2j], [0.2, 0.5, 0.3]),
@@ -53,41 +53,11 @@ def test_uniform_disk_radius_law():
     assert abs(r.mean() - 2 / 3) < 0.01
 
 
-def test_extend_prefix_and_identity():
-    m = BaseMeasure.complex_gaussian()
-    s = SeedSpec(5, 5)
-    t8 = sample(m, s, 8)
-    t16 = extend(t8, 16)
-    assert np.array_equal(t16.samples[:8], t8.samples)
-    assert np.array_equal(t16.samples, sample(m, s, 16).samples)
-    assert extend(t8, 8) is t8
-    with pytest.raises(ContractError):
-        extend(t16, 8)
-
-
-def test_multinomial_counts_basics():
-    one = BaseMeasure.finite_support([2.0], [1.0])
-    assert multinomial_counts(one, SeedSpec(1, 1), 7).tolist() == [7]
-
-    fair = BaseMeasure.finite_support([1, -1], [0.5, 0.5])
-    counts = multinomial_counts(fair, SeedSpec(77, 0), 10_000)
-    assert counts.sum() == 10_000
-    assert abs(counts[0] / 10_000 - 0.5) < 0.02
-
-
-def test_multinomial_counts_match_samples():
-    m = BaseMeasure.finite_support([1, -1, 2j], [0.2, 0.5, 0.3])
-    s = SeedSpec(31, 4)
-    atoms, _ = m.atoms_and_weights()
-    z = sample(m, s, 500).samples
-    direct = [int(np.sum(z == a)) for a in atoms]
-    assert multinomial_counts(m, s, 500).tolist() == direct
-
-
 def test_strong_law_eight_atoms():
     atoms = [complex(k, -k) for k in range(8)]
     m = BaseMeasure.finite_support(atoms, [1 / 8] * 8)
-    counts = multinomial_counts(m, SeedSpec(11, 0), 10_000)
+    z = sample(m, SeedSpec(11, 0), 10_000).samples
+    counts = np.array([np.count_nonzero(z == a) for a in atoms])
     assert np.max(np.abs(counts / 10_000 - 1 / 8)) < 0.05
 
 
@@ -154,7 +124,8 @@ def test_scalar_parsers():
     for parse, bad in [(as_real, "1"), (as_real, float("nan")), (as_real, float("-inf")),
                        (as_real, True), (as_real, None), (as_real, 1j),
                        (as_int, 2.0), (as_int, "3"), (as_int, False),
-                       (as_complex, "1"), (as_complex, [1]), (as_complex, complex("nan"))]:
+                       (as_complex, "1"), (as_complex, [1]), (as_complex, complex("nan")),
+                       (as_complex, True), (as_complex, [True, 0]), (as_complex, [0, False])]:
         with pytest.raises(ParameterError):
             parse(bad)
 
@@ -162,7 +133,10 @@ def test_scalar_parsers():
 def test_json_scalars_rejected():
     for bad in [{"kind": "UniformDisk", "params": {"radius": "abc"}},
                 {"kind": "ComplexGaussian", "params": {"scale": [1, 0]}},
-                {"kind": "FiniteSupport", "params": {"atoms": [[1, 0]], "weights": ["1"]}}]:
+                {"kind": "FiniteSupport", "params": {"atoms": [[1, 0]], "weights": ["1"]}},
+                {"kind": "FiniteSupport", "params": {"atoms": 5, "weights": [1.0]}},
+                {"kind": "FiniteSupport", "params": {"atoms": [[1, 0]], "weights": 1.0}},
+                {"kind": "UniformDisk", "params": {"center": [True, 0], "radius": 1}}]:
         with pytest.raises(ParameterError):
             BaseMeasure.from_json(bad)
     for bad in [{"master_seed": "abc"}, {"master_seed": 1.5}, {"master_seed": 1, "stream_id": "2"}]:
