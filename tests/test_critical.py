@@ -188,26 +188,6 @@ def test_active_set_shrinks_and_certifies(monkeypatch):
     assert miss <= (n - 1) * tol * (1 + np.abs(roots).max())
 
 
-def test_field_sums_S_prime_values_and_central_difference():
-    # _field_sums computes S' = -sum m_k / (w - z_k)^2 next to S; check it
-    # against exact values and the central difference (S(w+h) - S(w-h)) / 2h
-    def S_and_Sp(w, z):
-        S, Sp, _, _ = critical._field_sums(np.atleast_1d(complex(w)), np.asarray(z, complex),
-                                           np.ones(len(z)), critical._CHUNK)
-        return S[0], Sp[0]
-
-    assert S_and_Sp(2.0, [0j])[1] == -0.25
-    assert S_and_Sp(0j, [1, -1])[1] == -2.0
-    rng = np.random.default_rng(11)
-    h = 1e-6
-    for _ in range(10):
-        roots = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        w = complex(*rng.uniform(2.0, 3.0, 2))
-        fd = (S_and_Sp(w + h, roots)[0] - S_and_Sp(w - h, roots)[0]) / (2 * h)
-        scale = 1.0 + float(np.sum(1.0 / np.abs(w - roots) ** 2))
-        assert abs(fd - S_and_Sp(w, roots)[1]) <= 10 * h * scale
-
-
 def test_closest_pair_matches_scan():
     rng = np.random.default_rng(31)
     grid = (np.arange(5)[:, None] + 1j * np.arange(5)[None, :]).ravel()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from critpoint import critical
 from critpoint.critical import critical_points_oracle
 from critpoint.errors import ParameterError, PoleOnContourError
 from critpoint.logderiv import (Circle, RootSet, circle_abs_S, circle_sup_norm,
@@ -20,6 +21,35 @@ def test_eval_S_values():
     r = eval_S([1, -1], 1.0)
     assert r.is_pole and r.pole_index == 0
     assert r.magnitude == math.inf
+
+
+def _S_prime(roots, z):
+    """S'(z) = -sum 1/(z - z_k)^2 and the nearest-root distance, as the
+    Aberth sweep computes them next to S in `critical._field_sums`."""
+    roots = np.asarray(roots, complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, Sp, _, dmin = critical._field_sums(np.atleast_1d(complex(z)), roots,
+                                              np.ones(len(roots)), critical._CHUNK)
+    return Sp[0], dmin[0]
+
+
+def test_eval_S_prime_values():
+    assert _S_prime([0], 2.0)[0] == -0.25
+    assert _S_prime([1, -1], 0j)[0] == -2.0
+    Sp, dmin = _S_prime([1, -1], 1.0)
+    assert dmin == 0 and not np.isfinite(Sp)
+
+
+def test_eval_S_prime_central_difference():
+    # independent check: (S(z+h) - S(z-h)) / 2h with S from eval_S
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for _ in range(10):
+        roots = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        z = complex(*rng.uniform(2.0, 3.0, 2))
+        fd = (eval_S(roots, z + h).value - eval_S(roots, z - h).value) / (2 * h)
+        scale = 1.0 + float(np.sum(1.0 / np.abs(z - roots) ** 2))
+        assert abs(fd - _S_prime(roots, z)[0]) <= 10 * h * scale
 
 
 def test_eval_S_permutation_bit_stable():
