@@ -55,6 +55,8 @@ def parse_config(doc: dict, seed_override=None):
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ParameterError(f"experiment must be one of {sorted(EXPERIMENTS)}, got {experiment!r}")
     out_dir = doc.pop("out_dir", ".")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ParameterError(f"out_dir must be a nonempty string, got {out_dir!r}")
     config = EXPERIMENTS[experiment][0].from_json(doc)
     if seed_override is not None:
         config = replace(config, seed=SeedSpec(seed_override, config.seed.stream_id))

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, ParameterError
-from .logderiv import as_roots
+from .logderiv import as_roots, cauchy_sums
 
 _EPS = float(np.finfo(float).eps)
 
@@ -39,10 +39,6 @@ DUPLICATE_RTOL = 1e-14
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 500
-
-#: rows per block of the O(rows * q) field and repulsion temporaries:
-#: 16 MB per complex temporary at q = 4000
-_CHUNK = 256
 
 _GOLDEN_ANGLE = 2.0 * np.pi * 0.6180339887498949
 
@@ -108,38 +104,18 @@ def _cluster_roots(roots: np.ndarray):
 # Aberth iteration
 
 
-def _field_sums(w, z, m, chunk):
-    """S, S', unweighted pole sum and nearest-root distance at the points w."""
-    nz = len(w)
-    S = np.empty(nz, complex)
-    Sp = np.empty(nz, complex)
-    U = np.empty(nz, complex)
-    dmin = np.empty(nz)
-    for a in range(0, nz, chunk):
-        D = w[a:a + chunk, None] - z[None, :]
-        with np.errstate(divide="ignore"):
-            R = 1.0 / D
-        S[a:a + chunk] = (m * R).sum(axis=1)
-        Sp[a:a + chunk] = -(m * R * R).sum(axis=1)
-        U[a:a + chunk] = R.sum(axis=1)
-        dmin[a:a + chunk] = np.abs(D).min(axis=1)
-    return S, Sp, U, dmin
+def _field_sums(w, z, m, chunk=None):
+    """S, S', unweighted pole sum and nearest-root distance at the points w
+    (`chunk` rows per block, by default the kernel's block rule)."""
+    S, U, Sp, dmin = cauchy_sums(w, z, weights=(m, None), squared=(m,), nearest=True, rows=chunk)
+    return S, -Sp, U, dmin
 
 
-def _initial_iterates(z, m, chunk):
+def _initial_iterates(z, m, chunk=None):
     """First-order zero estimates: one candidate near each distinct root
     (displacement m_k/T_k capped at half the nearest-neighbour gap), then the
     two closest candidates merge into their midpoint, leaving q-1 points."""
-    q = len(z)
-    T = np.empty(q, complex)
-    dnear = np.empty(q)
-    for a in range(0, q, chunk):
-        D = z[a:a + chunk, None] - z[None, :]
-        rng = np.arange(a, min(a + chunk, q))
-        D[rng - a, rng] = np.inf
-        with np.errstate(divide="ignore"):
-            T[a:a + chunk] = (m / D).sum(axis=1)
-        dnear[a:a + chunk] = np.abs(D).min(axis=1)
+    T, dnear = cauchy_sums(z, z, weights=(m,), skip=np.arange(len(z)), nearest=True, rows=chunk)
     with np.errstate(divide="ignore", invalid="ignore"):
         disp = np.where(T != 0, m / np.where(T == 0, 1.0, T), dnear / 2)
     cap = dnear / 2
@@ -183,26 +159,20 @@ def _aberth_zeros(z, m, tol, max_sweeps):
     nz = q - 1
     if nz == 0:
         return np.empty(0, complex), np.empty(0)
-    w = _initial_iterates(z, m, _CHUNK)
+    w = _initial_iterates(z, m)
     res = np.full(nz, np.inf)
     small = np.zeros(nz, bool)
     act = np.arange(nz)
     for sweep in range(max_sweeps):
         wa = w[act]
-        S, Sp, U, dmin = _field_sums(wa, z, m, _CHUNK)
+        S, Sp, U, dmin = _field_sums(wa, z, m)
         res[act] = np.where(S == 0, 0.0, np.abs(S) * dmin)
         floor = 8.0 * _EPS * (1.0 + np.abs(wa)) * np.abs(Sp) * dmin
         keep = ~(small[act] & (res[act] <= np.maximum(tol, floor)))
         act, wa, S, Sp, U = act[keep], wa[keep], S[keep], Sp[keep], U[keep]
         if len(act) == 0:
             return w, res
-        Rep = np.empty(len(act), complex)
-        for a in range(0, len(act), _CHUNK):
-            rows = act[a:a + _CHUNK]
-            D = wa[a:a + _CHUNK, None] - w[None, :]
-            D[np.arange(len(rows)), rows] = np.inf
-            with np.errstate(divide="ignore"):
-                Rep[a:a + _CHUNK] = (1.0 / D).sum(axis=1)
+        (Rep,) = cauchy_sums(wa, w, skip=act)
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = 1.0 / (Sp / S + U - Rep)
         corr[S == 0] = 0.0
@@ -229,8 +199,8 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
     rs = as_roots(roots)
     if rs.n < 2:
         raise ParameterError("critical points need at least two roots")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     z, mult, inexact = _cluster_roots(rs.roots)
     repeated = np.repeat(z, (mult - 1).astype(int))
     zeros, res = _aberth_zeros(z, mult, tol, max_sweeps)
@@ -243,9 +213,8 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
 
 def _residuals_against(points: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """|S(W)| * min_k |W - Z_k| per point; zero where W sits on a root."""
-    D = points[:, None] - roots[None, :]
-    S = (1.0 / np.where(D == 0, np.inf, D)).sum(axis=1)
-    return np.abs(S) * np.abs(D).min(axis=1)
+    S, dmin = cauchy_sums(points, roots, nearest=True)
+    return np.where(dmin == 0, 0.0, np.abs(S)) * dmin
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from . import mobius as mb
 from .critical import critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError)
-from .logderiv import (Circle, circle_abs_S, circle_sup_norm, eval_S, log_minus, log_plus,
-                       pole_tolerance)
+from .logderiv import (BLOCK_ELEMS, Circle, circle_abs_S, circle_sup_norm, eval_S, log_minus,
+                       log_plus, pole_tolerance)
 from .measures import (EmpiricalMeasure, from_points, log_minus_integral,
                        reference_quantization, sliced_w1, quadrant_discrepancy)
 from .report import Report
@@ -380,7 +380,7 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
     nmax = ns[-1]
     trials = config.trials
     hits = {n: 0 for n in ns}
-    batch = max(1, (1 << 21) // nmax)
+    batch = max(1, BLOCK_ELEMS // nmax)
     for t0 in range(0, trials, batch):
         bn = min(batch, trials - t0)
         paths = np.empty((2, bn, nmax), dtype=complex)
@@ -393,6 +393,7 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
         for n in ns:
             for half in range(2):
                 seg = paths[half][:, prev:n]
+                # inline, not `cauchy_sums`: each trial row has its own sources
                 for pi in range(d):
                     with np.errstate(divide="ignore", invalid="ignore"):
                         V = 1.0 / (probes[pi] - seg)

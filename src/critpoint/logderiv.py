@@ -1,11 +1,13 @@
 """Logarithmic derivative S(z) = sum_k 1/(z - Z_k) and circle sup norms.
 
-Evaluation near the roots is dominated by cancellation, so sums are
-pairwise (numpy's blocked pairwise reduction) over a canonical root order.
-A circle is sampled on one grid, a + r e^{2 pi i j / m}: `circle_abs_S`
-evaluates |S| there and owns the pole-on-contour test, and
-`circle_sup_norm` is its maximum.  S' is only needed by the solver, which
-computes it with S in `critical._field_sums`.
+`cauchy_sums` is the one route for every Cauchy sum sum_k c_k/(x_i - y_k)
+(S, S' and the repulsion in the solver, residual certificates, `eval_S`,
+|S| on circle grids), with one block rule, BLOCK_ELEMS elements per block
+through reused buffers, and one coincidence rule: a target on a source
+gives an infinite term.  Sums near the roots cancel, so each row is summed
+pairwise in source order, whatever its block.  `circle_abs_S` evaluates |S|
+on the grid a + r e^{2 pi i j / m} and owns the pole-on-contour test;
+`circle_sup_norm` is its maximum.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .errors import ParameterError, PoleOnContourError
 #: relative pole-detection tolerance: z counts as a pole of S when
 #: min_k |z - Z_k| <= POLE_RTOL * (1 + |z|)
 POLE_RTOL = 1e-12
+
+#: targets x sources elements per block of `cauchy_sums`: 2 MB per complex
+#: buffer, so the allocator reuses freed buffers instead of mapping new pages
+BLOCK_ELEMS = 1 << 17
 
 
 def pole_tolerance(z: complex) -> float:
@@ -85,32 +91,52 @@ class EvalResult:
         return math.inf if self.is_pole else abs(self.value)
 
 
-def _pole_check(rs: RootSet, z: complex) -> Optional[int]:
-    d = np.abs(z - rs.roots)
-    k = int(np.argmin(d))
-    if d[k] <= pole_tolerance(z):
-        return k
-    return None
+def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
+    """[sum_k c_k/(x_i - y_k) for c in weights] + [sum_k c_k/(x_i - y_k)^2 for
+    c in squared] + [min_k |x_i - y_k|, if nearest], where c = None is weight 1.
+
+    Row i leaves out column skip[i]; a target on a source gives a non-finite
+    sum and distance 0.  Blocks of `rows` targets (default BLOCK_ELEMS // len(y))
+    reuse one difference buffer, divided in place, and leave each row's sum alone.
+    """
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    step = max(1, min(len(x), rows or BLOCK_ELEMS // len(y)))
+    # products never overwrite an operand: numpy rounds an in-place product
+    # of one-element arrays differently from its vector loop
+    buf, prod, sq = (np.empty((step, len(y)), complex) for _ in range(3))
+    dist = np.empty((step, len(y)))
+    out = [np.empty(len(x), complex) for _ in weights + squared] + [np.empty(len(x))] * nearest
+    for a in range(0, len(x), step):
+        nr = min(step, len(x) - a)
+        D = np.subtract(x[a:a + nr, None], y, out=buf[:nr])
+        if skip is not None:
+            D[np.arange(nr), skip[a:a + nr]] = np.inf
+        if nearest:
+            out[-1][a:a + nr] = np.abs(D, out=dist[:nr]).min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            R = np.divide(1.0, D, out=D)
+            for j, c in enumerate(weights + squared):
+                cR = R if c is None else np.multiply(c, R, out=prod[:nr])
+                if j >= len(weights):
+                    cR = np.multiply(cR, R, out=sq[:nr])
+                out[j][a:a + nr] = cR.sum(axis=1)
+    return out
 
 
 def eval_S(roots, z: complex) -> EvalResult:
     """S(z) = sum_k 1/(z - Z_k), pairwise-summed in sorted root order."""
     rs = as_roots(roots)
-    k = _pole_check(rs, z)
-    if k is not None:
+    d = np.abs(z - rs.roots)
+    k = int(np.argmin(d))
+    if d[k] <= pole_tolerance(z):
         return EvalResult(complex(math.inf), pole_index=k)
-    terms = 1.0 / (z - np.sort(rs.roots))
-    return EvalResult(complex(np.sum(terms)))
+    (S,) = cauchy_sums([z], np.sort(rs.roots))
+    return EvalResult(complex(S[0]))
 
 
-def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, chunk_elems: int = 1 << 22) -> np.ndarray:
-    """|S| on an array of points, chunked so temporaries stay modest."""
-    out = np.empty(len(pts))
-    rows = max(1, chunk_elems // max(1, len(roots)))
-    for a in range(0, len(pts), rows):
-        d = pts[a:a + rows, None] - roots[None, :]
-        out[a:a + rows] = np.abs((1.0 / d).sum(axis=1))
-    return out
+def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """|S| on an array of points."""
+    return np.abs(cauchy_sums(pts, roots)[0])
 
 
 def _contour_clearance(rs: RootSet, c: Circle) -> float:

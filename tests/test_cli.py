@@ -151,6 +151,25 @@ def test_missing_roots_file_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_critical_non_finite_tol_exit_2(tmp_path, capsys):
+    # tol = inf would certify every iterate after two sweeps
+    roots = write(tmp_path, "roots.json", [[1, 0], [-1, 0], [0, 1]])
+    for tol in ("inf", "nan"):
+        assert main(["critical", "--roots", roots, "--tol", tol]) == 2
+        assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out_dir", [5, "", None, ["out"]])
+def test_bad_out_dir_exit_2_before_running(tmp_path, capsys, monkeypatch, out_dir):
+    def not_called(*args):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", not_called)
+    cfg = write(tmp_path, "c.json", small_config("lln", out_dir))
+    assert main(["run", "--config", cfg]) == 2
+    assert "out_dir" in capsys.readouterr().err
+
+
 def test_quiet_suppresses_summary(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = write(tmp_path, "c.json", small_convergence_config(out))

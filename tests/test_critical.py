@@ -168,7 +168,7 @@ def test_active_set_shrinks_and_certifies(monkeypatch):
     field_sums = critical._field_sums
     rows = []
 
-    def recording(w, z, m, chunk):
+    def recording(w, z, m, chunk=None):
         rows.append(len(w))
         return field_sums(w, z, m, chunk)
 
@@ -179,7 +179,7 @@ def test_active_set_shrinks_and_certifies(monkeypatch):
     assert all(b <= a for a, b in zip(rows, rows[1:]))
     assert rows[-1] < rows[0]
     # every point is certified on the solver's own rule, re-evaluated here
-    _, Sp, _, dmin = field_sums(cs.points, roots, np.ones(len(roots)), critical._CHUNK)
+    _, Sp, _, dmin = field_sums(cs.points, roots, np.ones(len(roots)))
     eps = np.finfo(float).eps
     floor = 8 * eps * (1 + np.abs(cs.points)) * np.abs(Sp) * dmin
     assert np.all(cs.residuals <= np.maximum(tol, floor))
@@ -206,8 +206,9 @@ def test_closest_pair_matches_scan():
 def test_input_validation():
     with pytest.raises(ParameterError):
         critical_points([1.0])
-    with pytest.raises(ParameterError):
-        critical_points([1.0, 2.0], tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            critical_points([1.0, 2.0], tol=tol)
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError):
             critical_points([1.0, 2j, bad])

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from critpoint import critical
 from critpoint.critical import critical_points_oracle
 from critpoint.errors import ParameterError, PoleOnContourError
-from critpoint.logderiv import (Circle, RootSet, circle_abs_S, circle_sup_norm,
-                                eval_S, log_minus, log_plus)
+from critpoint.logderiv import (Circle, RootSet, cauchy_sums, circle_abs_S,
+                                circle_sup_norm, eval_S, log_minus, log_plus)
 from critpoint.sampler import BaseMeasure
 
 # sup |S| on C(0.5, 1) for roots {1, -1}: |S(z)| = 2|z| / (|z-1| |z+1|) peaks
@@ -27,9 +29,7 @@ def _S_prime(roots, z):
     """S'(z) = -sum 1/(z - z_k)^2 and the nearest-root distance, as the
     Aberth sweep computes them next to S in `critical._field_sums`."""
     roots = np.asarray(roots, complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, Sp, _, dmin = critical._field_sums(np.atleast_1d(complex(z)), roots,
-                                              np.ones(len(roots)), critical._CHUNK)
+    _, Sp, _, dmin = critical._field_sums(np.atleast_1d(complex(z)), roots, np.ones(len(roots)))
     return Sp[0], dmin[0]
 
 
@@ -160,3 +160,76 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_input_rejected(make):
     with pytest.raises(ParameterError):
         make()
+
+
+_points = st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1, max_size=12)
+_kernel_settings = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def _cauchy_case(draw):
+    """Targets, sources, two weight vectors and an optional skip column per target."""
+    x = np.array(draw(_points))
+    y = np.array(draw(_points))
+    weight = st.floats(0.25, 4.0)
+    c1 = np.array(draw(st.lists(weight, min_size=len(y), max_size=len(y))))
+    c2 = np.array(draw(st.lists(weight, min_size=len(y), max_size=len(y))))
+    skip = None
+    if draw(st.booleans()):
+        skip = np.array(draw(st.lists(st.integers(0, len(y) - 1),
+                                      min_size=len(x), max_size=len(x))))
+    return x, y, c1, c2, skip
+
+
+def _kept(skip, i, k):
+    return skip is None or skip[i] != k
+
+
+@_kernel_settings
+@given(_cauchy_case())
+def test_cauchy_sums_matches_pair_loop(case):
+    x, y, c1, c2, skip = case
+    assume(all(abs(x[i] - y[k]) > 1e-3 for i in range(len(x)) for k in range(len(y))
+               if _kept(skip, i, k)))
+    S1, S0, Q2, dmin = cauchy_sums(x, y, weights=(c1, None), squared=(c2,),
+                                   skip=skip, nearest=True)
+    for i in range(len(x)):
+        ref = [0j, 0j, 0j]
+        mag = [0.0, 0.0, 0.0]
+        near = math.inf
+        for k in range(len(y)):
+            if not _kept(skip, i, k):
+                continue
+            d = complex(x[i] - y[k])
+            for j, term in enumerate((c1[k] / d, 1 / d, c2[k] / d ** 2)):
+                ref[j] += term
+                mag[j] += abs(term)
+            near = min(near, abs(d))
+        for got, want, size in zip((S1[i], S0[i], Q2[i]), ref, mag):
+            assert abs(got - want) <= 1e-12 * size
+        assert dmin[i] == pytest.approx(near, rel=1e-12)
+
+
+@_kernel_settings
+@given(_cauchy_case())
+def test_cauchy_sums_independent_of_block_rows(case):
+    x, y, c1, c2, skip = case
+    runs = [cauchy_sums(x, y, weights=(c1, None), squared=(c2,), skip=skip,
+                        nearest=True, rows=rows) for rows in (1, 3, None)]
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+@_kernel_settings
+@given(_points, st.data())
+def test_target_on_source(y, data):
+    y = np.array(y)
+    k = data.draw(st.integers(0, len(y) - 1))
+    x = np.array([y[k], complex(20.0, 20.0)])
+    S, Q, dmin = cauchy_sums(x, y, squared=(None,), nearest=True)
+    assert not np.isfinite(S[0]) and not np.isfinite(Q[0]) and dmin[0] == 0
+    assert np.isfinite(S[1]) and dmin[1] > 0
+    res = critical._residuals_against(x, y)
+    with np.errstate(invalid="ignore"):
+        assert res[0] == 0 and res[1] == (np.abs(S) * dmin)[1]
