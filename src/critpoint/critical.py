@@ -106,7 +106,11 @@ def _cluster_roots(roots: np.ndarray):
 
 def _field_sums(w, z, m, chunk=None):
     """S, S', unweighted pole sum and nearest-root distance at the points w
-    (`chunk` rows per block, by default the kernel's block rule)."""
+    (`chunk` rows per block, by default the kernel's block rule).  m = None
+    means unit multiplicities, where the pole sum is S itself."""
+    if m is None:
+        S, Sp, dmin = cauchy_sums(w, z, squared=(None,), nearest=True, rows=chunk)
+        return S, -Sp, S, dmin
     S, U, Sp, dmin = cauchy_sums(w, z, weights=(m, None), squared=(m,), nearest=True, rows=chunk)
     return S, -Sp, U, dmin
 
@@ -114,8 +118,11 @@ def _field_sums(w, z, m, chunk=None):
 def _initial_iterates(z, m, chunk=None):
     """First-order zero estimates: one candidate near each distinct root
     (displacement m_k/T_k capped at half the nearest-neighbour gap), then the
-    two closest candidates merge into their midpoint, leaving q-1 points."""
+    two closest candidates merge into their midpoint, leaving q-1 points.
+    m = None means unit multiplicities."""
     T, dnear = cauchy_sums(z, z, weights=(m,), skip=np.arange(len(z)), nearest=True, rows=chunk)
+    if m is None:
+        m = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         disp = np.where(T != 0, m / np.where(T == 0, 1.0, T), dnear / 2)
     cap = dnear / 2
@@ -159,6 +166,8 @@ def _aberth_zeros(z, m, tol, max_sweeps):
     nz = q - 1
     if nz == 0:
         return np.empty(0, complex), np.empty(0)
+    if np.all(m == 1):
+        m = None
     w = _initial_iterates(z, m)
     res = np.full(nz, np.inf)
     small = np.zeros(nz, bool)

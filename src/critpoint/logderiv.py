@@ -1,13 +1,16 @@
 """Logarithmic derivative S(z) = sum_k 1/(z - Z_k) and circle sup norms.
 
-`cauchy_sums` is the one route for every Cauchy sum sum_k c_k/(x_i - y_k)
-(S, S' and the repulsion in the solver, residual certificates, `eval_S`,
-|S| on circle grids), with one block rule, BLOCK_ELEMS elements per block
-through reused buffers, and one coincidence rule: a target on a source
-gives an infinite term.  Sums near the roots cancel, so each row is summed
-pairwise in source order, whatever its block.  `circle_abs_S` evaluates |S|
-on the grid a + r e^{2 pi i j / m} and owns the pole-on-contour test;
-`circle_sup_norm` is its maximum.
+`cauchy_sums` is the one direct route for every Cauchy sum
+sum_k c_k/(x_i - y_k) (S, S' and the repulsion in the solver, residual
+certificates, `eval_S`, the near roots of a circle grid), with one block
+rule, BLOCK_ELEMS elements per block through reused buffers, and one
+coincidence rule: a target on a source gives an infinite term.  Sums near
+the roots cancel, so each row is summed pairwise in source order, whatever
+its block.  `circle_abs_S` evaluates |S| on the grid a + r e^{2 pi i j / m}
+and owns the pole-on-contour test: roots far from the circle add a
+truncated Laurent series in e^{2 pi i j / m}, summed by Horner's rule at
+each grid point, and only the roots near the circle go through
+`cauchy_sums`.  `circle_sup_norm` is the grid maximum.
 """
 
 from __future__ import annotations
@@ -25,9 +28,12 @@ from .errors import ParameterError, PoleOnContourError
 #: min_k |z - Z_k| <= POLE_RTOL * (1 + |z|)
 POLE_RTOL = 1e-12
 
-#: targets x sources elements per block of `cauchy_sums`: 2 MB per complex
-#: buffer, so the allocator reuses freed buffers instead of mapping new pages
+#: targets x sources elements per block of `cauchy_sums` (and powers per
+#: block of `_power_sums`): 2 MB per complex buffer, so the allocator reuses
+#: freed buffers instead of mapping new pages
 BLOCK_ELEMS = 1 << 17
+
+_EPS = float(np.finfo(float).eps)
 
 
 def pole_tolerance(z: complex) -> float:
@@ -70,8 +76,13 @@ class Circle:
             raise ParameterError(f"circle center must be finite, got {self.center}")
 
     def points(self, m: int) -> np.ndarray:
-        j = np.arange(m)
-        return self.center + self.radius * np.exp(2j * np.pi * j / m)
+        return self.center + self.radius * _unit_grid(m)
+
+
+def _unit_grid(m: int) -> np.ndarray:
+    """t_j = e^{2 pi i j / m}, j = 0..m-1; t_j of the m grid is bit for bit
+    t_{2j} of the 2m grid."""
+    return np.exp(2j * np.pi * np.arange(m) / m)
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,7 @@ def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, row
     reuse one difference buffer, divided in place, and leave each row's sum alone.
     """
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    step = max(1, min(len(x), rows or BLOCK_ELEMS // len(y)))
+    step = max(1, min(len(x), rows or BLOCK_ELEMS // max(1, len(y))))
     # products never overwrite an operand: numpy rounds an in-place product
     # of one-element arrays differently from its vector loop
     buf, prod, sq = (np.empty((step, len(y)), complex) for _ in range(3))
@@ -134,27 +145,131 @@ def eval_S(roots, z: complex) -> EvalResult:
     return EvalResult(complex(S[0]))
 
 
-def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """|S| on an array of points."""
-    return np.abs(cauchy_sums(pts, roots)[0])
+def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, far=None) -> np.ndarray:
+    """|S| on an array of points: the direct sum over `roots`, plus `far`
+    (the other roots' values at the points), if given."""
+    (S,) = cauchy_sums(pts, roots)
+    if far is not None:
+        S += far
+    return np.abs(S)
 
 
 def _contour_clearance(rs: RootSet, c: Circle) -> float:
     return float(np.min(np.abs(np.abs(rs.roots - c.center) - c.radius)))
 
 
+def _grid_size(m) -> int:
+    if (isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, float, np.integer, np.floating))
+            or not (m >= 1 and float(m).is_integer())):
+        raise ParameterError(f"m must be a positive integer, got {m!r}")
+    return int(m)
+
+
+def _series_lengths(rho: np.ndarray) -> np.ndarray:
+    """L_k, the smallest L >= 1 with rho_k^L <= eps (1 - rho_k)/(1 + rho_k),
+    for 0 <= rho_k < 1 (as floats)."""
+    bound = _EPS * (1.0 - rho) / (1.0 + rho)
+    with np.errstate(divide="ignore"):
+        L = np.maximum(1.0, np.ceil(np.log(bound) / np.log(rho)))
+    # the logarithms round: step L to the exact smallest length
+    L += rho ** L > bound
+    L -= (L > 1) & (rho ** (L - 1) <= bound)
+    return L
+
+
+def _series_degree(L: np.ndarray) -> float:
+    """Horner degree D of one side's series: its roots with L_k <= D are
+    summed by the series and the rest directly.  D minimises the work per
+    grid point, D Horner steps plus one direct term per root with L_k > D;
+    D = 0 (no series) unless that saves work."""
+    D = np.concatenate([[0.0], np.sort(L)])
+    return float(D[np.argmin(D + np.arange(len(L), -1, -1))])
+
+
+def _power_sums(s: np.ndarray, L: np.ndarray, e: int) -> np.ndarray:
+    """c_l = sum of s_k^(l+e) over the k with L_k > l, l = 0..max L - 1.
+
+    The roots go in order of decreasing L_k, so the terms of a block of
+    rows lie in the first k columns; each block holds at most BLOCK_ELEMS
+    powers (one row when k is larger), in one reused buffer, built by a
+    running product down its rows.
+    """
+    order = np.argsort(-L, kind="stable")
+    s, negL = s[order], -L[order]
+    deg = int(-negL[0])
+    c = np.empty(deg, complex)
+    buf = np.empty(max(len(s), min(BLOCK_ELEMS, deg * len(s))), complex)
+    cur = s.copy() if e else np.ones_like(s)
+    l = 0
+    while l < deg:
+        k = int(np.searchsorted(negL, -l))
+        nr = min(deg - l, max(1, BLOCK_ELEMS // k))
+        P = buf[:nr * k].reshape(nr, k)
+        P[0], P[1:] = cur[:k], s[:k]
+        np.multiply.accumulate(P, axis=0, out=P)
+        cur = P[-1] * s[:k]
+        P[-negL[:k] <= np.arange(l, l + nr)[:, None]] = 0
+        c[l:l + nr] = P.sum(axis=1)
+        l += nr
+    return c
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_l coef[l] x^l at every x.  Products never overwrite an operand
+    (see `cauchy_sums`), so each value depends on its own x alone."""
+    acc = np.full(len(x), coef[-1])
+    tmp = np.empty_like(acc)
+    for a in coef[-2::-1]:
+        np.add(np.multiply(acc, x, out=tmp), a, out=acc)
+    return acc
+
+
 def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
-    """|S| at the m grid points a + r e^{2 pi i j / m}, j = 0..m-1, which are
-    bit for bit the even-indexed points of the 2m grid.  Raises
-    PoleOnContourError when a root lies on the circle."""
+    """|S| at the m grid points x_j = a + r t_j, t_j = e^{2 pi i j / m},
+    j = 0..m-1.  Raises PoleOnContourError when a root lies on the circle.
+
+    With w_k = (Z_k - a)/r and rho_k = min(|w_k|, 1/|w_k|) < 1, a root
+    inside the circle adds (1/r) sum_{l >= 0} w_k^l t_j^{-(l+1)} and a root
+    outside adds -(1/r) sum_{l >= 0} w_k^{-(l+1)} t_j^l.  Each series stops
+    after L_k terms, the smallest L with rho_k^L <= eps (1 - rho_k)/(1 + rho_k),
+    eps = 2^-52.  The dropped tail is then at most eps times the root's
+    smallest term on the circle, so at every grid point the truncation
+    error is at most eps * sum_k |1/(x_j - Z_k)|, the scale of the direct
+    sum's own rounding.  On each side of the circle the series takes the
+    roots with L_k <= D, where the Horner degree D minimises D plus the
+    number of roots left to the direct sum; the power sums of the series
+    are evaluated at each t_j by Horner's rule in t_j and conj(t_j), and
+    the other ("near") roots through `cauchy_sums`.  When no root goes to a
+    series, this is the direct sum over all roots.
+
+    The split and the coefficients depend on the roots and the circle, not
+    on m, and every grid value is computed from its own t_j, so the m grid
+    is bit for bit the even-indexed half of the 2m grid.
+    """
     rs = as_roots(roots)
-    if m < 1:
-        raise ParameterError("m must be a positive integer")
+    m = _grid_size(m)
     tau = POLE_RTOL * (1.0 + abs(c.center) + c.radius)
     if _contour_clearance(rs, c) <= tau:
         raise PoleOnContourError(
             f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
-    return _abs_S_on_points(rs.roots, c.points(int(m)))
+    w = (rs.roots - c.center) / c.radius
+    aw = np.abs(w)
+    inside = aw < 1.0
+    with np.errstate(divide="ignore"):
+        L = _series_lengths(np.minimum(aw, 1.0 / aw))
+    series = L <= np.where(inside, _series_degree(L[inside]), _series_degree(L[~inside]))
+    if not series.any():
+        return _abs_S_on_points(rs.roots, c.points(m))
+    t = _unit_grid(m)
+    far = np.zeros(m, complex)
+    s_in, s_out = series & inside, series & ~inside
+    if s_in.any():
+        u = np.conj(t)
+        far += np.multiply(u, _horner(_power_sums(w[s_in], L[s_in], 0), u))
+    if s_out.any():
+        far -= _horner(_power_sums(1.0 / w[s_out], L[s_out], 1), t)
+    far /= c.radius
+    return _abs_S_on_points(rs.roots[~series], c.center + c.radius * t, far)
 
 
 def circle_sup_norm(roots, c: Circle, m: int) -> float:

@@ -227,3 +227,16 @@ def test_critical_set_json():
     assert doc["method"] == "aberth"
     assert doc["points"] == [[cs.points[0].real, cs.points[0].imag]]
     assert len(doc["residuals"]) == 1
+
+
+def test_unit_weights_match_weighted_ones_bit_for_bit():
+    for kind, n, stream in (("disk", 700, 51), ("gauss", 2, 52), ("gauss", 301, 53)):
+        z = _random_roots(kind, n, stream)
+        ones = np.ones(n)
+        w = critical._initial_iterates(z, ones)
+        assert np.array_equal(critical._initial_iterates(z, None), w)
+        for chunk in (None, 7):
+            unit = critical._field_sums(w, z, None, chunk)
+            weighted = critical._field_sums(w, z, ones, chunk)
+            for a, b in zip(unit, weighted):
+                assert np.array_equal(a, b)

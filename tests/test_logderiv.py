@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from critpoint import critical
+from critpoint import critical, logderiv
 from critpoint.critical import critical_points_oracle
 from critpoint.errors import ParameterError, PoleOnContourError
-from critpoint.logderiv import (Circle, RootSet, cauchy_sums, circle_abs_S,
+from critpoint.logderiv import (POLE_RTOL, Circle, RootSet, cauchy_sums, circle_abs_S,
                                 circle_sup_norm, eval_S, log_minus, log_plus)
 from critpoint.sampler import BaseMeasure
 
@@ -110,6 +110,23 @@ def test_circle_sup_norm_jensen_example():
 def test_pole_on_contour_detected():
     with pytest.raises(PoleOnContourError):
         circle_sup_norm([2.0], Circle(0j, 2.0), 64)
+    # one root on the contour among many that the series would take
+    far = 0.01 * np.exp(2j * np.pi * np.arange(500) / 500)
+    with pytest.raises(PoleOnContourError):
+        circle_abs_S(np.append(far, 2.0j), Circle(0j, 2.0), 64)
+
+
+@pytest.mark.parametrize("m", [2.5, True, np.bool_(True), float("nan"), float("inf"),
+                               0, -3, 0.0, "8", None])
+def test_grid_size_must_be_a_positive_integer(m):
+    with pytest.raises(ParameterError):
+        circle_abs_S([0.5], Circle(0j, 1.0), m)
+
+
+def test_integral_grid_sizes_accepted():
+    want = circle_abs_S([0.5], Circle(0j, 1.0), 8)
+    for m in (np.int64(8), 8.0, np.float32(8)):
+        assert np.array_equal(circle_abs_S([0.5], Circle(0j, 1.0), m), want)
 
 
 def test_log_plus_minus_values():
@@ -233,3 +250,91 @@ def test_target_on_source(y, data):
     res = critical._residuals_against(x, y)
     with np.errstate(invalid="ignore"):
         assert res[0] == 0 and res[1] == (np.abs(S) * dmin)[1]
+
+
+@st.composite
+def _circle_case(draw, max_n=2000):
+    """Roots about a circle: |w| log-uniform from 1e-6 to 1e12 (w = (z - a)/r),
+    optionally a root at the centre and roots a few pole tolerances from
+    the contour, on each side."""
+    a = draw(st.complex_numbers(max_magnitude=5.0))
+    r = draw(st.floats(0.05, 20.0))
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mod = 10.0 ** rng.uniform(-6.0, 12.0, n)
+    if draw(st.booleans()):
+        # a band of roots near the circle on both sides
+        k = draw(st.integers(1, n))
+        mod[:k] = 1.0 + rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, -0.3, k)
+    w = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    roots = a + r * w
+    tau = POLE_RTOL * (1.0 + abs(a) + r)
+    if draw(st.booleans()):
+        roots[0] = a
+    if n >= 3 and draw(st.booleans()):
+        for i, side in ((1, -1.0), (2, 1.0)):
+            roots[i] = a + (r + side * draw(st.integers(3, 10)) * tau) * np.exp(1j * rng.uniform(0, 7))
+    m = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 41)))
+    return roots, Circle(a, r), m
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_circle_case())
+def test_circle_abs_S_matches_pair_loop(case):
+    roots, c, m = case
+    got = circle_abs_S(roots, c, m)
+    for j, x in enumerate(c.points(m)):
+        terms = [1 / complex(x - z) for z in roots]
+        want = abs(math.fsum(t.real for t in terms) + 1j * math.fsum(t.imag for t in terms))
+        assert abs(got[j] - want) <= 1e-12 * sum(abs(t) for t in terms)
+
+
+def test_circle_abs_S_takes_the_series_for_far_roots(monkeypatch):
+    """The direct kernel sees only the near roots (and all of them when no
+    root is worth a series), and the far field makes up the rest."""
+    direct = logderiv._abs_S_on_points
+    seen = []
+
+    def recording(roots, pts, far=None):
+        seen.append((len(roots), far is None))
+        return direct(roots, pts, far)
+
+    monkeypatch.setattr(logderiv, "_abs_S_on_points", recording)
+    rng = np.random.default_rng(12)
+    c = Circle(0.1 - 0.2j, 1.5)
+    small = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    assert np.array_equal(circle_abs_S(small, c, 64), direct(small, c.points(64)))
+    assert seen == [(50, True)]
+    many = rng.standard_cauchy(4000) + 1j * rng.standard_cauchy(4000)
+    got = circle_abs_S(many, c, 512)
+    near, no_far = seen[-1]
+    assert 0 < near < 1000 and not no_far
+    want = direct(many, c.points(512))
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+    centred = np.full(300, c.center)
+    assert np.allclose(circle_abs_S(centred, c, 8), 300 / c.radius, rtol=1e-15, atol=0)
+    assert seen[-1] == (0, False)
+
+
+@given(st.floats(0.0, 1.0, exclude_max=True))
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+def test_series_length_is_the_smallest_meeting_the_bound(rho):
+    eps = np.finfo(float).eps
+    grid = np.concatenate([[rho, 0.0, 1e-300, 0.5, 0.9, 1 - 1e-12, 1 - eps],
+                           np.linspace(0.01, 0.99, 99)])
+    lengths = logderiv._series_lengths(grid)
+    for p, L in zip(grid, lengths):
+        bound = eps * (1 - p) / (1 + p)
+        assert L >= 1 and L == int(L)
+        assert p ** L <= bound
+        # smallest, wherever L - 1 is distinct in floating point; the pole
+        # test keeps every rho that circle_abs_S sees below 1 - 1e-12
+        if p <= 1 - 1e-12:
+            assert L == 1 or p ** (L - 1) > bound
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_circle_case(max_n=600))
+def test_circle_grid_nesting_property(case):
+    roots, c, m = case
+    assert np.array_equal(circle_abs_S(roots, c, 2 * m)[::2], circle_abs_S(roots, c, m))
