@@ -6,6 +6,8 @@ not certify), 2 malformed configuration or I/O trouble.
 A run config holds "experiment", "measure", "n_schedule", an optional "seed"
 and "out_dir", and the experiment's settings below: "trials" at the top level,
 the rest under "tolerances".  A key the experiment does not read is an error.
+"n_schedule" increases, and starts at 2 or above for convergence, jensen and
+growth.
 
     convergence        tol_solver, directions, R_infty, k_reference,
                        improvement_factor, quadrant_max

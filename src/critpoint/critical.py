@@ -27,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, ParameterError
 from .logderiv import as_roots, cauchy_sums
 
 _EPS = float(np.finfo(float).eps)
 
-#: roots closer than this (relative) are clustered into one multiple root
+#: roots closer than this (relative) are clustered, transitively, into one multiple root
 DUPLICATE_RTOL = 1e-14
 
 DEFAULT_TOL = 1e-10
@@ -48,7 +47,7 @@ class CriticalSet:
     """The n-1 critical points (repetition = multiplicity) with certificates.
 
     residuals[i] is |S(W_i)| * min_k |W_i - Z_k| (zero for points placed at
-    repeated roots, which are detected exactly rather than solved for).
+    repeated roots, which are grouped within DUPLICATE_RTOL, not solved for).
     """
 
     points: np.ndarray
@@ -79,25 +78,29 @@ class CriticalSet:
 # root clustering
 
 
+def _sweep(s, radius):
+    """(k, |s[k:] - s[:-k]|), k = 1, 2, ..., while some real-part gap at offset k
+    is within radius(); s is sorted by real part, so gaps bound distances and grow with k."""
+    k = 1
+    while k < len(s) and (s.real[k:] - s.real[:-k]).min() <= radius():
+        yield k, np.abs(s[k:] - s[:-k])
+        k += 1
+
+
 def _cluster_roots(roots: np.ndarray):
-    """Group near-duplicate roots (within DUPLICATE_RTOL, relative) into
-    (distinct values, integer multiplicities, #nontrivial-nonexact clusters)."""
-    order = np.argsort(roots)
-    sorted_roots = roots[order]
-    reps = [sorted_roots[0]]
-    mult = [1]
-    inexact = 0
-    for z in sorted_roots[1:]:
-        rep = reps[-1]
-        tol = DUPLICATE_RTOL * (1.0 + 0.5 * (abs(rep) + abs(z)))
-        if abs(z - rep) <= tol:
-            mult[-1] += 1
-            if z != rep:
-                inexact += 1
-        else:
-            reps.append(z)
-            mult.append(1)
-    return np.asarray(reps, dtype=complex), np.asarray(mult, dtype=float), inexact
+    """(distinct values, integer multiplicities, #roots merged into another
+    value): roots a, b group when |a - b| <= DUPLICATE_RTOL (1 + (|a| + |b|)/2),
+    transitively, under the group's first value in sorted order."""
+    u, counts = np.unique(roots, return_counts=True)
+    mag = np.abs(u)
+    edges, label = np.empty((2, 0), int), np.arange(len(u))
+    for k, d in _sweep(u, lambda: DUPLICATE_RTOL * (1.0 + mag.max())):
+        a = np.flatnonzero(d <= DUPLICATE_RTOL * (1.0 + 0.5 * (mag[:-k] + mag[k:])))
+        edges = np.hstack([edges, [a, a + k], [a + k, a]])
+    while np.any(label[edges[0]] != label[edges[1]]):
+        np.minimum.at(label, edges[1], label[edges[0]])
+    rep = label == np.arange(len(u))
+    return u[rep], np.bincount(label, counts, len(u))[rep], int(counts[~rep].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -121,28 +124,26 @@ def _initial_iterates(z, m, chunk=None):
     two closest candidates merge into their midpoint, leaving q-1 points.
     m = None means unit multiplicities."""
     T, dnear = cauchy_sums(z, z, weights=(m,), skip=np.arange(len(z)), nearest=True, rows=chunk)
-    if m is None:
-        m = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        disp = np.where(T != 0, m / np.where(T == 0, 1.0, T), dnear / 2)
+        disp = np.where(T != 0, (1.0 if m is None else m) / np.where(T == 0, 1.0, T), dnear / 2)
     cap = dnear / 2
     mag = np.abs(disp)
     shrink = np.where(mag > cap, cap / np.where(mag == 0, 1.0, mag), 1.0)
     cand = z - disp * shrink
     i, j = _closest_pair(cand)
-    merged = 0.5 * (cand[i] + cand[j])
-    return np.append(np.delete(cand, [i, j]), merged)
+    return np.append(np.delete(cand, [i, j]), 0.5 * (cand[i] + cand[j]))
 
 
 def _closest_pair(c):
-    """(i, j) for the two closest of at least two points: i is the lowest
-    index whose nearest neighbour is closest, j the lowest index at that
-    distance from i.  Distances are recomputed exactly, so ties resolve as
-    in a scan over all pairs."""
-    pts = np.column_stack([c.real, c.imag])
-    _, nb = cKDTree(pts).query(pts, k=2)
-    other = np.where(nb[:, 0] == np.arange(len(c)), nb[:, 1], nb[:, 0])
-    i = int(np.argmin(np.abs(c - c[other])))
+    """(i, j) for the two closest of at least two points, as a scan over all
+    pairs finds them: i is the lowest index whose nearest neighbour is
+    closest, j the lowest index at that distance from i."""
+    order = np.argsort(c.real)
+    near = np.full(len(c), np.inf)
+    for k, d in _sweep(c[order], near.min):
+        np.minimum(near[k:], d, out=near[k:])
+        np.minimum(near[:-k], d, out=near[:-k])
+    i = int(order[near == near.min()].min())
     d = np.abs(c[i] - c)
     d[i] = np.inf
     return i, int(np.argmin(d))
@@ -162,8 +163,7 @@ def _aberth_zeros(z, m, tol, max_sweeps):
     a sweep costs O(active * q).  The iteration returns when no point is
     active.
     """
-    q = len(z)
-    nz = q - 1
+    nz = len(z) - 1
     if nz == 0:
         return np.empty(0, complex), np.empty(0)
     if np.all(m == 1):

@@ -73,8 +73,11 @@ def _list_of(check, rule, valid):
     return parse
 
 
-_schedule = _list_of(_count, "a nonempty increasing list",
-                     lambda ns: len(ns) > 0 and all(a < b for a, b in zip(ns, ns[1:])))
+def _schedule(low):
+    return _list_of(_count, f"a nonempty increasing list of integers >= {low}",
+                    lambda ns: len(ns) > 0 and ns[0] >= low and all(a < b for a, b in zip(ns, ns[1:])))
+
+
 _probes = _list_of(as_complex, "a nonempty list of distinct points",
                    lambda ps: len(ps) > 0 and len(set(ps)) == len(ps))
 _projection = _list_of(as_real, "[a, b]", lambda ab: len(ab) == 2)
@@ -94,7 +97,7 @@ class BaseConfig:
     experiment and adds the settings its runner reads."""
 
     measure: BaseMeasure = _setting(_instance(BaseMeasure))
-    n_schedule: tuple = _setting(_schedule)
+    n_schedule: tuple = _setting(_schedule(1))
     seed: SeedSpec = _setting(_instance(SeedSpec), SeedSpec(0, 0))
 
     def __post_init__(self):
@@ -140,6 +143,7 @@ def _to_json(v):
 @dataclass(frozen=True)
 class ConvergenceConfig(BaseConfig):
     experiment = "convergence"
+    n_schedule: tuple = _setting(_schedule(2))  # the solver needs two roots
     tol_solver: float = _setting(_positive(as_real), 1e-10)
     directions: int = _setting(_count, 64)
     R_infty: float = _setting(as_real, 10.0)
@@ -151,6 +155,7 @@ class ConvergenceConfig(BaseConfig):
 @dataclass(frozen=True)
 class JensenConfig(BaseConfig):
     experiment = "jensen"
+    n_schedule: tuple = _setting(_schedule(2))  # the solver needs two roots
     trials: int = _setting(_count, 1)
     tol_solver: float = _setting(_positive(as_real), 1e-10)
     m_circle: int = _setting(_count, 4096)
@@ -173,6 +178,7 @@ class AnticoncentrationConfig(BaseConfig):
 @dataclass(frozen=True)
 class GrowthConfig(BaseConfig):
     experiment = "growth"
+    n_schedule: tuple = _setting(_schedule(2))  # the ratios divide by log n
     m_circle: int = _setting(_count, 4096)
     growth_ratio_max: float = _setting(as_real, 6.0)
     circle_center: complex | None = _setting(_optional(as_complex), None)
@@ -283,8 +289,6 @@ def run_jensen(config: JensenConfig) -> Report:
     rep = Report("jensen", config.to_json())
     t_all = time.perf_counter()
     for n in config.n_schedule:
-        if n < 2:
-            raise ParameterError("jensen requires n >= 2")
         t_n = time.perf_counter()
         valid = 0
         passed = 0
@@ -438,8 +442,6 @@ def run_growth(config: GrowthConfig) -> Report:
     trajectory on a fixed generic circle."""
     rep = Report("growth", config.to_json())
     t_all = time.perf_counter()
-    if config.n_schedule[0] < 2:
-        raise ParameterError("growth requires n >= 2 (ratios divide by log n)")
     if config.circle_center is not None:
         a, r = config.circle_center, config.circle_radius
     else:

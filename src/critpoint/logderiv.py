@@ -28,9 +28,9 @@ from .errors import ParameterError, PoleOnContourError
 #: min_k |z - Z_k| <= POLE_RTOL * (1 + |z|)
 POLE_RTOL = 1e-12
 
-#: targets x sources elements per block of `cauchy_sums` (and powers per
-#: block of `_power_sums`): 2 MB per complex buffer, so the allocator reuses
-#: freed buffers instead of mapping new pages
+#: elements per block of every blocked pass (targets x sources in
+#: `cauchy_sums`, the metrics in `measures`): 2 MB per complex buffer, so the
+#: allocator reuses freed buffers instead of mapping new pages
 BLOCK_ELEMS = 1 << 17
 
 _EPS = float(np.finfo(float).eps)
@@ -189,28 +189,18 @@ def _series_degree(L: np.ndarray) -> float:
 def _power_sums(s: np.ndarray, L: np.ndarray, e: int) -> np.ndarray:
     """c_l = sum of s_k^(l+e) over the k with L_k > l, l = 0..max L - 1.
 
-    The roots go in order of decreasing L_k, so the terms of a block of
-    rows lie in the first k columns; each block holds at most BLOCK_ELEMS
-    powers (one row when k is larger), in one reused buffer, built by a
-    running product down its rows.
+    In order of decreasing L_k, the terms of power l are the first
+    #(L_k > l) roots, so one running product over that shrinking prefix
+    makes exactly the sum_k L_k powers needed.
     """
     order = np.argsort(-L, kind="stable")
     s, negL = s[order], -L[order]
-    deg = int(-negL[0])
-    c = np.empty(deg, complex)
-    buf = np.empty(max(len(s), min(BLOCK_ELEMS, deg * len(s))), complex)
-    cur = s.copy() if e else np.ones_like(s)
-    l = 0
-    while l < deg:
-        k = int(np.searchsorted(negL, -l))
-        nr = min(deg - l, max(1, BLOCK_ELEMS // k))
-        P = buf[:nr * k].reshape(nr, k)
-        P[0], P[1:] = cur[:k], s[:k]
-        np.multiply.accumulate(P, axis=0, out=P)
-        cur = P[-1] * s[:k]
-        P[-negL[:k] <= np.arange(l, l + nr)[:, None]] = 0
-        c[l:l + nr] = P.sum(axis=1)
-        l += nr
+    c = np.empty(int(-negL[0]), complex)
+    p = s if e else np.ones_like(s)
+    for l, k in enumerate(np.searchsorted(negL, -np.arange(len(c)))):
+        p = p[:k]
+        c[l] = p.sum()
+        p = p * s[:k]
     return c
 
 

@@ -14,11 +14,8 @@ import numpy as np
 
 from . import mobius as mb
 from .errors import ParameterError
-from .logderiv import log_minus
+from .logderiv import BLOCK_ELEMS, log_minus
 from .sampler import BaseMeasure, SeedSpec, as_complex, sample
-
-#: elements per (direction, atom) temporary in sliced_w1: 8 MB per array
-_SLICED_BLOCK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,14 +78,14 @@ def sliced_w1(m1: EmpiricalMeasure, m2: EmpiricalMeasure, directions: int = 64) 
     functions.  One sort of the merged projections, carrying weight +w
     from m1 and -w from m2, gives F - G between consecutive sorted values
     as a cumulative sum, so W1 = sum |F - G| * gap.  Directions are
-    processed in blocks whose size keeps each temporary within an element
-    budget.
+    processed in blocks of at most BLOCK_ELEMS (direction, atom) elements
+    (one direction when there are more atoms).
     """
     if directions < 1:
         raise ParameterError("directions must be a positive integer")
     atoms = np.concatenate([m1.atoms, m2.atoms])
     signed = np.concatenate([m1.weights, -m2.weights])
-    block = max(1, _SLICED_BLOCK_ELEMS // len(atoms))
+    block = max(1, BLOCK_ELEMS // len(atoms))
     total = 0.0
     for a in range(0, directions, block):
         theta = math.pi * np.arange(a, min(a + block, directions)) / directions
@@ -102,10 +99,11 @@ def sliced_w1(m1: EmpiricalMeasure, m2: EmpiricalMeasure, directions: int = 64) 
 
 def quadrant_discrepancy(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     """max_p |m1(Q_p) - m2(Q_p)| over p in the atom union,
-    Q_p = {z : Re z <= Re p, Im z <= Im p}."""
+    Q_p = {z : Re z <= Re p, Im z <= Im p}, in blocks of at most BLOCK_ELEMS
+    (p, atom) pairs (one p when there are more atoms)."""
     pts = np.concatenate([m1.atoms, m2.atoms])
     worst = 0.0
-    chunk = max(1, (1 << 22) // max(1, len(m1) + len(m2)))
+    chunk = max(1, BLOCK_ELEMS // max(1, len(m1) + len(m2)))
     for a in range(0, len(pts), chunk):
         p = pts[a:a + chunk]
         in1 = (m1.atoms.real[None, :] <= p.real[:, None]) & (m1.atoms.imag[None, :] <= p.imag[:, None])

@@ -337,12 +337,14 @@ def test_module_entry_point_runs():
 
 
 def test_cli_import_skips_scipy_optimize():
-    # the Hungarian comparator is test-side; starting the CLI must not pay for it
+    # the Hungarian comparator is test-side and the solver set-up is numpy;
+    # starting the CLI must not pay for either
     src = os.path.dirname(os.path.dirname(os.path.abspath(critpoint.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     p = subprocess.run([sys.executable, "-c",
-                        "import sys, critpoint.cli; print('scipy.optimize' in sys.modules)"],
+                        "import sys, critpoint.cli; "
+                        "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])"],
                        env=dict(os.environ, PYTHONPATH=path),
                        capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "False"
+    assert p.stdout.strip() == "[]"

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import critpoint.critical as critical
 from critpoint.critical import CriticalSet, critical_points, critical_points_oracle
@@ -147,6 +149,42 @@ def test_near_duplicates_clustered():
     cs = critical_points([z, z * (1 + 1e-15), -1.0, -2.0])
     assert cs.near_duplicate_clusters >= 1
     assert len(cs) == 3
+    # z1 is 1 ulp right of z0, and z2 shares z0's real part, so it sorts
+    # between the pair
+    roots = sample(BaseMeasure.complex_gaussian(), SeedSpec(1), 30).samples.copy()
+    x0, y0 = roots[0].real, roots[0].imag
+    roots[1] = complex(np.nextafter(x0, np.inf), y0)
+    roots[2] = complex(x0, y0 + 3)
+    cs = critical_points(roots)
+    assert cs.near_duplicate_clusters == 1
+    assert len(cs) == 29
+    assert np.all(cs.residuals <= critical.DEFAULT_TOL)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 20))
+def test_cluster_roots_groups_planted_duplicates(seed, groups, far):
+    """Chains of roots, each within DUPLICATE_RTOL of the next but not always
+    of the one after, shuffled among far roots, some sharing a member's real
+    part, cluster into one root per chain whatever the order."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 6.0)
+    centres = scale * (rng.standard_normal(groups) + 1j * rng.standard_normal(groups))
+    members = [c + critical.DUPLICATE_RTOL * (1 + abs(c)) * np.exp(2j * np.pi * rng.uniform())
+               * np.cumsum(rng.uniform(0.4, 0.7, k)) for c, k in zip(centres, rng.integers(1, 5, groups))]
+    lines = rng.choice(np.concatenate(members), far)
+    others = np.concatenate([scale * (rng.standard_normal(far) + 1j * rng.standard_normal(far)),
+                             lines.real + 1j * (lines.imag + scale * rng.uniform(0.5, 2.0, far))])
+    reps = np.concatenate([[np.sort(g)[0] for g in members], others])
+    mult = np.concatenate([[len(g) for g in members], np.ones(len(others))])
+    order = np.argsort(reps)
+    inexact = sum(int(np.sum(g != np.sort(g)[0])) for g in members)
+    roots = np.concatenate(members + [others])
+    for _ in range(2):
+        z, m, merged = critical._cluster_roots(rng.permutation(roots))
+        assert np.array_equal(z, reps[order])
+        assert np.array_equal(m, mult[order])
+        assert merged == inexact
 
 
 def test_nonconvergence_raises():
@@ -193,6 +231,7 @@ def test_closest_pair_matches_scan():
     grid = (np.arange(5)[:, None] + 1j * np.arange(5)[None, :]).ravel()
     cases = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (2, 3, 50, 400)]
     cases += [grid, np.concatenate([grid, grid[[7, 3, 7]]]), np.exp(2j * np.pi * np.arange(64) / 64)]
+    cases += [0.5 + 1j * rng.standard_normal(300), np.exp(2j * np.pi * np.arange(4000) / 4000)]
     for c in cases:
         best = (np.inf, 0, 1)
         for i in range(len(c) - 1):

@@ -51,6 +51,9 @@ def test_config_validation():
     lambda: GrowthConfig(measure=CIRCLE, n_schedule=(8,), circle_radius=1.0),
     lambda: LLNConfig(measure=CIRCLE, n_schedule=(8,), u_transform="identity"),
     lambda: LLNConfig(measure=CIRCLE, n_schedule=(8,), seed=-1),
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(1, 8)),
+    lambda: JensenConfig(measure=CIRCLE, n_schedule=(1,)),
+    lambda: GrowthConfig(measure=CIRCLE, n_schedule=(1, 4)),
 ])
 def test_settings_checked_at_construction(make):
     with pytest.raises(ParameterError):

@@ -79,7 +79,7 @@ def test_sliced_w1_matches_per_direction_oracle(monkeypatch):
             assert sliced_w1(m1, m2, directions) == pytest.approx(want, abs=1e-12)
             # a small budget splits the directions into several blocks
             with monkeypatch.context() as mp:
-                mp.setattr(measures, "_SLICED_BLOCK_ELEMS", 600)
+                mp.setattr(measures, "BLOCK_ELEMS", 600)
                 assert sliced_w1(m1, m2, directions) == pytest.approx(want, abs=1e-12)
 
 
