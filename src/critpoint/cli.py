@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .critical import critical_points
+from .critical import DUPLICATE_RTOL, critical_points
 from .errors import ConvergenceError, CritpointError, ParameterError
 from .experiments import EXPERIMENTS, run_experiment
 from .sampler import SeedSpec, as_complex
@@ -117,7 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     critp = sub.add_parser("critical", help="critical points of an explicit root list")
     critp.add_argument("--roots", required=True, help="JSON array of [re, im] root pairs")
-    critp.add_argument("--tol", type=float, default=1e-10, help="solver certificate tolerance")
+    critp.add_argument("--tol", type=float, default=1e-10,
+                       help="solver tolerance, relative to the roots' spread about their "
+                            "centroid: it bounds each dimensionless certificate "
+                            "|S(w)| min_k |w - z_k|; roots within "
+                            f"{DUPLICATE_RTOL:g} times that spread are one multiple root")
     critp.add_argument("--out", default=None, help="also write critical.json here")
     return p
 

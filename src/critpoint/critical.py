@@ -13,6 +13,11 @@ i.e. Newton on the numerator with Aberth repulsion between iterates.  The
 naive S/S' step is not used: S decays like n/z at infinity, so Newton on S
 chases the spurious zero at infinity from any exterior start.
 
+Closeness is relative to the spread s = max |z_k - c| of the distinct roots
+about their centroid c: roots within DUPLICATE_RTOL * s are one multiple
+root, and the iteration runs on (z - c)/s, so `tol` and its other tests
+carry no unit length and the solve is affine-equivariant.
+
 The independent route (`critical_points_oracle`) uses one identity instead:
 for weights m_k > 0 and v_k = sqrt(m_k / sum m), the zeros of
 sum m_k/(X - z_k) are the eigenvalues of diag(z) compressed to the
@@ -24,16 +29,17 @@ a check on the Aberth solver rather than a second copy of it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .logderiv import as_roots, cauchy_sums
+from .logderiv import as_roots, cauchy_sums, spread
 
 _EPS = float(np.finfo(float).eps)
 
-#: roots closer than this (relative) are clustered, transitively, into one multiple root
+#: roots closer than this times their spread cluster, transitively, into one multiple root
 DUPLICATE_RTOL = 1e-14
 
 DEFAULT_TOL = 1e-10
@@ -47,7 +53,7 @@ class CriticalSet:
     """The n-1 critical points (repetition = multiplicity) with certificates.
 
     residuals[i] is |S(W_i)| * min_k |W_i - Z_k| (zero for points placed at
-    repeated roots, which are grouped within DUPLICATE_RTOL, not solved for).
+    repeated roots, which `_cluster_roots` groups, not solved for).
     """
 
     points: np.ndarray
@@ -89,13 +95,13 @@ def _sweep(s, radius):
 
 def _cluster_roots(roots: np.ndarray):
     """(distinct values, integer multiplicities, #roots merged into another
-    value): roots a, b group when |a - b| <= DUPLICATE_RTOL (1 + (|a| + |b|)/2),
-    transitively, under the group's first value in sorted order."""
+    value): roots a, b group when |a - b| <= DUPLICATE_RTOL * spread of the
+    distinct values, transitively, under the group's first value in sorted order."""
     u, counts = np.unique(roots, return_counts=True)
-    mag = np.abs(u)
+    tol = DUPLICATE_RTOL * spread(u)
     edges, label = np.empty((2, 0), int), np.arange(len(u))
-    for k, d in _sweep(u, lambda: DUPLICATE_RTOL * (1.0 + mag.max())):
-        a = np.flatnonzero(d <= DUPLICATE_RTOL * (1.0 + 0.5 * (mag[:-k] + mag[k:])))
+    for k, d in _sweep(u, lambda: tol):
+        a = np.flatnonzero(d <= tol)
         edges = np.hstack([edges, [a, a + k], [a + k, a]])
     while np.any(label[edges[0]] != label[edges[1]]):
         np.minimum.at(label, edges[1], label[edges[0]])
@@ -150,7 +156,8 @@ def _closest_pair(c):
 
 
 def _aberth_zeros(z, m, tol, max_sweeps):
-    """Zeros of S(w) = sum m_k/(w - z_k) for distinct z_k; returns (w, residuals).
+    """Zeros of S(w) = sum m_k/(w - z_k) for distinct z_k of spread 1 about 0,
+    so |w| <= 1 at every zero (Gauss-Lucas); returns (w, residuals).
 
     Iterate i is frozen once its last Newton correction was small,
     |corr_i| / (1 + |w_i|) < tol, and its residual is certified,
@@ -201,19 +208,25 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
                     max_sweeps: int = DEFAULT_MAX_SWEEPS) -> CriticalSet:
     """All n-1 critical points by the Aberth iteration on S.
 
-    Exact (or near-exact) repeated roots are removed first and re-inserted
-    as critical points of multiplicity m-1; the iteration then runs on the
-    reduced simple-root set with integer weights.
+    Roots within DUPLICATE_RTOL times the spread s of the roots about their
+    centroid c are merged first and re-inserted, at their original values,
+    as critical points of multiplicity m-1.  The iteration runs with integer
+    weights on the distinct roots mapped to (z - c)/s, where `tol` bounds
+    the dimensionless certificates |S(W)| * min_k |W - Z_k|.
     """
     rs = as_roots(roots)
     if rs.n < 2:
         raise ParameterError("critical points need at least two roots")
     if not 0 < tol < np.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
+    if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral)
+            or max_sweeps < 1):
+        raise ParameterError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
     z, mult, inexact = _cluster_roots(rs.roots)
     repeated = np.repeat(z, (mult - 1).astype(int))
-    zeros, res = _aberth_zeros(z, mult, tol, max_sweeps)
-    points = np.concatenate([zeros, repeated])
+    c, s = z.mean(), spread(z) or 1.0  # one distinct root: nothing to solve
+    zeros, res = _aberth_zeros((z - c) / s, mult, tol, max_sweeps)
+    points = np.concatenate([zeros * s + c, repeated])
     residuals = np.concatenate([res, np.zeros(len(repeated))])
     order = np.argsort(points)
     return CriticalSet(points[order], residuals[order], "aberth",

@@ -20,7 +20,7 @@ from .critical import critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError)
 from .logderiv import (BLOCK_ELEMS, Circle, circle_abs_S, circle_sup_norm, eval_S, log_minus,
-                       log_plus, pole_tolerance)
+                       log_plus)
 from .measures import (EmpiricalMeasure, from_points, log_minus_integral,
                        reference_quantization, sliced_w1, quadrant_discrepancy)
 from .report import Report
@@ -197,6 +197,14 @@ class LLNConfig(BaseConfig):
     u_transform: mb.MobiusTransform | None = _setting(
         _optional(_instance(mb.MobiusTransform)), None)
 
+    def __post_init__(self):
+        super().__post_init__()
+        u = self.u_transform
+        if (u is not None and self.measure.has_finite_support
+                and np.any(mb.apply_array(u, self.measure.atoms_and_weights()[0]) == 0)):
+            raise ParameterError(f"u_transform {u.to_json()} sends a support atom to 0, so "
+                                 "the log^- integral is infinite and the run undefined")
+
 
 def _escaped_mass(m: EmpiricalMeasure, radius: float) -> float:
     return float(m.weights[np.abs(m.atoms) > radius].sum())
@@ -258,20 +266,20 @@ def run_convergence(config: ConvergenceConfig) -> Report:
 
 
 def _valid_jensen_transform(u, roots, crit_pts, m):
-    """The inequality needs a = u^{-1}(0) away from zeros/poles of S and a
-    compact contour C' = u^{-1}(C) clear of the poles.  Returns
-    (sup_{C'} |S| on the m grid, a), or None when u fails either test."""
+    """The inequality needs a = u^{-1}(0) off the roots and the critical
+    points (by `eval_S`'s pole test) and a compact contour C' = u^{-1}(C) clear
+    of the roots.  Returns (sup_{C'} |S| on the m grid, S(a)), or None."""
     contour = mb.preimage_unit_circle(u)
     if contour is None:
         return None
     a_pt = mb.apply(mb.inverse(u), 0j)
     if mb.is_infinity(a_pt):
         return None
-    tau = pole_tolerance(a_pt)
-    if np.min(np.abs(a_pt - roots)) <= tau or np.min(np.abs(a_pt - crit_pts)) <= tau:
+    s_at_a = eval_S(roots, a_pt)
+    if s_at_a.is_pole or eval_S(crit_pts, a_pt).is_pole:
         return None
     try:
-        return circle_sup_norm(roots, contour, m), a_pt
+        return circle_sup_norm(roots, contour, m), s_at_a
     except PoleOnContourError:
         return None
 
@@ -310,11 +318,10 @@ def run_jensen(config: JensenConfig) -> Report:
             if chosen is None:
                 skipped += 1
                 continue
-            u, sup, a_pt = chosen
+            u, sup, s_at_a = chosen
             crit_sum = float(np.sum(log_minus(np.abs(mb.apply_array(u, cs.points)))))
             root_sum = float(np.sum(log_minus(np.abs(mb.apply_array(u, roots)))))
             lhs = crit_sum - root_sum
-            s_at_a = eval_S(roots, a_pt)
             rhs = math.log(sup) - math.log(s_at_a.magnitude)
             valid += 1
             gap = rhs - lhs

@@ -11,6 +11,10 @@ and owns the pole-on-contour test: roots far from the circle add a
 truncated Laurent series in e^{2 pi i j / m}, summed by Horner's rule at
 each grid point, and only the roots near the circle go through
 `cauchy_sums`.  `circle_sup_norm` is the grid maximum.
+
+Closeness has two length scales and no unit length: the roots' `spread`
+about their centroid for tests against the roots (poles in `eval_S`,
+duplicates in `critical`), and |a| + r for the pole-on-contour test.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 
 from .errors import ParameterError, PoleOnContourError
 
-#: relative pole-detection tolerance: z counts as a pole of S when
-#: min_k |z - Z_k| <= POLE_RTOL * (1 + |z|)
+#: relative pole-detection tolerance, against the roots' spread in `eval_S`
+#: and against |a| + r in `circle_abs_S`
 POLE_RTOL = 1e-12
 
 #: elements per block of every blocked pass (targets x sources in
@@ -36,8 +40,9 @@ BLOCK_ELEMS = 1 << 17
 _EPS = float(np.finfo(float).eps)
 
 
-def pole_tolerance(z: complex) -> float:
-    return POLE_RTOL * (1.0 + abs(z))
+def spread(z: np.ndarray) -> float:
+    """max_k |z_k - c| about the centroid c of the points z (0 for one point)."""
+    return float(np.abs(z - z.mean()).max())
 
 
 @dataclass(frozen=True)
@@ -135,11 +140,14 @@ def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, row
 
 
 def eval_S(roots, z: complex) -> EvalResult:
-    """S(z) = sum_k 1/(z - Z_k), pairwise-summed in sorted root order."""
+    """S(z) = sum_k 1/(z - Z_k), pairwise-summed in sorted root order, or a
+    pole marker when min_k |z - Z_k| <= POLE_RTOL * spread(roots)."""
     rs = as_roots(roots)
+    if not cmath.isfinite(z):
+        raise ParameterError(f"S is evaluated at finite points only, got {z!r}")
     d = np.abs(z - rs.roots)
     k = int(np.argmin(d))
-    if d[k] <= pole_tolerance(z):
+    if d[k] <= POLE_RTOL * spread(rs.roots):
         return EvalResult(complex(math.inf), pole_index=k)
     (S,) = cauchy_sums([z], np.sort(rs.roots))
     return EvalResult(complex(S[0]))
@@ -152,10 +160,6 @@ def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, far=None) -> np.ndarray
     if far is not None:
         S += far
     return np.abs(S)
-
-
-def _contour_clearance(rs: RootSet, c: Circle) -> float:
-    return float(np.min(np.abs(np.abs(rs.roots - c.center) - c.radius)))
 
 
 def _grid_size(m) -> int:
@@ -216,7 +220,9 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     """|S| at the m grid points x_j = a + r t_j, t_j = e^{2 pi i j / m},
-    j = 0..m-1.  Raises PoleOnContourError when a root lies on the circle.
+    j = 0..m-1.  Raises PoleOnContourError when a root lies within
+    POLE_RTOL (|a| + r) of the circle: the grid points are rounded at the
+    scale |a| + r, not the roots' spread, so a root that near is on it.
 
     With w_k = (Z_k - a)/r and rho_k = min(|w_k|, 1/|w_k|) < 1, a root
     inside the circle adds (1/r) sum_{l >= 0} w_k^l t_j^{-(l+1)} and a root
@@ -238,8 +244,8 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     """
     rs = as_roots(roots)
     m = _grid_size(m)
-    tau = POLE_RTOL * (1.0 + abs(c.center) + c.radius)
-    if _contour_clearance(rs, c) <= tau:
+    tau = POLE_RTOL * (abs(c.center) + c.radius)
+    if np.min(np.abs(np.abs(rs.roots - c.center) - c.radius)) <= tau:
         raise PoleOnContourError(
             f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
     w = (rs.roots - c.center) / c.radius

@@ -61,6 +61,13 @@ def as_complex(v, what: str = "value") -> complex:
     return z
 
 
+def _parse_list(v, parse, what: str) -> list:
+    """Each entry of a list, tuple or 1-d array through parse(entry, what)."""
+    if not (isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim == 1)):
+        raise ParameterError(f"{what}s must be a list, got {v!r}")
+    return [parse(x, what) for x in v]
+
+
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -124,7 +131,10 @@ class SeedSpec:
 class BaseMeasure:
     """The common distribution mu of the i.i.d. roots.
 
-    Construct through the classmethods; `params` layout depends on `kind`.
+    `params` layout depends on `kind`: "atoms" and "weights" for
+    FiniteSupport, a location and a scale (`_LOC_SCALE`) for the others.
+    Construction parses them, numbers or [re, im] pairs, into complex and
+    float values and rejects any other name.
     """
 
     kind: str
@@ -134,52 +144,55 @@ class BaseMeasure:
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown measure kind {self.kind!r}; expected one of {_KINDS}")
         p = self.params
+        if not isinstance(p, dict):
+            raise ParameterError("measure params must be a mapping")
+        names = ("atoms", "weights") if self.kind == "FiniteSupport" else _LOC_SCALE[self.kind]
+        unknown = set(p) - set(names)
+        if unknown:
+            raise ParameterError(f"unknown {self.kind} params: {sorted(unknown)}")
         if self.kind == "FiniteSupport":
-            atoms = np.asarray(p.get("atoms", ()), dtype=complex)
-            weights = np.asarray(p.get("weights", ()), dtype=float)
-            if atoms.ndim != 1 or atoms.size == 0:
-                raise ParameterError("FiniteSupport needs a nonempty 1-d atom list")
+            atoms = np.array(_parse_list(p.get("atoms", ()), as_complex, "atom"), dtype=complex)
+            weights = np.array(_parse_list(p.get("weights", ()), as_real, "weight"), dtype=float)
+            if atoms.size == 0:
+                raise ParameterError("FiniteSupport needs a nonempty atom list")
             if weights.shape != atoms.shape:
                 raise ParameterError("atoms and weights must have equal length")
-            if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
-                raise ParameterError("FiniteSupport atoms and weights must be finite")
             if np.any(weights <= 0):
                 raise ParameterError("FiniteSupport weights must be strictly positive")
             if abs(weights.sum() - 1.0) > 1e-12:
                 raise ParameterError(f"weights must sum to 1 within 1e-12, got {weights.sum()!r}")
             if len(np.unique(atoms)) != atoms.size:
                 raise ParameterError("FiniteSupport atoms must be pairwise distinct")
+            parsed = {"atoms": atoms, "weights": weights}
         else:
-            loc, scale = _LOC_SCALE[self.kind]
-            if not cmath.isfinite(complex(p.get(loc, 0))):
-                raise ParameterError(f"{self.kind} {loc} must be finite")
-            if not 0 < float(p.get(scale, 0)) < math.inf:
-                raise ParameterError(f"{self.kind} {scale} must be finite and strictly positive")
+            loc, scale = names
+            parsed = {loc: as_complex(p.get(loc, 0), f"{self.kind} {loc}"),
+                      scale: as_real(p.get(scale, 0), f"{self.kind} {scale}")}
+            if not parsed[scale] > 0:
+                raise ParameterError(f"{self.kind} {scale} must be strictly positive")
+        object.__setattr__(self, "params", parsed)
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def finite_support(cls, atoms, weights) -> "BaseMeasure":
-        return cls("FiniteSupport", {
-            "atoms": np.asarray(atoms, dtype=complex),
-            "weights": np.asarray(weights, dtype=float),
-        })
+        return cls("FiniteSupport", {"atoms": atoms, "weights": weights})
 
     @classmethod
     def uniform_circle(cls, center=0j, radius=1.0) -> "BaseMeasure":
-        return cls("UniformCircle", {"center": complex(center), "radius": float(radius)})
+        return cls("UniformCircle", {"center": center, "radius": radius})
 
     @classmethod
     def uniform_disk(cls, center=0j, radius=1.0) -> "BaseMeasure":
-        return cls("UniformDisk", {"center": complex(center), "radius": float(radius)})
+        return cls("UniformDisk", {"center": center, "radius": radius})
 
     @classmethod
     def complex_gaussian(cls, mean=0j, scale=1.0) -> "BaseMeasure":
-        return cls("ComplexGaussian", {"mean": complex(mean), "scale": float(scale)})
+        return cls("ComplexGaussian", {"mean": mean, "scale": scale})
 
     @classmethod
     def complex_cauchy(cls, location=0j, scale=1.0) -> "BaseMeasure":
-        return cls("ComplexCauchy", {"location": complex(location), "scale": float(scale)})
+        return cls("ComplexCauchy", {"location": location, "scale": scale})
 
     # ---- helpers -------------------------------------------------------
 
@@ -190,8 +203,7 @@ class BaseMeasure:
     def atoms_and_weights(self):
         if not self.has_finite_support:
             raise ParameterError(f"{self.kind} has no atom list")
-        return (np.asarray(self.params["atoms"], dtype=complex),
-                np.asarray(self.params["weights"], dtype=float))
+        return self.params["atoms"], self.params["weights"]
 
     # ---- JSON ----------------------------------------------------------
 
@@ -202,8 +214,8 @@ class BaseMeasure:
                       "weights": [float(w) for w in weights]}
         else:
             loc, scale = _LOC_SCALE[self.kind]
-            c = complex(self.params[loc])
-            params = {loc: [c.real, c.imag], scale: float(self.params[scale])}
+            c = self.params[loc]
+            params = {loc: [c.real, c.imag], scale: self.params[scale]}
         return {"kind": self.kind, "params": params}
 
     @classmethod
@@ -213,23 +225,7 @@ class BaseMeasure:
         extra = set(obj) - {"kind", "params"}
         if extra:
             raise ParameterError(f"unknown measure fields: {sorted(extra)}")
-        kind = obj.get("kind")
-        params = obj.get("params", {})
-        if kind not in _KINDS:
-            raise ParameterError(f"unknown measure kind {kind!r}")
-        names = ("atoms", "weights") if kind == "FiniteSupport" else _LOC_SCALE[kind]
-        unknown = set(params) - set(names)
-        if unknown:
-            raise ParameterError(f"unknown params: {sorted(unknown)}")
-        if kind == "FiniteSupport":
-            atoms, weights = params.get("atoms", []), params.get("weights", [])
-            if not (isinstance(atoms, (list, tuple)) and isinstance(weights, (list, tuple))):
-                raise ParameterError("FiniteSupport atoms and weights must be lists")
-            return cls.finite_support([as_complex(a, "atom") for a in atoms],
-                                      [as_real(w, "weight") for w in weights])
-        loc, scale = names
-        return cls(kind, {loc: as_complex(params.get(loc, 0), loc),
-                          scale: as_real(params.get(scale, 0), scale)})
+        return cls(obj.get("kind"), obj.get("params", {}))
 
 
 @dataclass(frozen=True)

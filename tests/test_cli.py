@@ -187,6 +187,21 @@ def test_malformed_u_transform_exit_2(tmp_path, capsys, u_transform):
     assert "mobius coefficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("w0", [0.5, 1e-9])
+def test_lln_fixed_transform_sending_an_atom_to_0_exit_2(tmp_path, capsys, w0):
+    # log^-|u| is infinite at the atom 0, so the integral is too, even when
+    # no sample draws that atom
+    out = tmp_path / "out"
+    atoms = {"kind": "FiniteSupport",
+             "params": {"atoms": [[0, 0], [1, 0]], "weights": [w0, 1 - w0]}}
+    doc = small_config("lln", str(out), measure=atoms)
+    doc["tolerances"] = {"k_reference": 1000, "u_transform": mb.identity().to_json()}
+    cfg = write(tmp_path, "c.json", doc)
+    assert main(["run", "--config", cfg]) == 2
+    assert "u_transform" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _with_setting(experiment, key, value, where="tolerances"):
     def make(out_dir):
         doc = small_config(experiment, out_dir)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import critpoint.critical as critical
 from critpoint.critical import CriticalSet, critical_points, critical_points_oracle
 from critpoint.errors import ConvergenceError, ParameterError
+from critpoint.logderiv import spread
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
 from helpers import hull_distance, multiset_match_distance
@@ -164,17 +165,29 @@ def test_near_duplicates_clustered():
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 20))
 def test_cluster_roots_groups_planted_duplicates(seed, groups, far):
-    """Chains of roots, each within DUPLICATE_RTOL of the next but not always
-    of the one after, shuffled among far roots, some sharing a member's real
-    part, cluster into one root per chain whatever the order."""
+    """Chains of roots, each within DUPLICATE_RTOL times the roots' spread of
+    the next but not always of the one after, shuffled among far roots, some
+    sharing a member's real part, cluster into one root per chain whatever
+    the order."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3.0, 6.0)
     centres = scale * (rng.standard_normal(groups) + 1j * rng.standard_normal(groups))
-    members = [c + critical.DUPLICATE_RTOL * (1 + abs(c)) * np.exp(2j * np.pi * rng.uniform())
-               * np.cumsum(rng.uniform(0.4, 0.7, k)) for c, k in zip(centres, rng.integers(1, 5, groups))]
-    lines = rng.choice(np.concatenate(members), far)
-    others = np.concatenate([scale * (rng.standard_normal(far) + 1j * rng.standard_normal(far)),
-                             lines.real + 1j * (lines.imag + scale * rng.uniform(0.5, 2.0, far))])
+    chains = [np.exp(2j * np.pi * rng.uniform()) * np.cumsum(rng.uniform(0.4, 0.7, k))
+              for k in rng.integers(1, 5, groups)]
+    pick = rng.integers(0, sum(map(len, chains)), far)
+    free = scale * (rng.standard_normal(far) + 1j * rng.standard_normal(far))
+    rise = scale * rng.uniform(0.5, 2.0, far)
+
+    def plant(step):
+        members = [c + step * o for c, o in zip(centres, chains)]
+        lines = np.concatenate(members)[pick]
+        return members, np.concatenate([free, lines.real + 1j * (lines.imag + rise)])
+
+    # the chains move the spread by a few DUPLICATE_RTOL, relative: a second
+    # planting at the first one's spread follows the rule to that accuracy
+    members, others = plant(critical.DUPLICATE_RTOL * scale)
+    u = np.unique(np.concatenate(members + [others]))
+    members, others = plant(critical.DUPLICATE_RTOL * spread(u))
     reps = np.concatenate([[np.sort(g)[0] for g in members], others])
     mult = np.concatenate([[len(g) for g in members], np.ones(len(others))])
     order = np.argsort(reps)
@@ -185,6 +198,66 @@ def test_cluster_roots_groups_planted_duplicates(seed, groups, far):
         assert np.array_equal(z, reps[order])
         assert np.array_equal(m, mult[order])
         assert merged == inexact
+
+
+@st.composite
+def _root_sets(draw):
+    """2 to 40 disk or Gaussian roots from a drawn stream."""
+    kind = draw(st.sampled_from(["disk", "gauss"]))
+    return _random_roots(kind, draw(st.integers(2, 40)), draw(st.integers(0, 2 ** 16)))
+
+
+_offsets = st.builds(lambda a, e: a * 10.0 ** e,
+                     st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0), st.floats(-3.0, 10.0))
+_properties = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+
+
+@_properties
+@given(_root_sets(), st.integers(-200, 200))
+def test_scale_equivariance(roots, k):
+    s = 10.0 ** k
+    cs = critical_points(roots * s)
+    assert cs.near_duplicate_clusters == 0
+    base = critical_points(roots).points
+    assert multiset_match_distance(cs.points / s, base) <= 1e-14 * spread(roots)
+
+
+@_properties
+@given(_root_sets(), _offsets)
+def test_translation_equivariance(roots, t):
+    moved = critical_points(roots + t).points - t
+    base = critical_points(roots).points
+    assert multiset_match_distance(moved, base) <= 1e-14 * spread(roots) + 4 * np.finfo(float).eps * abs(t)
+
+
+@_properties
+@given(_root_sets(), st.integers(0, 2 ** 32 - 1))
+def test_permutation_invariance(roots, seed):
+    perm = np.random.default_rng(seed).permutation(len(roots))
+    a, b = critical_points(roots), critical_points(roots[perm])
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.residuals, b.residuals)
+
+
+@_properties
+@given(_root_sets(), st.integers(-200, 200), _offsets)
+def test_vieta_and_gauss_lucas(roots, k, t):
+    """sum W = (1 - 1/n) sum Z, and every W lies in the roots' convex hull,
+    up to rounding at the scale of the roots' magnitude."""
+    z = (roots + t) * 10.0 ** k
+    n, c, s = len(z), z.mean(), spread(z)
+    pts = critical_points(z).points
+    assert abs(pts.sum() - (1 - 1 / n) * z.sum()) <= 1e-14 * n * (s + abs(c))
+    # the hull of the normalised points: products of raw coordinates overflow at 1e200
+    assert hull_distance((z - c) / s, (pts - c) / s) <= 1e-14 * (s + abs(c)) / s
+
+
+@_properties
+@given(_root_sets(), st.integers(-200, 200), _offsets)
+def test_agrees_with_oracle_at_any_scale(roots, k, t):
+    z = (roots + t) * 10.0 ** k
+    got = critical_points(z).points
+    want = critical_points_oracle(z).points
+    assert multiset_match_distance(got, want) <= 1e-12 * (spread(z) + abs(z.mean()))
 
 
 def test_nonconvergence_raises():
@@ -251,6 +324,9 @@ def test_input_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError):
             critical_points([1.0, 2j, bad])
+    for max_sweeps in (True, 0, -1, 1.5):
+        with pytest.raises(ParameterError):
+            critical_points([1.0, 2.0, 3.0], max_sweeps=max_sweeps)
     with pytest.raises(ParameterError):
         CriticalSet(np.array([0j]), np.array([0.0, 1.0]), "aberth")
 

@@ -10,7 +10,7 @@ from critpoint.critical import critical_points_oracle
 from critpoint.errors import ParameterError, PoleOnContourError
 from critpoint.logderiv import (POLE_RTOL, Circle, RootSet, cauchy_sums, circle_abs_S,
                                 circle_sup_norm, eval_S, log_minus, log_plus)
-from critpoint.sampler import BaseMeasure
+from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
 # sup |S| on C(0.5, 1) for roots {1, -1}: |S(z)| = 2|z| / (|z-1| |z+1|) peaks
 # at z = 1.5, giving 3 / 1.25
@@ -72,6 +72,21 @@ def test_pole_dominance():
         got = eval_S(roots, z)
         n = len(roots)
         assert got.magnitude >= 1 / delta - (n - 1) / spacing
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-13, 1.0, 1e200])
+def test_pole_tests_scale_with_the_roots(s):
+    """eval_S's pole test is relative to the roots' spread and the contour
+    test to |a| + r, so both read the same at every scale."""
+    z = sample(BaseMeasure.uniform_disk(), SeedSpec(5), 50).samples
+    got = eval_S(z * s, 0.5 * z[0] * s)
+    assert not got.is_pole
+    assert got.value * s == pytest.approx(eval_S(z, 0.5 * z[0]).value, rel=1e-12)
+    assert eval_S(z * s, z[3] * s * (1 + 1e-14)).pole_index == 3
+    want = circle_abs_S(z, Circle(0j, 0.5), 64)
+    assert np.allclose(circle_abs_S(z * s, Circle(0j, 0.5 * s), 64) * s, want, rtol=1e-12, atol=0)
+    # one root has no spread: only an exact hit is a pole
+    assert not eval_S([0j], 1e-300).is_pole and eval_S([s], s).is_pole
 
 
 def test_circle_sup_norm_single_root():
@@ -168,12 +183,15 @@ NAN, INF = float("nan"), float("inf")
     lambda: BaseMeasure.from_json({"kind": "UniformCircle",
                                    "params": {"center": [0, NAN], "radius": 1}}),
     lambda: eval_S([1.0, NAN], 0.5j),
+    lambda: eval_S([1, 2, 3], NAN),
+    lambda: eval_S([1, 2, 3], INF),
     lambda: circle_sup_norm([2.0, complex(0, INF)], Circle(0j, 1.0), 64),
     lambda: Circle(0j, INF),
     lambda: Circle(0j, 0.0),
     lambda: critical_points_oracle([1.0, NAN, 2j]),
 ], ids=["disk-centre", "atoms", "weights", "gauss-scale", "json-pair", "eval_S",
-        "sup-norm", "circle-radius", "circle-radius-zero", "oracle"])
+        "eval_S-at-nan", "eval_S-at-inf", "sup-norm", "circle-radius", "circle-radius-zero",
+        "oracle"])
 def test_non_finite_input_rejected(make):
     with pytest.raises(ParameterError):
         make()
@@ -268,7 +286,7 @@ def _circle_case(draw, max_n=2000):
         mod[:k] = 1.0 + rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, -0.3, k)
     w = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
     roots = a + r * w
-    tau = POLE_RTOL * (1.0 + abs(a) + r)
+    tau = POLE_RTOL * (abs(a) + r)
     if draw(st.booleans()):
         roots[0] = a
     if n >= 3 and draw(st.booleans()):

@@ -84,6 +84,12 @@ def test_substreams_are_distinct():
     lambda: BaseMeasure.uniform_disk(0j, -1.0),
     lambda: BaseMeasure.complex_gaussian(0j, 0.0),
     lambda: BaseMeasure.complex_cauchy(0j, -2.0),
+    lambda: BaseMeasure("UniformDisk", {"radius": True}),
+    lambda: BaseMeasure("UniformDisk", {"radius": 1, "bogus": 2}),
+    lambda: BaseMeasure("UniformDisk", {"radius": "abc"}),
+    lambda: BaseMeasure.uniform_circle("abc", 1.0),
+    lambda: BaseMeasure("FiniteSupport", {"atoms": [1, 2j], "weights": [0.5, "0.5"]}),
+    lambda: BaseMeasure("ComplexGaussian", None),
 ])
 def test_invalid_measures_rejected(bad):
     with pytest.raises(ParameterError):
