@@ -16,7 +16,8 @@ from .experiments import (AnticoncentrationConfig, ConvergenceConfig,
 from .logderiv import (Circle, EvalResult, RootSet, circle_sup_norm, eval_S,
                        log_minus, log_plus)
 from .measures import (EmpiricalMeasure, from_points, log_minus_integral,
-                       quadrant_discrepancy, reference_quantization, sliced_w1)
+                       quadrant_discrepancy, reference_quantization, sliced_w1,
+                       sliced_w1_many)
 from .mobius import (MobiusTransform, affine, apply, compose, identity, inverse,
                      preimage_unit_circle, sample_mobius)
 from .report import Report, Verdict
@@ -30,7 +31,7 @@ __all__ = [
     "circle_sup_norm", "log_plus", "log_minus",
     "CriticalSet", "critical_points", "critical_points_oracle",
     "EmpiricalMeasure", "from_points", "log_minus_integral",
-    "sliced_w1", "quadrant_discrepancy", "reference_quantization",
+    "sliced_w1", "sliced_w1_many", "quadrant_discrepancy", "reference_quantization",
     "MobiusTransform", "identity", "affine", "apply",
     "inverse", "compose", "preimage_unit_circle", "sample_mobius",
     "ConvergenceConfig", "JensenConfig", "AnticoncentrationConfig", "GrowthConfig",

@@ -162,10 +162,11 @@ def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, far=None) -> np.ndarray
     return np.abs(S)
 
 
-def _grid_size(m) -> int:
+def grid_size(m, what: str = "m") -> int:
+    """A positive integral int or float (not a boolean) as an int; else ParameterError."""
     if (isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, float, np.integer, np.floating))
             or not (m >= 1 and float(m).is_integer())):
-        raise ParameterError(f"m must be a positive integer, got {m!r}")
+        raise ParameterError(f"{what} must be a positive integer, got {m!r}")
     return int(m)
 
 
@@ -243,7 +244,7 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     is bit for bit the even-indexed half of the 2m grid.
     """
     rs = as_roots(roots)
-    m = _grid_size(m)
+    m = grid_size(m)
     tau = POLE_RTOL * (abs(c.center) + c.radius)
     if np.min(np.abs(np.abs(rs.roots - c.center) - c.radius)) <= tau:
         raise PoleOnContourError(

@@ -5,7 +5,8 @@ import pytest
 
 from critpoint import mobius as mb
 from critpoint.critical import critical_points, critical_points_oracle
-from critpoint.errors import NonDegeneracyError, ParameterError
+from critpoint import experiments
+from critpoint.errors import ConvergenceError, NonDegeneracyError, ParameterError
 from critpoint.experiments import (AnticoncentrationConfig, ConvergenceConfig,
                                    GrowthConfig, JensenConfig, LLNConfig,
                                    run_anticoncentration, run_convergence,
@@ -113,6 +114,29 @@ def test_convergence_report_shape():
                  "escaped_mass_nu", "escaped_mass_mu", "max_residual"):
         assert set(rep.stats(stat)) == {8, 16}
     assert any(v.name == "all_solves_converged" and v.passed for v in rep.verdicts)
+
+
+def test_convergence_rows_in_schedule_order(monkeypatch):
+    # series.csv lists each n's rows in schedule order, a failed solve's two
+    # rows in its place; the reference distances are computed after all solves
+    def solve(roots, tol):
+        if len(roots) == 16:
+            raise ConvergenceError("planted", worst_residual=0.5)
+        return critical_points(roots, tol=tol)
+
+    monkeypatch.setattr(experiments, "critical_points", solve)
+    cfg = ConvergenceConfig(measure=CIRCLE, n_schedule=(8, 16, 32), seed=SeedSpec(9, 0),
+                            k_reference=500)
+    rep = run_convergence(cfg)
+    solved = ["sliced_w1_nu_mu", "sliced_w1_nu_ref", "quadrant_nu_mu",
+              "escaped_mass_nu", "escaped_mass_mu", "max_residual"]
+    assert [(n, stat) for n, stat, _ in rep.rows] == (
+        [(8, stat) for stat in solved]
+        + [(16, "solver_failed"), (16, "solver_worst_residual")]
+        + [(32, stat) for stat in solved])
+    assert rep.stat(16, "solver_worst_residual") == 0.5
+    assert [v.name for v in rep.verdicts] == ["all_solves_converged"]
+    assert not rep.passed
 
 
 def test_jensen_trivial_roots_transform():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import wasserstein_distance
@@ -9,9 +11,10 @@ from scipy.stats import wasserstein_distance
 from critpoint import measures
 from critpoint import mobius as mb
 from critpoint.errors import ParameterError
+from critpoint.logderiv import BLOCK_ELEMS
 from critpoint.measures import (EmpiricalMeasure, from_points,
                                 log_minus_integral, quadrant_discrepancy,
-                                reference_quantization, sliced_w1)
+                                reference_quantization, sliced_w1, sliced_w1_many)
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
 
@@ -177,3 +180,136 @@ def test_empirical_measure_json_roundtrip():
     back = EmpiricalMeasure.from_json(m.to_json())
     assert np.array_equal(back.atoms, m.atoms)
     assert np.array_equal(back.weights, m.weights)
+
+
+def test_empirical_measure_rejects_non_finite_input():
+    nan, inf = math.nan, math.inf
+    for atoms, weights in (([0, 1], [nan, nan]), ([0, 1], [0.5, nan]), ([0, 1], [inf, 0.5]),
+                           ([nan, 1], [0.5, 0.5]), ([complex(0, inf), 1], [0.5, 0.5])):
+        with pytest.raises(ParameterError):
+            EmpiricalMeasure(atoms, weights)
+    for points in ([nan, 1.0], [1.0, complex(inf, 0)], [complex(nan, nan)]):
+        with pytest.raises(ParameterError):
+            from_points(points)
+    for doc in ({"atoms": [[0, 0], [1, 0]], "weights": [nan, nan]},
+                {"atoms": [[0, 0], [1, 0]], "weights": [0.5, inf]},
+                {"atoms": [[nan, 0], [1, 0]], "weights": [0.5, 0.5]}):
+        with pytest.raises(ParameterError):
+            EmpiricalMeasure.from_json(doc)
+
+
+@pytest.mark.parametrize("directions", [True, np.bool_(True), 2.5, 0, -3, 0.0, math.nan,
+                                        math.inf, "8", None])
+def test_directions_must_be_a_positive_integer(directions):
+    m = from_points([0.0, 1j])
+    with pytest.raises(ParameterError):
+        sliced_w1(m, m, directions)
+    with pytest.raises(ParameterError):
+        sliced_w1_many([m], m, directions)
+
+
+def test_integral_directions_accepted():
+    a, b = from_points([0.0, 1j]), from_points([1.0])
+    want = sliced_w1(a, b, 8)
+    for directions in (np.int64(8), 8.0, np.float32(8)):
+        assert sliced_w1(a, b, directions) == want
+
+
+# The algorithms these metrics replaced, kept as independent oracles: one
+# argsort of the merged projections per direction, and every (p, atom) pair.
+
+def _sliced_w1_merged(m1, m2, directions):
+    atoms = np.concatenate([m1.atoms, m2.atoms])
+    signed = np.concatenate([m1.weights, -m2.weights])
+    block = max(1, BLOCK_ELEMS // len(atoms))
+    total = 0.0
+    for a in range(0, directions, block):
+        theta = math.pi * np.arange(a, min(a + block, directions)) / directions
+        proj = np.cos(theta)[:, None] * atoms.real + np.sin(theta)[:, None] * atoms.imag
+        order = np.argsort(proj, axis=1)
+        x = np.take_along_axis(proj, order, axis=1)
+        f_minus_g = np.cumsum(signed[order], axis=1)[:, :-1]
+        total += float(np.sum(np.abs(f_minus_g) * np.diff(x, axis=1)))
+    return total / directions
+
+
+def _quadrant_pairs(m1, m2):
+    pts = np.concatenate([m1.atoms, m2.atoms])
+    worst = 0.0
+    chunk = max(1, BLOCK_ELEMS // max(1, len(m1) + len(m2)))
+    for a in range(0, len(pts), chunk):
+        p = pts[a:a + chunk]
+        in1 = (m1.atoms.real[None, :] <= p.real[:, None]) & (m1.atoms.imag[None, :] <= p.imag[:, None])
+        in2 = (m2.atoms.real[None, :] <= p.real[:, None]) & (m2.atoms.imag[None, :] <= p.imag[:, None])
+        worst = max(worst, float(np.max(np.abs(in1 @ m1.weights - in2 @ m2.weights))))
+    return worst
+
+
+@st.composite
+def _measures(draw, count=2):
+    """Measures from one numpy stream, each uniform or weighted with 1 to
+    3000 atoms.  Lattice atoms tie in whole rows and columns, within and
+    across the measures, and a small pool repeats atoms."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lattice = draw(st.booleans())
+    pool = draw(st.sampled_from([None, 1, 5]))
+    out = []
+    for _ in range(count):
+        n = draw(st.one_of(st.just(1), st.integers(2, 40), st.integers(41, 3000), st.just(3000)))
+        if lattice:
+            z = rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)
+        else:
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if pool is not None:
+            z = z[rng.integers(0, min(pool, n), n)]
+        if draw(st.booleans()):
+            w = rng.uniform(0.1, 1.0, n)
+            out.append(EmpiricalMeasure(z, w / w.sum()))
+        else:
+            out.append(from_points(z))
+    return out
+
+
+_metric_settings = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@_metric_settings
+@given(_measures(), st.sampled_from([1, 2, 4, 7, 64]))
+def test_sliced_w1_matches_merged_sort(pair, directions):
+    m1, m2 = pair
+    scale = max(1.0, float(np.abs(np.concatenate([m1.atoms, m2.atoms])).max()))
+    want = _sliced_w1_merged(m1, m2, directions)
+    assert abs(sliced_w1(m1, m2, directions) - want) <= 1e-12 * scale
+
+
+@_metric_settings
+@given(_measures(count=4), st.sampled_from([1, 4, 64]))
+def test_sliced_w1_many_matches_pairwise(ms, directions):
+    ref, nus = ms[0], ms[1:]
+    got = sliced_w1_many(nus, ref, directions)
+    assert got.shape == (len(nus),)
+    for nu, value in zip(nus, got):
+        assert abs(value - sliced_w1(nu, ref, directions)) <= 1e-12
+
+
+def test_sliced_w1_many_of_no_measures():
+    assert sliced_w1_many([], from_points([0.0]), 8).shape == (0,)
+
+
+@_metric_settings
+@given(_measures())
+def test_quadrant_discrepancy_matches_pair_oracle(pair):
+    m1, m2 = pair
+    assert abs(quadrant_discrepancy(m1, m2) - _quadrant_pairs(m1, m2)) <= 1e-14
+
+
+def test_metrics_sum_weights_to_about_one_rounding():
+    # 1/K added K times in sequence drifts by ~K ulps; summed by parts of
+    # the weights it stays within a rounding of the exact sums
+    K = 100_000
+    line = from_points(np.arange(K, dtype=float))
+    # in direction 0, W1 = sum_{j < K-1} (1 - (j+1)/K) = (K-1)/2
+    assert sliced_w1(from_points([0.0]), line, 1) == pytest.approx((K - 1) / 2, rel=1e-14)
+    diag = from_points(np.arange(K) * (1 + 1j))
+    exact = math.fsum([diag.weights[0]] * K)
+    assert quadrant_discrepancy(diag, from_points([K * (1 + 1j)])) == pytest.approx(exact, abs=1e-15)
