@@ -3,6 +3,10 @@
 Build random polynomials P(X) = prod (X - Z_k) with i.i.d. roots, locate
 the n-1 zeros of P' at scale, and measure how the empirical law of the
 critical points tracks the law of the roots.
+
+Roots, critical points and every empirical measure are plain point sets: a
+measure is the uniform measure on a multiset, given by its points as a 1-d
+complex array (repetition = multiplicity), which `from_points` checks.
 """
 
 from .critical import CriticalSet, critical_points, critical_points_oracle
@@ -13,11 +17,9 @@ from .experiments import (AnticoncentrationConfig, ConvergenceConfig,
                           run_anticoncentration, run_convergence,
                           run_experiment, run_growth, run_jensen,
                           run_lln_logminus)
-from .logderiv import (Circle, EvalResult, RootSet, circle_sup_norm, eval_S,
-                       log_minus, log_plus)
-from .measures import (EmpiricalMeasure, from_points, log_minus_integral,
-                       quadrant_discrepancy, reference_quantization, sliced_w1,
-                       sliced_w1_many)
+from .logderiv import Circle, circle_sup_norm, eval_S, log_minus, log_plus
+from .measures import (from_points, log_minus_integral, quadrant_discrepancy,
+                       reference_quantization, sliced_w1, sliced_w1_many)
 from .mobius import (MobiusTransform, affine, apply, compose, identity, inverse,
                      preimage_unit_circle, sample_mobius)
 from .report import Report, Verdict
@@ -27,10 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseMeasure", "SeedSpec", "Trajectory", "sample",
-    "RootSet", "Circle", "EvalResult", "eval_S",
+    "Circle", "eval_S",
     "circle_sup_norm", "log_plus", "log_minus",
     "CriticalSet", "critical_points", "critical_points_oracle",
-    "EmpiricalMeasure", "from_points", "log_minus_integral",
+    "from_points", "log_minus_integral",
     "sliced_w1", "sliced_w1_many", "quadrant_discrepancy", "reference_quantization",
     "MobiusTransform", "identity", "affine", "apply",
     "inverse", "compose", "preimage_unit_circle", "sample_mobius",

@@ -214,15 +214,15 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
     weights on the distinct roots mapped to (z - c)/s, where `tol` bounds
     the dimensionless certificates |S(W)| * min_k |W - Z_k|.
     """
-    rs = as_roots(roots)
-    if rs.n < 2:
+    roots = as_roots(roots)
+    if len(roots) < 2:
         raise ParameterError("critical points need at least two roots")
     if not 0 < tol < np.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
     if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral)
             or max_sweeps < 1):
         raise ParameterError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
-    z, mult, inexact = _cluster_roots(rs.roots)
+    z, mult, inexact = _cluster_roots(roots)
     repeated = np.repeat(z, (mult - 1).astype(int))
     c, s = z.mean(), spread(z) or 1.0  # one distinct root: nothing to solve
     zeros, res = _aberth_zeros((z - c) / s, mult, tol, max_sweeps)
@@ -270,13 +270,13 @@ def critical_points_oracle(roots) -> CriticalSet:
     points or stopping rule: independent of the Aberth solver.  Residuals are
     the certificates |S(W)| * min_k |W - Z_k| that critical_points reports.
     """
-    rs = as_roots(roots)
-    if rs.n < 2:
+    roots = as_roots(roots)
+    if len(roots) < 2:
         raise ParameterError("critical points need at least two roots")
-    atoms, counts = np.unique(rs.roots, return_counts=True)
+    atoms, counts = np.unique(roots, return_counts=True)
     extra = _compressed_eigs(atoms, counts.astype(float))
     repeated = np.repeat(atoms, counts - 1)
     points = np.concatenate([extra, repeated])
-    residuals = np.concatenate([_residuals_against(extra, rs.roots), np.zeros(len(repeated))])
+    residuals = np.concatenate([_residuals_against(extra, roots), np.zeros(len(repeated))])
     order = np.argsort(points)
     return CriticalSet(points[order], residuals[order], "eigen")

@@ -12,6 +12,10 @@ truncated Laurent series in e^{2 pi i j / m}, summed by Horner's rule at
 each grid point, and only the roots near the circle go through
 `cauchy_sums`.  `circle_sup_norm` is the grid maximum.
 
+The roots are a plain multiset: every entry point checks them with
+`as_roots`, which returns them as a read-only 1-d complex array, and
+`eval_S` returns S(z) as a complex number, inf at a pole.
+
 Closeness has two length scales and no unit length: the roots' `spread`
 about their centroid for tests against the roots (poles in `eval_S`,
 duplicates in `critical`), and |a| + r for the pole-on-contour test.
@@ -22,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,28 +48,18 @@ def spread(z: np.ndarray) -> float:
     return float(np.abs(z - z.mean()).max())
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """The multiset Z_1..Z_n defining P(X) = prod (X - Z_k); repetition = multiplicity."""
-
-    roots: np.ndarray
-
-    def __post_init__(self):
-        r = np.ascontiguousarray(np.atleast_1d(np.asarray(self.roots, dtype=complex)))
-        if r.ndim != 1 or r.size < 1:
-            raise ParameterError("RootSet needs at least one root")
-        if not np.all(np.isfinite(r)):
-            raise ParameterError("roots must be finite")
-        r.setflags(write=False)
-        object.__setattr__(self, "roots", r)
-
-    @property
-    def n(self) -> int:
-        return len(self.roots)
-
-
-def as_roots(roots) -> RootSet:
-    return roots if isinstance(roots, RootSet) else RootSet(np.asarray(roots, dtype=complex))
+def as_roots(points, what: str = "roots") -> np.ndarray:
+    """The points as a read-only 1-d complex array (a scalar is one point);
+    ParameterError unless they are nonempty, 1-d and finite.  The multiset
+    Z_1..Z_n defining P(X) = prod (X - Z_k): repetition = multiplicity."""
+    z = np.atleast_1d(np.asarray(points, dtype=complex))
+    if z.ndim != 1 or z.size == 0:
+        raise ParameterError(f"{what} must be a nonempty 1-d list of points")
+    if not np.all(np.isfinite(z)):
+        raise ParameterError(f"{what} must be finite")
+    z = z.view()  # read-only without freezing the caller's array
+    z.setflags(write=False)
+    return z
 
 
 @dataclass(frozen=True)
@@ -88,23 +81,6 @@ def _unit_grid(m: int) -> np.ndarray:
     """t_j = e^{2 pi i j / m}, j = 0..m-1; t_j of the m grid is bit for bit
     t_{2j} of the 2m grid."""
     return np.exp(2j * np.pi * np.arange(m) / m)
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Value of S at a point, or a pole marker carrying the root index."""
-
-    value: complex
-    pole_index: Optional[int] = None
-
-    @property
-    def is_pole(self) -> bool:
-        return self.pole_index is not None
-
-    @property
-    def magnitude(self) -> float:
-        # convention: |S(z)| = +inf at a pole
-        return math.inf if self.is_pole else abs(self.value)
 
 
 def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
@@ -139,18 +115,16 @@ def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, row
     return out
 
 
-def eval_S(roots, z: complex) -> EvalResult:
-    """S(z) = sum_k 1/(z - Z_k), pairwise-summed in sorted root order, or a
-    pole marker when min_k |z - Z_k| <= POLE_RTOL * spread(roots)."""
-    rs = as_roots(roots)
+def eval_S(roots, z: complex) -> complex:
+    """S(z) = sum_k 1/(z - Z_k), pairwise-summed in sorted root order; inf
+    (|S| = +inf, a pole) when min_k |z - Z_k| <= POLE_RTOL * spread(roots)."""
+    roots = as_roots(roots)
     if not cmath.isfinite(z):
         raise ParameterError(f"S is evaluated at finite points only, got {z!r}")
-    d = np.abs(z - rs.roots)
-    k = int(np.argmin(d))
-    if d[k] <= POLE_RTOL * spread(rs.roots):
-        return EvalResult(complex(math.inf), pole_index=k)
-    (S,) = cauchy_sums([z], np.sort(rs.roots))
-    return EvalResult(complex(S[0]))
+    if np.min(np.abs(z - roots)) <= POLE_RTOL * spread(roots):
+        return complex(math.inf)
+    (S,) = cauchy_sums([z], np.sort(roots))
+    return complex(S[0])
 
 
 def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, far=None) -> np.ndarray:
@@ -243,20 +217,18 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     on m, and every grid value is computed from its own t_j, so the m grid
     is bit for bit the even-indexed half of the 2m grid.
     """
-    rs = as_roots(roots)
+    roots = as_roots(roots)
     m = grid_size(m)
     tau = POLE_RTOL * (abs(c.center) + c.radius)
-    if np.min(np.abs(np.abs(rs.roots - c.center) - c.radius)) <= tau:
+    if np.min(np.abs(np.abs(roots - c.center) - c.radius)) <= tau:
         raise PoleOnContourError(
             f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
-    w = (rs.roots - c.center) / c.radius
+    w = (roots - c.center) / c.radius
     aw = np.abs(w)
     inside = aw < 1.0
     with np.errstate(divide="ignore"):
         L = _series_lengths(np.minimum(aw, 1.0 / aw))
     series = L <= np.where(inside, _series_degree(L[inside]), _series_degree(L[~inside]))
-    if not series.any():
-        return _abs_S_on_points(rs.roots, c.points(m))
     t = _unit_grid(m)
     far = np.zeros(m, complex)
     s_in, s_out = series & inside, series & ~inside
@@ -266,7 +238,7 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     if s_out.any():
         far -= _horner(_power_sums(1.0 / w[s_out], L[s_out], 1), t)
     far /= c.radius
-    return _abs_S_on_points(rs.roots[~series], c.center + c.radius * t, far)
+    return _abs_S_on_points(roots[~series], c.center + c.radius * t, far)
 
 
 def circle_sup_norm(roots, c: Circle, m: int) -> float:

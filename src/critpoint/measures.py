@@ -1,195 +1,139 @@
 """Empirical measures, log^- integrals, and weak-convergence diagnostics.
 
+A measure is the uniform measure on a finite multiset, given by its points:
+a nonempty, finite, 1-d complex array (`from_points` checks one), with mass
+1/N on each of its N entries, so a repeated point carries its multiplicity.
+The distribution function of N sorted values is k/N at the k-th, exact per
+element, and the mass of a set is its count divided by N once, so no sum of
+masses drifts and none needs compensated summation.
+
 Two diagnostics are provided because convergence in distribution fixes no
 metric: sliced Wasserstein-1 (metrizes weak convergence on tight families)
-and a scale-free quadrant discrepancy.  Neither forms atom pairs.
+and a scale-free quadrant discrepancy.  Neither forms point pairs.
 `sliced_w1_many` sorts a reference's projections once per direction and
-measures each of several measures against them, in O(K log K + N log K)
-per direction for K reference atoms and N atoms per measure; `sliced_w1` is
+measures each of several point sets against them, in O(K log K + N log K)
+per direction for K reference points and N points per set; `sliced_w1` is
 its one-measure case.  `quadrant_discrepancy` is an offline dominance count
-in O(N^1.5) over the N atoms of both measures, with closed quadrants: an
-atom tied with p in either coordinate, of either measure, counts as below
-p.  Both sum weights by parts (`_split`), so their sums are within about
-one rounding of the exact ones whatever N.
+in O(N^1.5) over the N points of both sets, with closed quadrants: a point
+tied with p in either coordinate, of either set, counts as below p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import mobius as mb
-from .errors import ParameterError
-from .logderiv import BLOCK_ELEMS, grid_size, log_minus
-from .sampler import BaseMeasure, SeedSpec, as_complex, sample
+from .logderiv import BLOCK_ELEMS, as_roots, grid_size, log_minus
+from .sampler import BaseMeasure, SeedSpec, as_count, sample
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Finitely supported probability measure: finite atoms with positive
-    weights summing to 1."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        atoms = np.ascontiguousarray(np.atleast_1d(np.asarray(self.atoms, dtype=complex)))
-        weights = np.ascontiguousarray(np.atleast_1d(np.asarray(self.weights, dtype=float)))
-        if atoms.size == 0:
-            raise ParameterError("empirical measure needs at least one atom")
-        if atoms.shape != weights.shape:
-            raise ParameterError("atoms and weights must have equal length")
-        if not np.all(np.isfinite(atoms)):
-            raise ParameterError("atoms must be finite")
-        if not np.all(weights > 0):  # false for NaN as well
-            raise ParameterError("weights must be strictly positive")
-        if not abs(weights.sum() - 1.0) <= 1e-12:  # false for an infinite weight
-            raise ParameterError(f"weights must sum to 1 within 1e-12, got {weights.sum()!r}")
-        atoms.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self):
-        return len(self.atoms)
-
-    def to_json(self) -> dict:
-        return {"atoms": [[z.real, z.imag] for z in self.atoms],
-                "weights": [float(w) for w in self.weights]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EmpiricalMeasure":
-        return cls([as_complex(a, "atom") for a in obj["atoms"]], obj["weights"])
+def from_points(points) -> np.ndarray:
+    """The uniform measure on a finite multiset (1/N each, repetition
+    allowed): its points as a read-only 1-d complex array; ParameterError
+    unless they are nonempty, 1-d and finite."""
+    return as_roots(points, "points")
 
 
-def from_points(points) -> EmpiricalMeasure:
-    """Uniform measure on a finite multiset (1/N each, repetition allowed)."""
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if pts.size == 0:
-        raise ParameterError("cannot build an empirical measure from no points")
-    return EmpiricalMeasure(pts, np.full(pts.size, 1.0 / pts.size))
-
-
-def log_minus_integral(m: EmpiricalMeasure, u: mb.MobiusTransform) -> float:
-    """sum_i w_i log^-|u(atom_i)|; +inf if an atom maps exactly to 0."""
-    images = mb.apply_array(u, m.atoms)
-    mags = np.abs(images)  # inf at poles of u; log^-(inf) = 0
+def log_minus_integral(points, u: mb.MobiusTransform) -> float:
+    """(1/N) sum_i log^-|u(z_i)| over the N points; +inf if one maps exactly to 0."""
+    mags = np.abs(mb.apply_array(u, from_points(points)))  # inf at poles of u; log^-(inf) = 0
     if np.any(mags == 0.0):
         return math.inf
-    return float(np.dot(m.weights, log_minus(mags)))
+    return float(np.mean(log_minus(mags)))
 
 
-def sliced_w1(m1: EmpiricalMeasure, m2: EmpiricalMeasure, directions: int = 64) -> float:
+def sliced_w1(m1, m2, directions: int = 64) -> float:
     """Average over theta_j = pi j / directions of the exact 1-d W1 distance
-    between the pushforwards under z -> Re(e^{-i theta_j} z): the
-    one-measure case of `sliced_w1_many`, with m2 as the reference."""
+    between the pushforwards under z -> Re(e^{-i theta_j} z) of the uniform
+    measures on the points m1 and m2: the one-measure case of
+    `sliced_w1_many`, with m2 as the reference."""
     return float(sliced_w1_many([m1], m2, directions)[0])
 
 
-def sliced_w1_many(nus, ref: EmpiricalMeasure, directions: int = 64) -> np.ndarray:
-    """sliced_w1(nu, ref, directions) for each nu in nus, sorting each
-    direction's projection of ref once for all of them.
+def sliced_w1_many(nus, ref, directions: int = 64) -> np.ndarray:
+    """sliced_w1(nu, ref, directions) for each point set nu in nus, sorting
+    each direction's projection of ref once for all of them.
 
     Per direction, W1 = integral |F - G| dx for the distribution functions
-    F of nu and G of ref.  From ref's sorted projections y, G and the prefix
-    integral I(t) = integral_{-inf}^t G, each interval between consecutive
-    sorted projections of nu, where F is constant, is integrated in closed
-    form: by I at its ends and at the first y where G reaches F.  Per
-    direction that is O(K log K) for ref's K atoms and O(N log K) for each
-    nu of N atoms.  Directions are processed in blocks of at most
-    BLOCK_ELEMS / 8 (direction, atom) elements, so only one direction's
-    projection of a large ref is alive at a time.
+    F of nu and G of ref.  From ref's sorted projections y, G (j/K from the
+    j-th on) and the prefix integral I(t) = integral_{-inf}^t G, each
+    interval between consecutive sorted projections of nu, where F is
+    constant, is integrated in closed form: by I at its ends and at the
+    first y where G reaches F.  Per direction that is O(K log K) for ref's
+    K points and O(N log K) for each nu of N points.  Directions are
+    processed in blocks of at most BLOCK_ELEMS / 8 (direction, point)
+    elements, so only one direction's projection of a large ref is alive
+    at a time.
     """
     directions = grid_size(directions, "directions")
-    nus = list(nus)
+    ref, nus = from_points(ref), [from_points(nu) for nu in nus]
     if not nus:
         return np.zeros(0)
-    ref_parts, nu_parts = _split(ref.weights), [_split(nu.weights) for nu in nus]
     totals = np.zeros(len(nus))
     # the closed forms keep about 16 block-sized arrays alive
     block = max(1, BLOCK_ELEMS // (8 * max(len(m) for m in [ref, *nus])))
+    G = np.arange(1, len(ref)) / len(ref)  # G on [y[j], y[j + 1])
     for a in range(0, directions, block):
         theta = math.pi * np.arange(a, min(a + block, directions)) / directions
         cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        y, G = _sorted_cdf(ref, ref_parts, cos, sin)
+        y = np.sort(cos * ref.real + sin * ref.imag, axis=1)
         I = np.zeros_like(y)
-        np.cumsum(G[:, :-1] * np.diff(y, axis=1), axis=1, out=I[:, 1:])
-        for i, (nu, parts) in enumerate(zip(nus, nu_parts)):
-            totals[i] += _w1_sorted(*_sorted_cdf(nu, parts, cos, sin), y, G, I)
+        np.cumsum(G * np.diff(y, axis=1), axis=1, out=I[:, 1:])
+        for i, nu in enumerate(nus):
+            totals[i] += _w1_sorted(np.sort(cos * nu.real + sin * nu.imag, axis=1), y, I)
     # the closed forms cancel: identical measures can come out at -1 ulp
     return np.maximum(totals, 0.0) / directions
 
 
-def _split(w: np.ndarray) -> np.ndarray:
-    """Rows (w rounded to the 2^-31 grid, the rest) for |w| <= 1.  A sum of
-    first parts below 2^22 in magnitude is exact, as every sum of a
-    probability measure's weights is, so sums taken by parts are within
-    about one rounding of the exact ones."""
-    coarse = (w + 2.0 ** 22) - 2.0 ** 22
-    return np.stack([coarse, w - coarse])
-
-
-def _sorted_cdf(m: EmpiricalMeasure, parts, cos: np.ndarray, sin: np.ndarray):
-    """Per row, the sorted projections Re(e^{-i theta} atom) and the
-    distribution function at each: the cumulative weights in that order,
-    summed by the parts of `_split`."""
-    proj = cos * m.atoms.real + sin * m.atoms.imag
-    order = np.argsort(proj, axis=1)
-    cdf = np.cumsum(parts[0][order], axis=1) + np.cumsum(parts[1][order], axis=1)
-    order += len(m) * np.arange(len(proj))[:, None]
-    return np.take(proj, order), cdf
-
-
-def _w1_sorted(x, F, y, G, I) -> float:
-    """Sum over rows of integral |F - G| for step functions F (jumping to
-    F[i] at sorted x[i]) and G (to G[j] at sorted y[j]), with
-    I[j] = integral_{y[0]}^{y[j]} G."""
-    rows, k_atoms = y.shape
-    y, G, I = y.ravel(), G.ravel(), I.ravel()
-    first = k_atoms * np.arange(rows)  # flat index of each row's y[0]
-    # F = c[i] on [edge[i], edge[i+1]]: 0 before x[0], F[-1] after x[-1]
-    edge = np.concatenate([np.minimum(x[:, :1], y[first, None]), x,
-                           np.maximum(x[:, -1:], y[first + k_atoms - 1, None])], axis=1)
-    c = np.concatenate([np.zeros((rows, 1)), F], axis=1)
-    # G and integral_{-inf}^t G at each edge t, from the last y[j] <= t
-    below = np.array([np.searchsorted(y[f:f + k_atoms], e, side="right")
-                      for f, e in zip(first, edge)])
-    j = first[:, None] + np.maximum(below - 1, 0)
-    G_edge = np.where(below > 0, np.take(G, j), 0.0)
-    I_edge = np.take(I, j) + G_edge * (edge - np.take(y, j))
+def _w1_sorted(x, y, I) -> float:
+    """Sum over rows of integral |F - G| for the distribution functions of
+    the sorted rows x (N values, F = #(x <= t)/N) and y (K values,
+    G = #(y <= t)/K), with I[j] = integral_{y[0]}^{y[j]} G."""
+    n, k = x.shape[1], y.shape[1]
+    # F = i/N on [edge[i], edge[i+1]]: 0 before x[0], 1 after x[-1]
+    edge = np.concatenate([np.minimum(x[:, :1], y[:, :1]), x,
+                           np.maximum(x[:, -1:], y[:, -1:])], axis=1)
+    i = np.arange(n + 1)
+    # K G at each edge t, and integral_{-inf}^t G from the last y[j] <= t
+    below = np.array([np.searchsorted(row, e, side="right") for row, e in zip(y, edge)])
+    j = np.maximum(below - 1, 0)
+    I_edge = (np.take_along_axis(I, j, axis=1)
+              + below / k * (edge - np.take_along_axis(y, j, axis=1)))
     lo, hi, I_lo, I_hi = edge[:, :-1], edge[:, 1:], I_edge[:, :-1], I_edge[:, 1:]
-    # G - c changes sign at s: lo where G >= c from lo on, hi where G < c up
-    # to hi, and else the first y[k] in (lo, hi] with G[k] >= c
-    late = G_edge[:, 1:] < c
+    # G - F changes sign at s: lo where G >= F from lo on, hi where G < F up
+    # to hi, and else y[r] for the first r with (r + 1)/K >= i/N; G and F
+    # are compared as the integers N K G and N K F
+    late = below[:, 1:] * n < i * k
     s, I_s = np.where(late, hi, lo), np.where(late, I_hi, I_lo)
-    inner = np.flatnonzero((G_edge[:, :-1] < c) & ~late)
-    cuts = np.searchsorted(inner, c.shape[1] * np.arange(rows + 1))
-    k = np.concatenate([f + np.searchsorted(G[f:f + k_atoms], c.flat[inner[a:b]])
-                        for f, a, b in zip(first, cuts[:-1], cuts[1:])])
-    s.flat[inner], I_s.flat[inner] = y[k], I[k]
+    row, col = np.nonzero((below[:, :-1] * n < i * k) & ~late)
+    r = -(-col * k // n) - 1
+    s[row, col], I_s[row, col] = y[row, r], I[row, r]
+    c = i / n
     return float(np.sum((c * (s - lo) - (I_s - I_lo)) + ((I_hi - I_s) - c * (hi - s))))
 
 
-def quadrant_discrepancy(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
-    """max_p |m1(Q_p) - m2(Q_p)| over p in the atom union, for the closed
-    quadrants Q_p = {z : Re z <= Re p, Im z <= Im p}; atoms tied with p in
-    either coordinate, of either measure, are in Q_p.
+def quadrant_discrepancy(m1, m2) -> float:
+    """max_p |m1(Q_p) - m2(Q_p)| over p in the union of the point sets m1
+    and m2, for the closed quadrants Q_p = {z : Re z <= Re p, Im z <= Im p}
+    and the uniform measures on m1 and m2; points tied with p in either
+    coordinate, of either set, are in Q_p.
 
-    An offline dominance count in O(N^1.5) for the N atoms of the union:
-    sorted by real part, Q_p is the prefix up to the last atom tied with p,
-    cut at p's imaginary-part rank.  The prefix is summed in blocks of
-    about sqrt(N) atoms: whole blocks from a running histogram of signed
-    mass (+m1, -m2) over imaginary-part ranks, the last partial block
-    directly.
+    An offline dominance count in O(N^1.5) for the N points of the union:
+    sorted by real part, Q_p is the prefix up to the last point tied with p,
+    cut at p's imaginary-part rank.  The prefix is counted in blocks of
+    about sqrt(N) points: whole blocks from a running histogram of each
+    set's points over imaginary-part ranks, the last partial block
+    directly.  The counts are exact; each is divided by its set's size once.
     """
-    pts = np.concatenate([m1.atoms, m2.atoms])
+    m1, m2 = from_points(m1), from_points(m2)
+    pts = np.concatenate([m1, m2])
     order = np.argsort(pts.real, kind="stable")
     re = pts.real[order]
     levels, rank = np.unique(pts.imag[order], return_inverse=True)
-    # signed mass by the parts of `_split`, summed separately
-    mass = _split(np.concatenate([m1.weights, -m2.weights])[order]).T
+    # one column per set, 1.0 where the point belongs to it
+    member = np.stack([order < len(m1), order >= len(m1)], axis=1).astype(float)
     n = len(pts)
     # atoms [0, end[p]) of the sorted order have Re <= Re p
     end = np.searchsorted(re, re, side="right")
@@ -208,17 +152,16 @@ def quadrant_discrepancy(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
             p = slice(q, min(q + chunk, bounds[b + 1]))
             inside = ((np.arange(a, stop) < end[p, None])
                       & (rank[a:stop] <= rank[p, None]))
-            d = prefix[rank[p]] + inside @ mass[a:stop]
-            worst = max(worst, float(np.max(np.abs(d[:, 0] + d[:, 1]))))
+            d = prefix[rank[p]] + inside @ member[a:stop]
+            worst = max(worst, float(np.max(np.abs(d[:, 0] / len(m1) - d[:, 1] / len(m2)))))
         for part in range(2):
-            hist[:, part] += np.bincount(rank[a:stop], weights=mass[a:stop, part],
+            hist[:, part] += np.bincount(rank[a:stop], weights=member[a:stop, part],
                                          minlength=len(levels))
     return worst
 
 
-def reference_quantization(measure: BaseMeasure, k: int, seed: SeedSpec) -> EmpiricalMeasure:
-    """Empirical measure of k fresh i.i.d. samples: a sqrt(k)-accurate finite
-    proxy for the base measure in distance computations."""
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
-    return from_points(sample(measure, seed, int(k)).samples)
+def reference_quantization(measure: BaseMeasure, k: int, seed: SeedSpec) -> np.ndarray:
+    """The points of k fresh i.i.d. samples, whose uniform measure is a
+    sqrt(k)-accurate finite proxy for the base measure in distance
+    computations."""
+    return from_points(sample(measure, seed, as_count(k, "k")).samples)

@@ -48,6 +48,14 @@ def as_int(v, what: str = "value") -> int:
     return int(v)
 
 
+def as_count(v, what: str = "count") -> int:
+    """A positive integer (not a float or a boolean) as an int; else ParameterError."""
+    n = as_int(v, what)
+    if n < 1:
+        raise ParameterError(f"{what} must be a positive integer, got {v!r}")
+    return n
+
+
 def as_complex(v, what: str = "value") -> complex:
     """A number or a JSON [re, im] pair as a finite complex; anything else,
     booleans, NaN and infinity included, raises ParameterError."""
@@ -247,9 +255,7 @@ def _uniform_pairs(seed: SeedSpec, count: int) -> np.ndarray:
 
 def sample(measure: BaseMeasure, seed: SeedSpec, count: int) -> Trajectory:
     """Draw count i.i.d. samples from measure on the stream named by seed."""
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
-    count = int(count)
+    count = as_count(count)
     kind, p = measure.kind, measure.params
     u = _uniform_pairs(seed, count)
     if kind == "FiniteSupport":

@@ -12,8 +12,7 @@ from critpoint import measures
 from critpoint import mobius as mb
 from critpoint.errors import ParameterError
 from critpoint.logderiv import BLOCK_ELEMS
-from critpoint.measures import (EmpiricalMeasure, from_points,
-                                log_minus_integral, quadrant_discrepancy,
+from critpoint.measures import (from_points, log_minus_integral, quadrant_discrepancy,
                                 reference_quantization, sliced_w1, sliced_w1_many)
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
@@ -23,21 +22,21 @@ def _random_measure(rng, n):
 
 
 def test_from_points_basics():
-    d0 = from_points([0.0])
-    assert len(d0) == 1 and d0.weights[0] == 1.0
-    half = from_points([1.0, -1.0])
-    assert np.allclose(half.weights, 0.5)
-    m = from_points(np.arange(10, dtype=complex))
-    assert m.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    d0 = from_points(0.0)
+    assert d0.dtype == complex and d0.shape == (1,) and d0[0] == 0
+    z = np.arange(10, dtype=complex)
+    m = from_points(z)
+    assert np.array_equal(m, z) and not m.flags.writeable
+    assert z.flags.writeable  # the caller's array is not frozen
+    assert np.array_equal(from_points([1.0, 1.0, -1j]), [1, 1, -1j])  # repetition kept
     with pytest.raises(ParameterError):
         from_points([])
 
 
 def test_empirical_measure_validation():
-    with pytest.raises(ParameterError):
-        EmpiricalMeasure(np.array([0j]), np.array([0.5]))
-    with pytest.raises(ParameterError):
-        EmpiricalMeasure(np.array([0j, 1j]), np.array([1.5, -0.5]))
+    for bad in ([], np.zeros((2, 2)), np.zeros((0, 3))):
+        with pytest.raises(ParameterError):
+            from_points(bad)
 
 
 def test_log_minus_integral_examples():
@@ -59,24 +58,21 @@ def _sliced_w1_oracle(m1, m2, directions):
     for j in range(directions):
         theta = math.pi * j / directions
         c, s = math.cos(theta), math.sin(theta)
-        p1 = c * m1.atoms.real + s * m1.atoms.imag
-        p2 = c * m2.atoms.real + s * m2.atoms.imag
-        total += wasserstein_distance(p1, p2, m1.weights, m2.weights)
+        total += wasserstein_distance(c * m1.real + s * m1.imag, c * m2.real + s * m2.imag)
     return total / directions
 
 
 def test_sliced_w1_matches_per_direction_oracle(monkeypatch):
     rng = np.random.default_rng(24)
     unequal = (_random_measure(rng, 37), _random_measure(rng, 250))
-    w1, w2 = rng.random(15) + 0.1, rng.random(40) + 0.1
-    weighted = (EmpiricalMeasure(rng.standard_normal(15) + 1j * rng.standard_normal(15), w1 / w1.sum()),
-                EmpiricalMeasure(rng.standard_normal(40) + 1j * rng.standard_normal(40), w2 / w2.sum()))
-    # 4 directions include theta = 0 and pi/2, where lattice atoms tie in
-    # whole rows and columns, within and across the two measures
+    # multisets: each point repeated 1 to 4 times
+    z1, z2 = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (15, 40))
+    repeated = (np.repeat(z1, rng.integers(1, 5, 15)), np.repeat(z2, rng.integers(1, 5, 40)))
+    # 4 directions include theta = 0 and pi/2, where lattice points tie in
+    # whole rows and columns, within and across the two sets
     grid = (np.arange(4)[:, None] + 1j * np.arange(4)[None, :]).ravel()
-    lw = rng.random(16) + 0.1
-    lattice = (EmpiricalMeasure(grid, lw / lw.sum()), from_points(grid[::3] + 1))
-    for m1, m2 in (unequal, weighted, lattice):
+    lattice = (np.repeat(grid, rng.integers(1, 5, 16)), grid[::3] + 1)
+    for m1, m2 in (unequal, repeated, lattice):
         for directions in (1, 4, 64):
             want = _sliced_w1_oracle(m1, m2, directions)
             assert sliced_w1(m1, m2, directions) == pytest.approx(want, abs=1e-12)
@@ -108,12 +104,10 @@ def test_sliced_w1_translation_and_scaling():
     rng = np.random.default_rng(22)
     a, b = _random_measure(rng, 9), _random_measure(rng, 14)
     shift = 2.0 - 3.0j
-    at = from_points(a.atoms + shift)
-    bt = from_points(b.atoms + shift)
+    at, bt = a + shift, b + shift
     assert sliced_w1(at, bt, 24) == pytest.approx(sliced_w1(a, b, 24), abs=1e-12)
     alpha = -2.5
-    asc = from_points(alpha * a.atoms)
-    bsc = from_points(alpha * b.atoms)
+    asc, bsc = alpha * a, alpha * b
     assert sliced_w1(asc, bsc, 24) == pytest.approx(abs(alpha) * sliced_w1(a, b, 24), rel=1e-12)
 
 
@@ -157,13 +151,12 @@ def test_quadrant_discrepancy_rotated_roots_of_unity():
 def test_reference_quantization():
     atom = BaseMeasure.finite_support([1 + 1j], [1.0])
     ref = reference_quantization(atom, 10, SeedSpec(0, 0))
-    assert np.allclose(ref.atoms, 1 + 1j)
+    assert np.allclose(ref, 1 + 1j)
 
     m = BaseMeasure.uniform_circle()
     s = SeedSpec(42, 9)
-    mu_n = from_points(sample(m, s, 500).samples)
     same = reference_quantization(m, 500, s)
-    assert np.array_equal(same.atoms, mu_n.atoms)
+    assert np.array_equal(same, sample(m, s, 500).samples)
 
 
 def test_reference_quantization_calibration():
@@ -175,27 +168,22 @@ def test_reference_quantization_calibration():
         assert sliced_w1(p1, p2, 32) < 5 / math.sqrt(min(k1, k2))
 
 
-def test_empirical_measure_json_roundtrip():
-    m = from_points([1 + 2j, -0.5])
-    back = EmpiricalMeasure.from_json(m.to_json())
-    assert np.array_equal(back.atoms, m.atoms)
-    assert np.array_equal(back.weights, m.weights)
-
-
 def test_empirical_measure_rejects_non_finite_input():
     nan, inf = math.nan, math.inf
-    for atoms, weights in (([0, 1], [nan, nan]), ([0, 1], [0.5, nan]), ([0, 1], [inf, 0.5]),
-                           ([nan, 1], [0.5, 0.5]), ([complex(0, inf), 1], [0.5, 0.5])):
-        with pytest.raises(ParameterError):
-            EmpiricalMeasure(atoms, weights)
-    for points in ([nan, 1.0], [1.0, complex(inf, 0)], [complex(nan, nan)]):
+    good = [0j, 1.0]
+    for points in ([nan, 1.0], [1.0, complex(inf, 0)], [complex(nan, nan)], [complex(0, inf), 1]):
         with pytest.raises(ParameterError):
             from_points(points)
-    for doc in ({"atoms": [[0, 0], [1, 0]], "weights": [nan, nan]},
-                {"atoms": [[0, 0], [1, 0]], "weights": [0.5, inf]},
-                {"atoms": [[nan, 0], [1, 0]], "weights": [0.5, 0.5]}):
+        # every metric checks both of its point sets
+        for metric in (sliced_w1, quadrant_discrepancy):
+            with pytest.raises(ParameterError):
+                metric(points, good)
+            with pytest.raises(ParameterError):
+                metric(good, points)
         with pytest.raises(ParameterError):
-            EmpiricalMeasure.from_json(doc)
+            sliced_w1_many([good, points], good)
+        with pytest.raises(ParameterError):
+            log_minus_integral(points, mb.identity())
 
 
 @pytest.mark.parametrize("directions", [True, np.bool_(True), 2.5, 0, -3, 0.0, math.nan,
@@ -216,11 +204,11 @@ def test_integral_directions_accepted():
 
 
 # The algorithms these metrics replaced, kept as independent oracles: one
-# argsort of the merged projections per direction, and every (p, atom) pair.
+# argsort of the merged projections per direction, and every (p, point) pair.
 
 def _sliced_w1_merged(m1, m2, directions):
-    atoms = np.concatenate([m1.atoms, m2.atoms])
-    signed = np.concatenate([m1.weights, -m2.weights])
+    atoms = np.concatenate([m1, m2])
+    signed = np.concatenate([np.full(len(m1), 1 / len(m1)), np.full(len(m2), -1 / len(m2))])
     block = max(1, BLOCK_ELEMS // len(atoms))
     total = 0.0
     for a in range(0, directions, block):
@@ -234,22 +222,24 @@ def _sliced_w1_merged(m1, m2, directions):
 
 
 def _quadrant_pairs(m1, m2):
-    pts = np.concatenate([m1.atoms, m2.atoms])
+    pts = np.concatenate([m1, m2])
     worst = 0.0
     chunk = max(1, BLOCK_ELEMS // max(1, len(m1) + len(m2)))
     for a in range(0, len(pts), chunk):
         p = pts[a:a + chunk]
-        in1 = (m1.atoms.real[None, :] <= p.real[:, None]) & (m1.atoms.imag[None, :] <= p.imag[:, None])
-        in2 = (m2.atoms.real[None, :] <= p.real[:, None]) & (m2.atoms.imag[None, :] <= p.imag[:, None])
-        worst = max(worst, float(np.max(np.abs(in1 @ m1.weights - in2 @ m2.weights))))
+        in1 = (m1.real[None, :] <= p.real[:, None]) & (m1.imag[None, :] <= p.imag[:, None])
+        in2 = (m2.real[None, :] <= p.real[:, None]) & (m2.imag[None, :] <= p.imag[:, None])
+        diff = in1.sum(axis=1) / len(m1) - in2.sum(axis=1) / len(m2)
+        worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
 
 @st.composite
 def _measures(draw, count=2):
-    """Measures from one numpy stream, each uniform or weighted with 1 to
-    3000 atoms.  Lattice atoms tie in whole rows and columns, within and
-    across the measures, and a small pool repeats atoms."""
+    """Point sets from one numpy stream, each of 1 to 3000 points.  Lattice
+    points tie in whole rows and columns, within and across the sets; a
+    small pool repeats points, and resampling with replacement gives
+    uneven multiplicities (uneven masses on the distinct points)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     lattice = draw(st.booleans())
     pool = draw(st.sampled_from([None, 1, 5]))
@@ -263,10 +253,8 @@ def _measures(draw, count=2):
         if pool is not None:
             z = z[rng.integers(0, min(pool, n), n)]
         if draw(st.booleans()):
-            w = rng.uniform(0.1, 1.0, n)
-            out.append(EmpiricalMeasure(z, w / w.sum()))
-        else:
-            out.append(from_points(z))
+            z = z[rng.integers(0, n, n)]
+        out.append(z)
     return out
 
 
@@ -277,7 +265,7 @@ _metric_settings = settings(derandomize=True, deadline=None, database=None, max_
 @given(_measures(), st.sampled_from([1, 2, 4, 7, 64]))
 def test_sliced_w1_matches_merged_sort(pair, directions):
     m1, m2 = pair
-    scale = max(1.0, float(np.abs(np.concatenate([m1.atoms, m2.atoms])).max()))
+    scale = max(1.0, float(np.abs(np.concatenate([m1, m2])).max()))
     want = _sliced_w1_merged(m1, m2, directions)
     assert abs(sliced_w1(m1, m2, directions) - want) <= 1e-12 * scale
 
@@ -300,16 +288,39 @@ def test_sliced_w1_many_of_no_measures():
 @given(_measures())
 def test_quadrant_discrepancy_matches_pair_oracle(pair):
     m1, m2 = pair
-    assert abs(quadrant_discrepancy(m1, m2) - _quadrant_pairs(m1, m2)) <= 1e-14
+    # both count exactly and divide each count by its set's size once
+    assert quadrant_discrepancy(m1, m2) == _quadrant_pairs(m1, m2)
+
+
+@_metric_settings
+@given(_measures(), st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_metrics_depend_only_on_the_measures(pair, k, seed):
+    """Permuting either point set, or repeating each of its points k times
+    (the same uniform measure), leaves every metric unchanged: exactly
+    where the metric sorts or counts, to rounding where it sums."""
+    m1, m2 = pair
+    rng = np.random.default_rng(seed)
+    scale = max(1.0, float(np.abs(np.concatenate([m1, m2])).max()))
+    u = mb.affine(2.0, 0.5)
+    w1, q = sliced_w1(m1, m2, 7), quadrant_discrepancy(m1, m2)
+    lm1, lm2 = log_minus_integral(m1, u), log_minus_integral(m2, u)
+    for a, b in ((rng.permutation(m1), m2), (m1, rng.permutation(m2))):
+        assert sliced_w1(a, b, 7) == w1
+        assert quadrant_discrepancy(a, b) == q
+    for a, b in ((np.repeat(m1, k), m2), (m1, np.tile(m2, k))):
+        assert abs(sliced_w1(a, b, 7) - w1) <= 1e-12 * scale
+        assert quadrant_discrepancy(a, b) == q
+    for m, lm in ((m1, lm1), (m2, lm2)):
+        for same in (rng.permutation(m), np.repeat(m, k)):
+            assert log_minus_integral(same, u) == pytest.approx(lm, rel=1e-12, abs=1e-300)
 
 
 def test_metrics_sum_weights_to_about_one_rounding():
-    # 1/K added K times in sequence drifts by ~K ulps; summed by parts of
-    # the weights it stays within a rounding of the exact sums
+    # 1/K added K times in sequence drifts by ~K ulps; the metrics take the
+    # distribution function as k/K and masses as counts over K, which do not
     K = 100_000
     line = from_points(np.arange(K, dtype=float))
     # in direction 0, W1 = sum_{j < K-1} (1 - (j+1)/K) = (K-1)/2
-    assert sliced_w1(from_points([0.0]), line, 1) == pytest.approx((K - 1) / 2, rel=1e-14)
-    diag = from_points(np.arange(K) * (1 + 1j))
-    exact = math.fsum([diag.weights[0]] * K)
-    assert quadrant_discrepancy(diag, from_points([K * (1 + 1j)])) == pytest.approx(exact, abs=1e-15)
+    assert sliced_w1([0.0], line, 1) == pytest.approx((K - 1) / 2, rel=1e-14)
+    # the quadrant at the last diagonal point holds all K points of one set
+    assert quadrant_discrepancy(np.arange(K) * (1 + 1j), [K * (1 + 1j)]) == 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from critpoint.errors import ParameterError
+from critpoint.measures import reference_quantization
 from critpoint.sampler import (BaseMeasure, SeedSpec, as_complex, as_int,
                                as_real, sample)
 
@@ -100,6 +101,17 @@ def test_sample_count_validation():
     m = BaseMeasure.uniform_circle()
     with pytest.raises(ParameterError):
         sample(m, SeedSpec(0, 0), 0)
+
+
+@pytest.mark.parametrize("count", [True, False, np.bool_(True), 2.5, 3.0, np.float64(3.0),
+                                   0, -1, "3", None])
+def test_counts_must_be_positive_integers(count):
+    # one rule for every count: no rounding, no booleans
+    m = BaseMeasure.uniform_circle()
+    with pytest.raises(ParameterError):
+        sample(m, SeedSpec(0, 0), count)
+    with pytest.raises(ParameterError):
+        reference_quantization(m, count, SeedSpec(0, 0))
 
 
 def test_measure_json_roundtrip():
