@@ -20,8 +20,7 @@ from .experiments import (AnticoncentrationConfig, ConvergenceConfig,
 from .logderiv import Circle, circle_sup_norm, eval_S, log_minus, log_plus
 from .measures import (from_points, log_minus_integral, quadrant_discrepancy,
                        reference_quantization, sliced_w1, sliced_w1_many)
-from .mobius import (MobiusTransform, affine, apply, compose, identity, inverse,
-                     preimage_unit_circle, sample_mobius)
+from .mobius import MobiusTransform, apply, preimage_unit_circle, sample_mobius
 from .report import Report, Verdict
 from .sampler import BaseMeasure, SeedSpec, Trajectory, sample
 
@@ -34,8 +33,7 @@ __all__ = [
     "CriticalSet", "critical_points", "critical_points_oracle",
     "from_points", "log_minus_integral",
     "sliced_w1", "sliced_w1_many", "quadrant_discrepancy", "reference_quantization",
-    "MobiusTransform", "identity", "affine", "apply",
-    "inverse", "compose", "preimage_unit_circle", "sample_mobius",
+    "MobiusTransform", "apply", "preimage_unit_circle", "sample_mobius",
     "ConvergenceConfig", "JensenConfig", "AnticoncentrationConfig", "GrowthConfig",
     "LLNConfig", "Report", "Verdict", "run_experiment",
     "run_convergence", "run_jensen", "run_anticoncentration", "run_growth",

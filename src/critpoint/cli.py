@@ -30,9 +30,9 @@ from dataclasses import replace
 import numpy as np
 
 from .critical import DUPLICATE_RTOL, critical_points
-from .errors import ConvergenceError, CritpointError, ParameterError
+from .errors import ConvergenceError, CritpointError, ParameterError, as_complex
 from .experiments import EXPERIMENTS, run_experiment
-from .sampler import SeedSpec, as_complex
+from .sampler import SeedSpec
 
 
 def _load_json(path):

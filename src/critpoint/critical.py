@@ -29,12 +29,11 @@ a check on the Aberth solver rather than a second copy of it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, as_count, as_real
 from .logderiv import as_roots, cauchy_sums, spread
 
 _EPS = float(np.finfo(float).eps)
@@ -217,11 +216,10 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
     roots = as_roots(roots)
     if len(roots) < 2:
         raise ParameterError("critical points need at least two roots")
-    if not 0 < tol < np.inf:
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
-    if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral)
-            or max_sweeps < 1):
-        raise ParameterError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
+    tol = as_real(tol, "tol")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
+    max_sweeps = as_count(max_sweeps, "max_sweeps")
     z, mult, inexact = _cluster_roots(roots)
     repeated = np.repeat(z, (mult - 1).astype(int))
     c, s = z.mean(), spread(z) or 1.0  # one distinct root: nothing to solve

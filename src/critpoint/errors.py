@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checkers that parse
+a setting or an argument into a plain Python number or raise ParameterError."""
+
+import cmath
+import math
+import numbers
 
 
 class CritpointError(Exception):
@@ -27,3 +32,42 @@ class NonDegeneracyError(CritpointError, ValueError):
 
 class PoleOnContourError(CritpointError, ValueError):
     """A root lies on (or numerically on) the evaluation contour."""
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def as_real(v, what: str = "value") -> float:
+    """A finite real number as a float; anything else raises ParameterError."""
+    if not _is_real(v) or not math.isfinite(v):
+        raise ParameterError(f"{what} must be a finite real number, got {v!r}")
+    return float(v)
+
+
+def as_int(v, what: str = "value") -> int:
+    """An integer (not a float or a boolean) as an int; else ParameterError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ParameterError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def as_count(v, what: str = "count") -> int:
+    """A positive integer (not a float or a boolean) as an int; else ParameterError."""
+    n = as_int(v, what)
+    if n < 1:
+        raise ParameterError(f"{what} must be a positive integer, got {v!r}")
+    return n
+
+
+def as_complex(v, what: str = "value") -> complex:
+    """A number or a JSON [re, im] pair as a finite complex; anything else,
+    booleans, NaN and infinity included, raises ParameterError."""
+    parts = (v.real, v.imag) if isinstance(v, numbers.Complex) and not isinstance(v, bool) else v
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 2
+            and all(_is_real(x) for x in parts)):
+        raise ParameterError(f"{what} must be a number or [re, im] pair, got {v!r}")
+    z = complex(float(parts[0]), float(parts[1]))
+    if not cmath.isfinite(z):
+        raise ParameterError(f"{what} must be finite, got {v!r}")
+    return z

@@ -19,13 +19,13 @@ import numpy as np
 from . import mobius as mb
 from .critical import critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
-                     PoleOnContourError)
+                     PoleOnContourError, as_complex, as_count, as_real)
 from .logderiv import (BLOCK_ELEMS, Circle, circle_abs_S, circle_sup_norm, eval_S, log_minus,
                        log_plus)
 from .measures import (log_minus_integral, reference_quantization, sliced_w1,
                        sliced_w1_many, quadrant_discrepancy)
 from .report import Report
-from .sampler import BaseMeasure, SeedSpec, as_complex, as_count, as_real, sample
+from .sampler import BaseMeasure, SeedSpec, sample
 
 # substream purposes (never reuse a number)
 _P_TRAJECTORY = 1
@@ -199,7 +199,7 @@ class LLNConfig(BaseConfig):
         super().__post_init__()
         u = self.u_transform
         if (u is not None and self.measure.has_finite_support
-                and np.any(mb.apply_array(u, self.measure.atoms_and_weights()[0]) == 0)):
+                and np.any(mb.apply(u, self.measure.atoms_and_weights()[0]) == 0)):
             raise ParameterError(f"u_transform {u.to_json()} sends a support atom to 0, so "
                                  "the log^- integral is infinite and the run undefined")
 
@@ -277,11 +277,9 @@ def _valid_jensen_transform(u, roots, crit_pts, m):
     points (by `eval_S`'s pole test) and a compact contour C' = u^{-1}(C) clear
     of the roots.  Returns (sup_{C'} |S| on the m grid, S(a)), or None."""
     contour = mb.preimage_unit_circle(u)
-    if contour is None:
+    if contour is None or u.a == 0:  # u^{-1}(0) = -b/a is at infinity when u.a == 0
         return None
-    a_pt = mb.apply(mb.inverse(u), 0j)
-    if mb.is_infinity(a_pt):
-        return None
+    a_pt = -u.b / u.a
     s_at_a = eval_S(roots, a_pt)
     if not (cmath.isfinite(s_at_a) and cmath.isfinite(eval_S(crit_pts, a_pt))):
         return None
@@ -325,8 +323,8 @@ def run_jensen(config: JensenConfig) -> Report:
                 skipped += 1
                 continue
             u, sup, s_at_a = chosen
-            crit_sum = float(np.sum(log_minus(np.abs(mb.apply_array(u, cs.points)))))
-            root_sum = float(np.sum(log_minus(np.abs(mb.apply_array(u, roots)))))
+            crit_sum = float(np.sum(log_minus(np.abs(mb.apply(u, cs.points)))))
+            root_sum = float(np.sum(log_minus(np.abs(mb.apply(u, roots)))))
             lhs = crit_sum - root_sum
             rhs = math.log(sup) - math.log(abs(s_at_a))
             valid += 1
@@ -507,7 +505,7 @@ def run_lln_logminus(config: LLNConfig) -> Report:
     for attempt in range(_MOBIUS_ATTEMPTS):
         if config.u_transform is None:
             u = mb.sample_mobius(config.seed.substream(_P_LLN_MOBIUS, attempt))
-        ref_vals = log_minus(np.abs(mb.apply_array(u, ref)))
+        ref_vals = log_minus(np.abs(mb.apply(u, ref)))
         values = [log_minus_integral(traj.samples[:n], u)
                   for n in config.n_schedule]
         finite = (all(math.isfinite(v) for v in values)

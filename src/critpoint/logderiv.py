@@ -23,13 +23,12 @@ duplicates in `critical`), and |a| + r for the pole-on-contour test.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PoleOnContourError
+from .errors import ParameterError, PoleOnContourError, as_complex, as_count, as_real
 
 #: relative pole-detection tolerance, against the roots' spread in `eval_S`
 #: and against |a| + r in `circle_abs_S`
@@ -68,10 +67,10 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ParameterError(f"circle radius must be finite and positive, got {self.radius}")
-        if not cmath.isfinite(complex(self.center)):
-            raise ParameterError(f"circle center must be finite, got {self.center}")
+        object.__setattr__(self, "center", as_complex(self.center, "circle center"))
+        object.__setattr__(self, "radius", as_real(self.radius, "circle radius"))
+        if not self.radius > 0:
+            raise ParameterError(f"circle radius must be positive, got {self.radius}")
 
     def points(self, m: int) -> np.ndarray:
         return self.center + self.radius * _unit_grid(m)
@@ -119,8 +118,7 @@ def eval_S(roots, z: complex) -> complex:
     """S(z) = sum_k 1/(z - Z_k), pairwise-summed in sorted root order; inf
     (|S| = +inf, a pole) when min_k |z - Z_k| <= POLE_RTOL * spread(roots)."""
     roots = as_roots(roots)
-    if not cmath.isfinite(z):
-        raise ParameterError(f"S is evaluated at finite points only, got {z!r}")
+    z = as_complex(z, "z")
     if np.min(np.abs(z - roots)) <= POLE_RTOL * spread(roots):
         return complex(math.inf)
     (S,) = cauchy_sums([z], np.sort(roots))
@@ -134,14 +132,6 @@ def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, far=None) -> np.ndarray
     if far is not None:
         S += far
     return np.abs(S)
-
-
-def grid_size(m, what: str = "m") -> int:
-    """A positive integral int or float (not a boolean) as an int; else ParameterError."""
-    if (isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, float, np.integer, np.floating))
-            or not (m >= 1 and float(m).is_integer())):
-        raise ParameterError(f"{what} must be a positive integer, got {m!r}")
-    return int(m)
 
 
 def _series_lengths(rho: np.ndarray) -> np.ndarray:
@@ -218,7 +208,7 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     is bit for bit the even-indexed half of the 2m grid.
     """
     roots = as_roots(roots)
-    m = grid_size(m)
+    m = as_count(m, "m")
     tau = POLE_RTOL * (abs(c.center) + c.radius)
     if np.min(np.abs(np.abs(roots - c.center) - c.radius)) <= tau:
         raise PoleOnContourError(
@@ -250,11 +240,18 @@ def circle_sup_norm(roots, c: Circle, m: int) -> float:
     return float(np.max(circle_abs_S(roots, c, m)))
 
 
+def _magnitudes(x, what: str) -> np.ndarray:
+    """x as a float array; ParameterError for a negative or NaN entry and
+    for a non-real input (booleans and strings included).  inf is allowed."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or not np.all(arr >= 0):
+        raise ParameterError(f"{what} requires nonnegative real input")
+    return np.asarray(arr, dtype=float)
+
+
 def log_plus(x):
     """log^+(x) = log(x) for x > 1, else 0."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError("log_plus requires nonnegative input")
+    arr = _magnitudes(x, "log_plus")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(arr > 1.0, np.log(np.where(arr > 1.0, arr, 1.0)), 0.0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
@@ -262,9 +259,7 @@ def log_plus(x):
 
 def log_minus(x):
     """log^-(x) = -log(x) for x < 1, else 0; log^-(0) = +inf."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError("log_minus requires nonnegative input")
+    arr = _magnitudes(x, "log_minus")
     with np.errstate(divide="ignore"):
         out = np.where(arr < 1.0, -np.log(np.where(arr < 1.0, arr, 1.0)), 0.0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out

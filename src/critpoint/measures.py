@@ -25,8 +25,9 @@ import math
 import numpy as np
 
 from . import mobius as mb
-from .logderiv import BLOCK_ELEMS, as_roots, grid_size, log_minus
-from .sampler import BaseMeasure, SeedSpec, as_count, sample
+from .logderiv import BLOCK_ELEMS, as_roots, log_minus
+from .errors import as_count
+from .sampler import BaseMeasure, SeedSpec, sample
 
 
 def from_points(points) -> np.ndarray:
@@ -38,7 +39,8 @@ def from_points(points) -> np.ndarray:
 
 def log_minus_integral(points, u: mb.MobiusTransform) -> float:
     """(1/N) sum_i log^-|u(z_i)| over the N points; +inf if one maps exactly to 0."""
-    mags = np.abs(mb.apply_array(u, from_points(points)))  # inf at poles of u; log^-(inf) = 0
+    # apply gives inf at the pole -d/c of u, and log^-(inf) = 0
+    mags = np.abs(mb.apply(u, from_points(points)))
     if np.any(mags == 0.0):
         return math.inf
     return float(np.mean(log_minus(mags)))
@@ -67,7 +69,7 @@ def sliced_w1_many(nus, ref, directions: int = 64) -> np.ndarray:
     elements, so only one direction's projection of a large ref is alive
     at a time.
     """
-    directions = grid_size(directions, "directions")
+    directions = as_count(directions, "directions")
     ref, nus = from_points(ref), [from_points(nu) for nu in nus]
     if not nus:
         return np.zeros(0)

@@ -1,10 +1,9 @@
-"""Mobius transformations on the extended plane and unit-circle preimages.
+"""Mobius transformations of finite point sets and unit-circle preimages.
 
 A transform u(z) = (a z + b)/(c z + d) is kept as its four coefficients.
-The point at infinity is represented by any complex with a non-finite
-part; `INFINITY` is the canonical one.  The preimage of the unit circle is
-a `logderiv.Circle`, or None when it is a line (|a| = |c|), since only a
-compact contour carries a sup norm.
+`apply` maps finite points only; its output is infinite at the pole -d/c.
+The preimage of the unit circle is a `logderiv.Circle`, or None when it is
+a line (|a| = |c|), since only a compact contour carries a sup norm.
 """
 
 from __future__ import annotations
@@ -15,21 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_complex
 from .logderiv import Circle
-from .sampler import SeedSpec, as_complex
-
-INFINITY = complex(math.inf, 0.0)
+from .sampler import SeedSpec
 
 #: construction guard: |det| >= DET_GUARD * max(|a|,|b|,|c|,|d|)^2
 DET_GUARD = 1e-9
 
 #: |a| and |c| closer than this (relative) makes the unit-circle preimage a line
 _LINE_RTOL = 1e-12
-
-
-def is_infinity(z: complex) -> bool:
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
 @dataclass(frozen=True)
@@ -53,9 +46,6 @@ class MobiusTransform:
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def __call__(self, z):
-        return apply(self, z)
-
     def to_json(self):
         return [[w.real, w.imag] for w in (self.a, self.b, self.c, self.d)]
 
@@ -66,50 +56,19 @@ class MobiusTransform:
         return cls(*obj)
 
 
-def identity() -> MobiusTransform:
-    return MobiusTransform(1, 0, 0, 1)
-
-
-def affine(alpha: complex, beta: complex) -> MobiusTransform:
-    """z -> alpha z + beta."""
-    return MobiusTransform(alpha, beta, 0, 1)
-
-
-def apply(u: MobiusTransform, z: complex) -> complex:
-    """u(z) on the extended plane: u(inf) = a/c, u(-d/c) = inf."""
-    z = complex(z)
-    if is_infinity(z):
-        return u.a / u.c if u.c != 0 else INFINITY
-    num = u.a * z + u.b
-    den = u.c * z + u.d
-    if den == 0:
-        return INFINITY
-    return num / den
-
-
-def apply_array(u: MobiusTransform, zs) -> np.ndarray:
-    """Vectorized apply for finite input points; poles map to INFINITY."""
+def apply(u: MobiusTransform, zs) -> np.ndarray:
+    """u at finite points (a scalar or an array) as an array; inf at the
+    pole -d/c.  ParameterError for a non-finite or non-numeric point
+    (booleans and strings included)."""
+    zs = np.asarray(zs)
+    if zs.dtype.kind not in "iufc" or not np.all(np.isfinite(zs)):
+        raise ParameterError("a Mobius transform is applied to finite numbers only")
     zs = np.asarray(zs, dtype=complex)
     num = u.a * zs + u.b
     den = u.c * zs + u.d
     at_pole = den == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(at_pole, INFINITY, num / np.where(at_pole, 1.0, den))
-    return out
-
-
-def inverse(u: MobiusTransform) -> MobiusTransform:
-    return MobiusTransform(u.d, -u.b, -u.c, u.a)
-
-
-def compose(u: MobiusTransform, v: MobiusTransform) -> MobiusTransform:
-    """(u o v)(z) = u(v(z)); coefficient matrices multiply."""
-    return MobiusTransform(
-        u.a * v.a + u.b * v.c,
-        u.a * v.b + u.b * v.d,
-        u.c * v.a + u.d * v.c,
-        u.c * v.b + u.d * v.d,
-    )
+        return np.where(at_pole, math.inf, num / np.where(at_pole, 1.0, den))
 
 
 def preimage_unit_circle(u: MobiusTransform) -> Optional[Circle]:

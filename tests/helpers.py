@@ -1,8 +1,15 @@
-"""Shared test-side geometry: convex hulls for Gauss-Lucas checks and the
-optimal-pairing distance between two point multisets."""
+"""Shared test-side helpers: convex hulls for Gauss-Lucas checks, the
+optimal-pairing distance between two point multisets, and affine maps."""
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from critpoint.mobius import MobiusTransform
+
+
+def affine(alpha, beta=0):
+    """The Mobius transform z -> alpha z + beta (alpha = 1, beta = 0 is the identity)."""
+    return MobiusTransform(alpha, beta, 0, 1)
 
 
 def multiset_match_distance(a, b) -> float:

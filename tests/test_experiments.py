@@ -16,6 +16,8 @@ from critpoint.logderiv import Circle, circle_sup_norm, eval_S
 from critpoint.measures import from_points, log_minus_integral
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
+from helpers import affine
+
 
 CIRCLE = BaseMeasure.uniform_circle()
 
@@ -63,9 +65,9 @@ def test_settings_checked_at_construction(make):
 
 def test_settings_accept_json_forms_and_documented_nones():
     cfg = LLNConfig(measure=CIRCLE.to_json(), n_schedule=[8, 16], seed=3,
-                    u_transform=mb.identity().to_json())
+                    u_transform=affine(1).to_json())
     assert cfg == LLNConfig(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(3, 0),
-                            u_transform=mb.identity())
+                            u_transform=affine(1))
     ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), improvement_factor=None,
                       quadrant_max=None)
     AnticoncentrationConfig(measure=CIRCLE, n_schedule=(8,), r_ball=None)
@@ -142,11 +144,11 @@ def test_convergence_rows_in_schedule_order(monkeypatch):
 def test_jensen_trivial_roots_transform():
     # roots {1,-1} with u(z) = z - 0.5: zero left side, nonnegative right side
     roots = np.array([1.0, -1.0], dtype=complex)
-    u = mb.affine(1.0, -0.5)
+    u = affine(1.0, -0.5)
     cs = critical_points(roots)
     from critpoint.logderiv import log_minus
-    lhs = (float(np.sum(log_minus(np.abs(mb.apply_array(u, cs.points)))))
-           - float(np.sum(log_minus(np.abs(mb.apply_array(u, roots))))))
+    lhs = (float(np.sum(log_minus(np.abs(mb.apply(u, cs.points)))))
+           - float(np.sum(log_minus(np.abs(mb.apply(u, roots))))))
     assert lhs == pytest.approx(0.0, abs=1e-12)
     s_a = eval_S(roots, 0.5)
     assert abs(s_a) == pytest.approx(4 / 3)
@@ -254,7 +256,7 @@ def test_growth_draws_generic_circle_when_unset():
 def test_lln_single_atom_exact():
     m = BaseMeasure.finite_support([0.5], [1.0])
     cfg = LLNConfig(measure=m, n_schedule=(10, 100), seed=SeedSpec(8, 8),
-                    u_transform=mb.identity(), k_reference=1000)
+                    u_transform=affine(1), k_reference=1000)
     rep = run_lln_logminus(cfg)
     for n in (10, 100):
         assert rep.stat(n, "log_minus_mu_n") == pytest.approx(math.log(2), rel=1e-12)
@@ -265,7 +267,7 @@ def test_lln_single_atom_exact():
 def test_lln_support_outside_disk_is_zero():
     m = BaseMeasure.uniform_circle(5.0 + 0j, 1.0)
     cfg = LLNConfig(measure=m, n_schedule=(50, 500), seed=SeedSpec(12, 0),
-                    u_transform=mb.identity(), k_reference=1000)
+                    u_transform=affine(1), k_reference=1000)
     rep = run_lln_logminus(cfg)
     assert rep.stat(500, "log_minus_mu_n") == 0.0
     assert rep.stat(0, "reference_value") == 0.0
@@ -274,7 +276,7 @@ def test_lln_support_outside_disk_is_zero():
 
 def test_lln_uniform_disk_half():
     cfg = LLNConfig(measure=BaseMeasure.uniform_disk(), n_schedule=(20_000,),
-                    seed=SeedSpec(13, 0), u_transform=mb.identity(),
+                    seed=SeedSpec(13, 0), u_transform=affine(1),
                     k_reference=200_000)
     rep = run_lln_logminus(cfg)
     assert rep.stat(20_000, "log_minus_mu_n") == pytest.approx(0.5, abs=0.02)

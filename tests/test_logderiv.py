@@ -139,9 +139,15 @@ def test_grid_size_must_be_a_positive_integer(m):
 
 
 def test_integral_grid_sizes_accepted():
-    want = circle_abs_S([0.5], Circle(0j, 1.0), 8)
-    for m in (np.int64(8), 8.0, np.float32(8)):
-        assert np.array_equal(circle_abs_S([0.5], Circle(0j, 1.0), m), want)
+    """m takes integer types only: an integral float or a boolean raises."""
+    c = Circle(0j, 1.0)
+    assert np.array_equal(circle_abs_S([0.5], c, np.int64(8)), circle_abs_S([0.5], c, 8))
+    assert circle_sup_norm([0.5], c, np.int64(8)) == circle_sup_norm([0.5], c, 8)
+    for m in (8.0, np.float32(8), True, np.True_):
+        with pytest.raises(ParameterError):
+            circle_abs_S([0.5], c, m)
+        with pytest.raises(ParameterError):
+            circle_sup_norm([0.5], c, m)
 
 
 def test_log_plus_minus_values():

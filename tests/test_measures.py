@@ -9,12 +9,13 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import wasserstein_distance
 
 from critpoint import measures
-from critpoint import mobius as mb
 from critpoint.errors import ParameterError
 from critpoint.logderiv import BLOCK_ELEMS
 from critpoint.measures import (from_points, log_minus_integral, quadrant_discrepancy,
                                 reference_quantization, sliced_w1, sliced_w1_many)
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
+
+from helpers import affine
 
 
 def _random_measure(rng, n):
@@ -40,10 +41,10 @@ def test_empirical_measure_validation():
 
 
 def test_log_minus_integral_examples():
-    assert log_minus_integral(from_points([0.5]), mb.identity()) == pytest.approx(math.log(2))
-    assert log_minus_integral(from_points([2.0, 3.0]), mb.identity()) == 0.0
+    assert log_minus_integral(from_points([0.5]), affine(1)) == pytest.approx(math.log(2))
+    assert log_minus_integral(from_points([2.0, 3.0]), affine(1)) == 0.0
     a = 1.5 + 0.5j
-    assert log_minus_integral(from_points([a]), mb.affine(1, -a)) == math.inf
+    assert log_minus_integral(from_points([a]), affine(1, -a)) == math.inf
 
 
 def test_sliced_w1_trivial():
@@ -183,7 +184,7 @@ def test_empirical_measure_rejects_non_finite_input():
         with pytest.raises(ParameterError):
             sliced_w1_many([good, points], good)
         with pytest.raises(ParameterError):
-            log_minus_integral(points, mb.identity())
+            log_minus_integral(points, affine(1))
 
 
 @pytest.mark.parametrize("directions", [True, np.bool_(True), 2.5, 0, -3, 0.0, math.nan,
@@ -197,10 +198,15 @@ def test_directions_must_be_a_positive_integer(directions):
 
 
 def test_integral_directions_accepted():
+    """directions takes integer types only: an integral float or a boolean raises."""
     a, b = from_points([0.0, 1j]), from_points([1.0])
-    want = sliced_w1(a, b, 8)
-    for directions in (np.int64(8), 8.0, np.float32(8)):
-        assert sliced_w1(a, b, directions) == want
+    assert sliced_w1(a, b, np.int64(8)) == sliced_w1(a, b, 8)
+    assert np.array_equal(sliced_w1_many([a], b, np.int64(8)), sliced_w1_many([a], b, 8))
+    for directions in (8.0, np.float32(8), True, np.True_):
+        with pytest.raises(ParameterError):
+            sliced_w1(a, b, directions)
+        with pytest.raises(ParameterError):
+            sliced_w1_many([a], b, directions)
 
 
 # The algorithms these metrics replaced, kept as independent oracles: one
@@ -301,7 +307,7 @@ def test_metrics_depend_only_on_the_measures(pair, k, seed):
     m1, m2 = pair
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.abs(np.concatenate([m1, m2])).max()))
-    u = mb.affine(2.0, 0.5)
+    u = affine(2.0, 0.5)
     w1, q = sliced_w1(m1, m2, 7), quadrant_discrepancy(m1, m2)
     lm1, lm2 = log_minus_integral(m1, u), log_minus_integral(m2, u)
     for a, b in ((rng.permutation(m1), m2), (m1, rng.permutation(m2))):

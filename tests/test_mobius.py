@@ -4,43 +4,70 @@ import numpy as np
 import pytest
 
 from critpoint import mobius as mb
+from critpoint.critical import critical_points
 from critpoint.errors import ParameterError
+from critpoint.experiments import _valid_jensen_transform
+from critpoint.logderiv import eval_S
 from critpoint.sampler import SeedSpec
+
+from helpers import affine
 
 
 def test_apply_identity_and_inversion():
-    ident = mb.identity()
-    assert mb.apply(ident, 5 + 2j) == 5 + 2j
+    assert mb.apply(affine(1), 5 + 2j) == 5 + 2j
     inv = mb.MobiusTransform(0, 1, 1, 0)  # z -> 1/z
-    assert mb.is_infinity(mb.apply(inv, 0j))
-    assert mb.apply(inv, mb.INFINITY) == 0
+    assert mb.apply(inv, 0j) == math.inf
+    assert mb.apply(inv, 2j) == -0.5j
 
 
 def test_apply_at_pole_and_infinity():
     u = mb.MobiusTransform(1, 0, 1, -2)  # z / (z - 2)
-    assert mb.is_infinity(mb.apply(u, 2.0))
-    assert mb.apply(u, mb.INFINITY) == 1.0
+    assert mb.apply(u, 2.0) == math.inf
+    assert np.array_equal(mb.apply(u, [4.0, 2.0, 0.0]), [2.0, math.inf, 0.0])
+    # the point at infinity is not a point `apply` maps
+    for z in (math.inf, complex(0.0, math.inf), [1.0, math.nan]):
+        with pytest.raises(ParameterError):
+            mb.apply(u, z)
 
 
 def test_inverse_round_trip():
+    # the adjugate matrix (d, -b, -c, a) is the inverse transform
     rng = np.random.default_rng(17)
     for k in range(20):
         u = mb.sample_mobius(SeedSpec(17, k))
+        inv = mb.MobiusTransform(u.d, -u.b, -u.c, u.a)
         z = complex(*rng.standard_normal(2))
-        back = mb.apply(u, mb.apply(mb.inverse(u), z))
+        back = mb.apply(u, mb.apply(inv, z))
         assert abs(back - z) <= 1e-10 * (1 + abs(z))
 
 
 def test_inverse_examples():
-    ident = mb.identity()
-    assert mb.inverse(ident)(3 + 1j) == 3 + 1j
     a = 2.5 - 1j
-    shift = mb.affine(1, -a)  # z - a
-    assert mb.apply(mb.inverse(shift), 0j) == a
+    assert mb.apply(affine(1, -a), a) == 0  # z - a
     cayleyish = mb.MobiusTransform(1, -1, 1, 1)  # (z-1)/(z+1)
     w = 0.25 + 0.1j
-    assert mb.apply(mb.inverse(cayleyish), w) == pytest.approx((1 + w) / (1 - w))
-    assert mb.apply(mb.inverse(cayleyish), 0j) == pytest.approx(1.0)
+    assert mb.apply(cayleyish, (1 + w) / (1 - w)) == pytest.approx(w)
+    assert mb.apply(cayleyish, 1.0) == 0
+
+
+def test_jensen_point_is_minus_b_over_a():
+    # Jensen's a = u^{-1}(0) is -b/a; a transform with u.a == 0 sends no
+    # finite point to 0 and is skipped
+    roots = np.array([1.0, -1.0, 0.5j, 2.0 - 1j])
+    crit = critical_points(roots).points
+    checked = 0
+    for k in range(20):
+        u = mb.sample_mobius(SeedSpec(29, k))
+        got = _valid_jensen_transform(u, roots, crit, 64)
+        if got is None:
+            continue
+        assert got[1] == eval_S(roots, -u.b / u.a)
+        assert abs(mb.apply(u, -u.b / u.a)) <= 1e-12
+        checked += 1
+    assert checked >= 10
+    u = mb.MobiusTransform(0, 1, 1, 3)  # 1/(z + 3): its unit-circle preimage is a circle
+    assert mb.preimage_unit_circle(u) is not None
+    assert _valid_jensen_transform(u, roots, crit, 64) is None
 
 
 def test_determinant_guard():
@@ -68,10 +95,10 @@ def test_draws_are_the_first_passing_normals():
 
 
 def test_preimage_identity_and_shift():
-    pre = mb.preimage_unit_circle(mb.identity())
+    pre = mb.preimage_unit_circle(affine(1))
     assert pre.center == 0 and pre.radius == pytest.approx(1.0)
     a = 0.7 - 0.2j
-    pre = mb.preimage_unit_circle(mb.affine(1, -a))
+    pre = mb.preimage_unit_circle(affine(1, -a))
     assert pre.center == pytest.approx(a) and pre.radius == pytest.approx(1.0)
 
 
@@ -85,21 +112,8 @@ def test_preimage_maps_to_unit_circle():
         u = mb.sample_mobius(SeedSpec(55, k))
         pre = mb.preimage_unit_circle(u)
         pts = pre.points(32)
-        mags = np.abs(mb.apply_array(u, pts))
+        mags = np.abs(mb.apply(u, pts))
         assert np.max(np.abs(mags - 1.0)) <= 1e-9
-
-
-def test_preimage_composition_consistency():
-    for k in range(10):
-        u = mb.sample_mobius(SeedSpec(81, 2 * k))
-        v = mb.sample_mobius(SeedSpec(81, 2 * k + 1))
-        uv = mb.compose(u, v)
-        pre_uv = mb.preimage_unit_circle(uv)
-        pre_u = mb.preimage_unit_circle(u)
-        # v maps the preimage of (u o v) onto the preimage of u
-        images = mb.apply_array(v, pre_uv.points(24))
-        dist = np.abs(np.abs(images - pre_u.center) - pre_u.radius)
-        assert np.max(dist) <= 1e-9
 
 
 def test_sample_mobius_guard_and_circle_fraction():
@@ -122,7 +136,7 @@ def test_sample_mobius_alpha_mean():
 def test_preimage_of_affine_transforms():
     for k in range(200):
         g = SeedSpec(7, k).generator()
-        u = mb.affine(*(g.standard_normal(2) + 1j * g.standard_normal(2)))
+        u = affine(*(g.standard_normal(2) + 1j * g.standard_normal(2)))
         pre = mb.preimage_unit_circle(u)
         assert pre.radius == pytest.approx(1 / abs(u.a), rel=1e-12)
         assert pre.center == pytest.approx(-u.b / u.a, rel=1e-12)

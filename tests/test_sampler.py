@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from critpoint.errors import ParameterError
+from critpoint.errors import ParameterError, as_complex, as_int, as_real
 from critpoint.measures import reference_quantization
-from critpoint.sampler import (BaseMeasure, SeedSpec, as_complex, as_int,
-                               as_real, sample)
+from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
 ALL_MEASURES = [
     BaseMeasure.finite_support([1, -1, 2j], [0.2, 0.5, 0.3]),
