@@ -46,7 +46,7 @@ def _load_json(path):
 
 
 def parse_config(doc: dict, seed_override=None):
-    """Validate a CLI config document into (experiment name, config, out_dir).
+    """Validate a CLI config document into (config, out_dir).
 
     Raises ParameterError, which the CLI maps to exit code 2.
     """
@@ -62,15 +62,15 @@ def parse_config(doc: dict, seed_override=None):
     config = EXPERIMENTS[experiment][0].from_json(doc)
     if seed_override is not None:
         config = replace(config, seed=SeedSpec(seed_override, config.seed.stream_id))
-    return experiment, config, out_dir
+    return config, out_dir
 
 
 def _cmd_run(args) -> int:
     doc = _load_json(args.config)
-    experiment, config, out_dir = parse_config(doc, args.seed)
+    config, out_dir = parse_config(doc, args.seed)
     out_dir = args.out or out_dir
     try:
-        report = run_experiment(experiment, config)
+        report = run_experiment(config)
     except CritpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConvergenceError) else 2

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, as_count, as_real
+from .errors import ConvergenceError, ParameterError, as_count, as_positive
 from .logderiv import as_roots, cauchy_sums, spread
 
 _EPS = float(np.finfo(float).eps)
@@ -216,9 +216,7 @@ def critical_points(roots, tol: float = DEFAULT_TOL,
     roots = as_roots(roots)
     if len(roots) < 2:
         raise ParameterError("critical points need at least two roots")
-    tol = as_real(tol, "tol")
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    tol = as_positive(tol, "tol")
     max_sweeps = as_count(max_sweeps, "max_sweeps")
     z, mult, inexact = _cluster_roots(roots)
     repeated = np.repeat(z, (mult - 1).astype(int))

@@ -5,6 +5,8 @@ import cmath
 import math
 import numbers
 
+import numpy as np
+
 
 class CritpointError(Exception):
     """Base class for all critpoint errors."""
@@ -45,6 +47,14 @@ def as_real(v, what: str = "value") -> float:
     return float(v)
 
 
+def as_positive(v, what: str = "value") -> float:
+    """A positive finite real number as a float; else ParameterError."""
+    x = as_real(v, what)
+    if not x > 0:
+        raise ParameterError(f"{what} must be positive, got {v!r}")
+    return x
+
+
 def as_int(v, what: str = "value") -> int:
     """An integer (not a float or a boolean) as an int; else ParameterError."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -71,3 +81,11 @@ def as_complex(v, what: str = "value") -> complex:
     if not cmath.isfinite(z):
         raise ParameterError(f"{what} must be finite, got {v!r}")
     return z
+
+
+def as_list(v, parse, what: str = "value") -> list:
+    """Each entry of a list, tuple or 1-d array through parse(entry, what);
+    anything else raises ParameterError."""
+    if not (isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim == 1)):
+        raise ParameterError(f"{what} must be a list, got {v!r}")
+    return [parse(x, what) for x in v]

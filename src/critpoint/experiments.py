@@ -19,7 +19,7 @@ import numpy as np
 from . import mobius as mb
 from .critical import critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
-                     PoleOnContourError, as_complex, as_count, as_real)
+                     PoleOnContourError, as_complex, as_count, as_list, as_positive, as_real)
 from .logderiv import (BLOCK_ELEMS, Circle, circle_abs_S, circle_sup_norm, eval_S, log_minus,
                        log_plus)
 from .measures import (log_minus_integral, reference_quantization, sliced_w1,
@@ -43,15 +43,6 @@ _MOBIUS_ATTEMPTS = 100
 # settings: each field names its checker, used by Python construction and JSON
 
 
-def _positive(parse):
-    def check(v, name):
-        x = parse(v, name)
-        if not x > 0:
-            raise ParameterError(f"{name} must be positive, got {v!r}")
-        return x
-    return check
-
-
 def _optional(check):
     return lambda v, name: None if v is None else check(v, name)
 
@@ -63,9 +54,8 @@ def _instance(cls):
 def _list_of(check, rule, valid):
     """A list checked entry by entry, then as a whole by valid()."""
     def parse(v, name):
-        items = (tuple(check(x, name) for x in v)
-                 if isinstance(v, (list, tuple, np.ndarray)) else None)
-        if items is None or not valid(items):
+        items = tuple(as_list(v, check, name))
+        if not valid(items):
             raise ParameterError(f"{name} must be {rule}, got {v!r}")
         return items
     return parse
@@ -142,7 +132,7 @@ def _to_json(v):
 class ConvergenceConfig(BaseConfig):
     experiment = "convergence"
     n_schedule: tuple = _setting(_schedule(2))  # the solver needs two roots
-    tol_solver: float = _setting(_positive(as_real), 1e-10)
+    tol_solver: float = _setting(as_positive, 1e-10)
     directions: int = _setting(as_count, 64)
     R_infty: float = _setting(as_real, 10.0)
     k_reference: int = _setting(as_count, 100_000)
@@ -155,7 +145,7 @@ class JensenConfig(BaseConfig):
     experiment = "jensen"
     n_schedule: tuple = _setting(_schedule(2))  # the solver needs two roots
     trials: int = _setting(as_count, 1)
-    tol_solver: float = _setting(_positive(as_real), 1e-10)
+    tol_solver: float = _setting(as_positive, 1e-10)
     m_circle: int = _setting(as_count, 4096)
     jensen_pass_rate: float = _setting(as_real, 0.99)
     jensen_slack: float = _setting(as_real, 0.05)
@@ -167,7 +157,7 @@ class AnticoncentrationConfig(BaseConfig):
     trials: int = _setting(as_count, 1)
     probes: tuple = _setting(_probes, (2 + 0j, 3j, -2 - 2j))
     projection: tuple = _setting(_projection, (1.0, 0.0))
-    r_ball: float | None = _setting(_optional(_positive(as_real)), None)  # None: sqrt(#probes)
+    r_ball: float | None = _setting(_optional(as_positive), None)  # None: sqrt(#probes)
     slope_min: float = _setting(as_real, -1.9)
     slope_max: float = _setting(as_real, -1.2)
     min_hits: int = _setting(as_count, 10)
@@ -180,7 +170,7 @@ class GrowthConfig(BaseConfig):
     m_circle: int = _setting(as_count, 4096)
     growth_ratio_max: float = _setting(as_real, 6.0)
     circle_center: complex | None = _setting(_optional(as_complex), None)
-    circle_radius: float | None = _setting(_optional(_positive(as_real)), None)
+    circle_radius: float | None = _setting(_optional(as_positive), None)
 
     def __post_init__(self):
         super().__post_init__()
@@ -542,9 +532,9 @@ EXPERIMENTS = {cls.experiment: (cls, run) for cls, run in (
 )}
 
 
-def run_experiment(name: str, config: BaseConfig) -> Report:
-    cls, run = EXPERIMENTS.get(name, (None, None))
-    if cls is None or type(config) is not cls:
-        raise ParameterError(f"no experiment {name!r} takes a {type(config).__name__}; "
-                             f"the experiments are {sorted(EXPERIMENTS)}")
+def run_experiment(config: BaseConfig) -> Report:
+    """The report of the experiment that config names."""
+    cls, run = EXPERIMENTS.get(getattr(config, "experiment", None), (None, None))
+    if type(config) is not cls:
+        raise ParameterError(f"run_experiment takes an experiment config, got {config!r}")
     return run(config)

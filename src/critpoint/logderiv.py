@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PoleOnContourError, as_complex, as_count, as_real
+from .errors import ParameterError, PoleOnContourError, as_complex, as_count, as_positive
 
 #: relative pole-detection tolerance, against the roots' spread in `eval_S`
 #: and against |a| + r in `circle_abs_S`
@@ -49,9 +49,13 @@ def spread(z: np.ndarray) -> float:
 
 def as_roots(points, what: str = "roots") -> np.ndarray:
     """The points as a read-only 1-d complex array (a scalar is one point);
-    ParameterError unless they are nonempty, 1-d and finite.  The multiset
-    Z_1..Z_n defining P(X) = prod (X - Z_k): repetition = multiplicity."""
-    z = np.atleast_1d(np.asarray(points, dtype=complex))
+    ParameterError unless they are nonempty, 1-d, finite numbers (booleans
+    and strings are not).  The multiset Z_1..Z_n defining
+    P(X) = prod (X - Z_k): repetition = multiplicity."""
+    z = np.atleast_1d(np.asarray(points))
+    if z.dtype.kind not in "iufc":
+        raise ParameterError(f"{what} must be numbers, got {z.dtype} entries")
+    z = np.asarray(z, dtype=complex)
     if z.ndim != 1 or z.size == 0:
         raise ParameterError(f"{what} must be a nonempty 1-d list of points")
     if not np.all(np.isfinite(z)):
@@ -68,9 +72,7 @@ class Circle:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_complex(self.center, "circle center"))
-        object.__setattr__(self, "radius", as_real(self.radius, "circle radius"))
-        if not self.radius > 0:
-            raise ParameterError(f"circle radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", as_positive(self.radius, "circle radius"))
 
     def points(self, m: int) -> np.ndarray:
         return self.center + self.radius * _unit_grid(m)

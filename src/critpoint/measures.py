@@ -3,19 +3,20 @@
 A measure is the uniform measure on a finite multiset, given by its points:
 a nonempty, finite, 1-d complex array (`from_points` checks one), with mass
 1/N on each of its N entries, so a repeated point carries its multiplicity.
-The distribution function of N sorted values is k/N at the k-th, exact per
-element, and the mass of a set is its count divided by N once, so no sum of
-masses drifts and none needs compensated summation.
+Masses are integer counts (of 1/NK in a coupling, of points in a quadrant)
+divided once, so no sum of masses drifts or needs compensated summation.
 
 Two diagnostics are provided because convergence in distribution fixes no
 metric: sliced Wasserstein-1 (metrizes weak convergence on tight families)
 and a scale-free quadrant discrepancy.  Neither forms point pairs.
 `sliced_w1_many` sorts a reference's projections once per direction and
-measures each of several point sets against them, in O(K log K + N log K)
-per direction for K reference points and N points per set; `sliced_w1` is
-its one-measure case.  `quadrant_discrepancy` is an offline dominance count
-in O(N^1.5) over the N points of both sets, with closed quadrants: a point
-tied with p in either coordinate, of either set, counts as below p.
+measures each of several point sets against them by the cost of the
+monotone coupling of sorted values: O(K log K) per direction for K
+reference points, plus O(K) per point set (and O(N log N) to sort its N
+points); `sliced_w1` is its one-measure case.  `quadrant_discrepancy` is
+an offline dominance count in O(N^1.5) over the N points of both sets,
+with closed quadrants: a point tied with p in either coordinate, of either
+set, counts as below p.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def log_minus_integral(points, u: mb.MobiusTransform) -> float:
 def sliced_w1(m1, m2, directions: int = 64) -> float:
     """Average over theta_j = pi j / directions of the exact 1-d W1 distance
     between the pushforwards under z -> Re(e^{-i theta_j} z) of the uniform
-    measures on the points m1 and m2: the one-measure case of
-    `sliced_w1_many`, with m2 as the reference."""
+    measures on the points m1 and m2, symmetric in them: the one-measure
+    case of `sliced_w1_many`, with m2 as the reference."""
     return float(sliced_w1_many([m1], m2, directions)[0])
 
 
@@ -58,62 +59,61 @@ def sliced_w1_many(nus, ref, directions: int = 64) -> np.ndarray:
     """sliced_w1(nu, ref, directions) for each point set nu in nus, sorting
     each direction's projection of ref once for all of them.
 
-    Per direction, W1 = integral |F - G| dx for the distribution functions
-    F of nu and G of ref.  From ref's sorted projections y, G (j/K from the
-    j-th on) and the prefix integral I(t) = integral_{-inf}^t G, each
-    interval between consecutive sorted projections of nu, where F is
-    constant, is integrated in closed form: by I at its ends and at the
-    first y where G reaches F.  Per direction that is O(K log K) for ref's
-    K points and O(N log K) for each nu of N points.  Directions are
-    processed in blocks of at most BLOCK_ELEMS / 8 (direction, point)
-    elements, so only one direction's projection of a large ref is alive
-    at a time.
+    Per direction, W1 is the cost of the monotone coupling of the sorted
+    projections.  The coupling depends only on the two sizes, so it is
+    built once per nu, with the larger set as y.  That is O(K log K) per
+    direction to sort ref's K projections, plus O(N log N + K) per nu of
+    N points.  Directions go in blocks of at most BLOCK_ELEMS / 2
+    (direction, point) elements, so only one direction's projection of a
+    large ref is alive at a time.
     """
     directions = as_count(directions, "directions")
     ref, nus = from_points(ref), [from_points(nu) for nu in nus]
     if not nus:
         return np.zeros(0)
+    couplings = [_monotone_coupling(*sorted((len(nu), len(ref)))) for nu in nus]
     totals = np.zeros(len(nus))
-    # the closed forms keep about 16 block-sized arrays alive
-    block = max(1, BLOCK_ELEMS // (8 * max(len(m) for m in [ref, *nus])))
-    G = np.arange(1, len(ref)) / len(ref)  # G on [y[j], y[j + 1])
+    # a block keeps about four block-sized float arrays alive (ref's sorted
+    # projection, a nu's projection and its sort, the coupled distances),
+    # as many bytes as one complex buffer of BLOCK_ELEMS
+    block = max(1, BLOCK_ELEMS // (2 * max(len(m) for m in [ref, *nus])))
     for a in range(0, directions, block):
         theta = math.pi * np.arange(a, min(a + block, directions)) / directions
         cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
         y = np.sort(cos * ref.real + sin * ref.imag, axis=1)
-        I = np.zeros_like(y)
-        np.cumsum(G * np.diff(y, axis=1), axis=1, out=I[:, 1:])
-        for i, nu in enumerate(nus):
-            totals[i] += _w1_sorted(np.sort(cos * nu.real + sin * nu.imag, axis=1), y, I)
-    # the closed forms cancel: identical measures can come out at -1 ulp
-    return np.maximum(totals, 0.0) / directions
+        for i, (nu, coupling) in enumerate(zip(nus, couplings)):
+            x = np.sort(cos * nu.real + sin * nu.imag, axis=1)
+            totals[i] += _coupling_cost(*((x, y) if len(nu) <= len(ref) else (y, x)), coupling)
+    return totals / directions
 
 
-def _w1_sorted(x, y, I) -> float:
-    """Sum over rows of integral |F - G| for the distribution functions of
-    the sorted rows x (N values, F = #(x <= t)/N) and y (K values,
-    G = #(y <= t)/K), with I[j] = integral_{y[0]}^{y[j]} G."""
-    n, k = x.shape[1], y.shape[1]
-    # F = i/N on [edge[i], edge[i+1]]: 0 before x[0], 1 after x[-1]
-    edge = np.concatenate([np.minimum(x[:, :1], y[:, :1]), x,
-                           np.maximum(x[:, -1:], y[:, -1:])], axis=1)
+def _monotone_coupling(n: int, k: int):
+    """The monotone coupling of N sorted values x with K >= N sorted values
+    y: at mass K per x and N per y, x_i holds [iK, (i+1)K) and y_j holds
+    [jN, (j+1)N), and each pair shares its overlap.  y_j meets x_i for
+    i = jN // K, counts[i] of them for each i.  The boundary rK cuts y_j,
+    j = rK // N, unless N divides it; that y_j also meets x_r for
+    w = (j + 1)N - rK.  Returns (counts, cut, right, w): O(N) data."""
     i = np.arange(n + 1)
-    # K G at each edge t, and integral_{-inf}^t G from the last y[j] <= t
-    below = np.array([np.searchsorted(row, e, side="right") for row, e in zip(y, edge)])
-    j = np.maximum(below - 1, 0)
-    I_edge = (np.take_along_axis(I, j, axis=1)
-              + below / k * (edge - np.take_along_axis(y, j, axis=1)))
-    lo, hi, I_lo, I_hi = edge[:, :-1], edge[:, 1:], I_edge[:, :-1], I_edge[:, 1:]
-    # G - F changes sign at s: lo where G >= F from lo on, hi where G < F up
-    # to hi, and else y[r] for the first r with (r + 1)/K >= i/N; G and F
-    # are compared as the integers N K G and N K F
-    late = below[:, 1:] * n < i * k
-    s, I_s = np.where(late, hi, lo), np.where(late, I_hi, I_lo)
-    row, col = np.nonzero((below[:, :-1] * n < i * k) & ~late)
-    r = -(-col * k // n) - 1
-    s[row, col], I_s[row, col] = y[row, r], I[row, r]
-    c = i / n
-    return float(np.sum((c * (s - lo) - (I_s - I_lo)) + ((I_hi - I_s) - c * (hi - s))))
+    counts = np.diff(-(-i * k // n))  # x_i is first met by y_j, j = ceil(iK/N)
+    right = i[1:-1][i[1:-1] * k % n != 0]
+    cut = right * k // n
+    return counts, cut, right, (cut + 1) * n - right * k
+
+
+def _coupling_cost(x, y, coupling) -> float:
+    """Sum over rows of the W1 distance between the sorted rows x (N values)
+    and y (K >= N values): (1/NK) sum of integer weight * |x - y| over the
+    pairs of the monotone coupling, every term nonnegative."""
+    counts, cut, right, w = coupling
+    n, k = x.shape[1], y.shape[1]
+    d = np.repeat(x, counts, axis=1)
+    d -= y
+    np.abs(d, out=d)
+    # a cut y_j meets x_{right-1} for N - w and x_right for w
+    split = (n - w) * d[:, cut] + w * np.abs(x[:, right] - y[:, cut])
+    d[:, cut] = 0.0
+    return (n * float(np.sum(d)) + float(np.sum(split))) / (n * k)
 
 
 def quadrant_discrepancy(m1, m2) -> float:

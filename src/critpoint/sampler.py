@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .errors import ParameterError, as_complex, as_count, as_int, as_real
+from .errors import ParameterError, as_complex, as_count, as_int, as_list, as_positive
 
 _KINDS = ("FiniteSupport", "UniformCircle", "UniformDisk", "ComplexGaussian", "ComplexCauchy")
 
@@ -25,13 +25,6 @@ _LOC_SCALE = {"UniformCircle": ("center", "radius"), "UniformDisk": ("center", "
               "ComplexGaussian": ("mean", "scale"), "ComplexCauchy": ("location", "scale")}
 
 _MASK64 = (1 << 64) - 1
-
-
-def _parse_list(v, parse, what: str) -> list:
-    """Each entry of a list, tuple or 1-d array through parse(entry, what)."""
-    if not (isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim == 1)):
-        raise ParameterError(f"{what}s must be a list, got {v!r}")
-    return [parse(x, what) for x in v]
 
 
 def _splitmix64(x: int) -> int:
@@ -117,14 +110,12 @@ class BaseMeasure:
         if unknown:
             raise ParameterError(f"unknown {self.kind} params: {sorted(unknown)}")
         if self.kind == "FiniteSupport":
-            atoms = np.array(_parse_list(p.get("atoms", ()), as_complex, "atom"), dtype=complex)
-            weights = np.array(_parse_list(p.get("weights", ()), as_real, "weight"), dtype=float)
+            atoms = np.array(as_list(p.get("atoms", ()), as_complex, "atoms"), dtype=complex)
+            weights = np.array(as_list(p.get("weights", ()), as_positive, "weights"), dtype=float)
             if atoms.size == 0:
                 raise ParameterError("FiniteSupport needs a nonempty atom list")
             if weights.shape != atoms.shape:
                 raise ParameterError("atoms and weights must have equal length")
-            if np.any(weights <= 0):
-                raise ParameterError("FiniteSupport weights must be strictly positive")
             if abs(weights.sum() - 1.0) > 1e-12:
                 raise ParameterError(f"weights must sum to 1 within 1e-12, got {weights.sum()!r}")
             if len(np.unique(atoms)) != atoms.size:
@@ -133,9 +124,7 @@ class BaseMeasure:
         else:
             loc, scale = names
             parsed = {loc: as_complex(p.get(loc, 0), f"{self.kind} {loc}"),
-                      scale: as_real(p.get(scale, 0), f"{self.kind} {scale}")}
-            if not parsed[scale] > 0:
-                raise ParameterError(f"{self.kind} {scale} must be strictly positive")
+                      scale: as_positive(p.get(scale, 0), f"{self.kind} {scale}")}
         object.__setattr__(self, "params", parsed)
 
     # ---- constructors -------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import critpoint
 from critpoint import (Circle, MobiusTransform, ParameterError, apply, circle_sup_norm,
                        critical_points, eval_S, log_minus, log_plus, sliced_w1, sliced_w1_many)
-from critpoint.logderiv import circle_abs_S
+from critpoint.logderiv import as_roots, circle_abs_S
 
 
 def test_every_export_resolves_once():
@@ -25,6 +25,9 @@ BOOL, STRING, NAN, INF = True, "8", math.nan, math.inf
 # (entry point and argument, the call with that argument set, its invalid inputs);
 # inf is a valid magnitude for log^+ and log^-
 ENTRY_POINTS = [
+    ("as_roots", as_roots, ([True, False], "x", ["1", "2j"], [None, 1.0])),
+    ("critical_points roots", critical_points, ([True, False, True], ["1", "-1", "1j"])),
+    ("sliced_w1 points", lambda v: sliced_w1(v, ROOTS), ([True, False], "x")),
     ("sliced_w1 directions", lambda v: sliced_w1(ROOTS, [1.0], v), (BOOL, STRING, NAN, INF)),
     ("sliced_w1_many directions", lambda v: sliced_w1_many([ROOTS], [1.0], v),
      (BOOL, STRING, NAN, INF)),

@@ -31,8 +31,11 @@ def test_config_validation():
         JensenConfig(measure=CIRCLE, n_schedule=(4,), trials=0)
     with pytest.raises(ParameterError):
         AnticoncentrationConfig(measure=CIRCLE, n_schedule=(4,), probes=(1j, 1j))
-    with pytest.raises(ParameterError):
-        run_experiment("bogus", ConvergenceConfig(measure=CIRCLE, n_schedule=(4,)))
+    # a config names its experiment; anything else names none
+    for config in (None, "convergence", {"experiment": "convergence"}, CIRCLE,
+                   experiments.BaseConfig(measure=CIRCLE, n_schedule=(4,))):
+        with pytest.raises(ParameterError):
+            run_experiment(config)
 
 
 @pytest.mark.parametrize("make", [

@@ -52,6 +52,8 @@ def test_sliced_w1_trivial():
     assert sliced_w1(m, m, 16) == 0.0
     d0, d1 = from_points([0.0]), from_points([1.0])
     assert sliced_w1(d0, d1, 2) == pytest.approx(0.5, abs=1e-15)
+    # 2 into 3: the middle 0 of the three meets both 0 and 1 of the two
+    assert sliced_w1([0, 1], [0, 0, 1], 1) == pytest.approx(1 / 6, abs=1e-15)
 
 
 def _sliced_w1_oracle(m1, m2, directions):
@@ -95,8 +97,8 @@ def test_sliced_w1_metric_properties():
     rng = np.random.default_rng(21)
     a, b, c = (_random_measure(rng, k) for k in (11, 7, 19))
     dab = sliced_w1(a, b, 32)
-    assert sliced_w1(b, a, 32) == pytest.approx(dab, abs=1e-12)
-    assert sliced_w1(a, a, 32) <= 1e-12
+    assert sliced_w1(b, a, 32) == dab
+    assert sliced_w1(a, a, 32) == 0.0
     assert dab <= sliced_w1(a, c, 32) + sliced_w1(c, b, 32) + 1e-12
     assert dab > 0
 
