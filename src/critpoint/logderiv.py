@@ -7,10 +7,20 @@ rule, BLOCK_ELEMS elements per block through reused buffers, and one
 coincidence rule: a target on a source gives an infinite term.  Sums near
 the roots cancel, so each row is summed pairwise in source order, whatever
 its block.  `circle_abs_S` evaluates |S| on the grid a + r e^{2 pi i j / m}
-and owns the pole-on-contour test: roots far from the circle add a
-truncated Laurent series in e^{2 pi i j / m}, summed by Horner's rule at
-each grid point, and only the roots near the circle go through
-`cauchy_sums`.  `circle_sup_norm` is the grid maximum.
+through one evaluator per (roots, circle), `_CircleField`, which owns the
+pole-on-contour test: roots far from the circle add a truncated Laurent
+series in e^{2 pi i j / m}, summed by Horner's rule at each grid point,
+and only the roots near the circle go through `cauchy_sums`.  Every value
+comes from its own grid index alone, so any subset of the grid is
+evaluated bit for bit as in the full grid.
+
+`circle_sup_norm` is the grid maximum, found by a Lipschitz branch and
+bound over the grid (Piyavskii 1972, Shubert 1972): an evaluated point
+rules out its neighbours when |S| there plus a proven bound on how far
+the computed |S| can rise within their arc, h sum_k (d_k - h)^-2 plus a
+rounding margin 2 gamma sum_k (d_k - h)^-1 (d_k the distance to root k,
+h the arc), stays below the running maximum.  The proof of gamma and of
+the margins is in `circle_sup_norm`'s docstring.
 
 The roots are a plain multiset: every entry point checks them with
 `as_roots`, which returns them as a read-only 1-d complex array, and
@@ -39,6 +49,11 @@ POLE_RTOL = 1e-12
 #: allocator reuses freed buffers instead of mapping new pages
 BLOCK_ELEMS = 1 << 17
 
+#: grid points of the first pass of `circle_sup_norm` (at least), and the
+#: factor by which each later pass refines the spacing (even)
+SUP_COARSE = 64
+SUP_REFINE = 4
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -52,7 +67,10 @@ def as_roots(points, what: str = "roots") -> np.ndarray:
     ParameterError unless they are nonempty, 1-d, finite numbers (booleans
     and strings are not).  The multiset Z_1..Z_n defining
     P(X) = prod (X - Z_k): repetition = multiplicity."""
-    z = np.atleast_1d(np.asarray(points))
+    try:
+        z = np.atleast_1d(np.asarray(points))
+    except ValueError as exc:  # a ragged nesting
+        raise ParameterError(f"{what} must be a nonempty 1-d list of points") from exc
     if z.dtype.kind not in "iufc":
         raise ParameterError(f"{what} must be numbers, got {z.dtype} entries")
     z = np.asarray(z, dtype=complex)
@@ -78,10 +96,10 @@ class Circle:
         return self.center + self.radius * _unit_grid(m)
 
 
-def _unit_grid(m: int) -> np.ndarray:
-    """t_j = e^{2 pi i j / m}, j = 0..m-1; t_j of the m grid is bit for bit
-    t_{2j} of the 2m grid."""
-    return np.exp(2j * np.pi * np.arange(m) / m)
+def _unit_grid(m: int, j=None) -> np.ndarray:
+    """t_j = e^{2 pi i j / m} at the indices j (default 0..m-1), each from
+    its own j; t_j of the m grid is bit for bit t_{2j} of the 2m grid."""
+    return np.exp(2j * np.pi * (np.arange(m) if j is None else j) / m)
 
 
 def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
@@ -95,9 +113,17 @@ def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, row
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     step = max(1, min(len(x), rows or BLOCK_ELEMS // max(1, len(y))))
     # products never overwrite an operand: numpy rounds an in-place product
-    # of one-element arrays differently from its vector loop
-    buf, prod, sq = (np.empty((step, len(y)), complex) for _ in range(3))
-    dist = np.empty((step, len(y)))
+    # of one-element arrays differently from its vector loop.  The buffers
+    # a call needs share one block: glibc gives back a freed heap top of
+    # more than twice the largest block it last unmapped, so separate
+    # buffers of a larger total would be faulted in again on every call
+    shape, size = (step, len(y)), step * len(y)
+    widths = (2, 2 * any(c is not None for c in weights + squared), 2 * bool(squared), nearest)
+    ends = np.cumsum(widths) * size
+    work = np.empty(ends[-1])
+    buf, prod, sq = (work[e - 2 * size:e].view(complex).reshape(shape) if w else None
+                     for w, e in zip(widths[:3], ends))
+    dist = work[ends[2]:].reshape(shape) if nearest else None
     out = [np.empty(len(x), complex) for _ in weights + squared] + [np.empty(len(x))] * nearest
     for a in range(0, len(x), step):
         nr = min(step, len(x) - a)
@@ -185,6 +211,46 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
+class _CircleField:
+    """|S| at any grid points of one circle, prepared once per (roots,
+    circle): the pole-on-contour test, the split of the roots into near
+    ones, summed directly, and far ones, summed by their truncated Laurent
+    series, and the series' power sums (see `circle_abs_S`)."""
+
+    def __init__(self, roots: np.ndarray, c: Circle):
+        tau = POLE_RTOL * (abs(c.center) + c.radius)
+        if np.min(np.abs(np.abs(roots - c.center) - c.radius)) <= tau:
+            raise PoleOnContourError(
+                f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
+        w = (roots - c.center) / c.radius
+        aw = np.abs(w)
+        inside = aw < 1.0
+        with np.errstate(divide="ignore"):
+            L = _series_lengths(np.minimum(aw, 1.0 / aw))
+        series = L <= np.where(inside, _series_degree(L[inside]), _series_degree(L[~inside]))
+        s_in, s_out = series & inside, series & ~inside
+        self.circle, self.near = c, roots[~series]
+        self.coef_in = _power_sums(w[s_in], L[s_in], 0) if s_in.any() else None
+        self.coef_out = _power_sums(1.0 / w[s_out], L[s_out], 1) if s_out.any() else None
+        #: |w_k| and the longest series length of the far roots, for the bound
+        self.far_aw, self.degree = aw[series], float(L[series].max(initial=0.0))
+
+    def points(self, j: np.ndarray, m: int) -> np.ndarray:
+        return self.circle.center + self.circle.radius * _unit_grid(m, j)
+
+    def abs_S(self, j: np.ndarray, m: int) -> np.ndarray:
+        """|S| at the grid points j of the m grid."""
+        t = _unit_grid(m, j)
+        far = np.zeros(len(j), complex)
+        if self.coef_in is not None:
+            u = np.conj(t)
+            far += np.multiply(u, _horner(self.coef_in, u))
+        if self.coef_out is not None:
+            far -= _horner(self.coef_out, t)
+        far /= self.circle.radius
+        return _abs_S_on_points(self.near, self.points(j, m), far)
+
+
 def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     """|S| at the m grid points x_j = a + r t_j, t_j = e^{2 pi i j / m},
     j = 0..m-1.  Raises PoleOnContourError when a root lies within
@@ -206,40 +272,144 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     series, this is the direct sum over all roots.
 
     The split and the coefficients depend on the roots and the circle, not
-    on m, and every grid value is computed from its own t_j, so the m grid
-    is bit for bit the even-indexed half of the 2m grid.
+    on m, and every grid value is computed from its own t_j alone, so the
+    value at j does not depend on which other points are evaluated with
+    it, and the m grid is bit for bit the even-indexed half of the 2m grid.
     """
     roots = as_roots(roots)
     m = as_count(m, "m")
-    tau = POLE_RTOL * (abs(c.center) + c.radius)
-    if np.min(np.abs(np.abs(roots - c.center) - c.radius)) <= tau:
-        raise PoleOnContourError(
-            f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
-    w = (roots - c.center) / c.radius
-    aw = np.abs(w)
-    inside = aw < 1.0
-    with np.errstate(divide="ignore"):
-        L = _series_lengths(np.minimum(aw, 1.0 / aw))
-    series = L <= np.where(inside, _series_degree(L[inside]), _series_degree(L[~inside]))
-    t = _unit_grid(m)
-    far = np.zeros(m, complex)
-    s_in, s_out = series & inside, series & ~inside
-    if s_in.any():
-        u = np.conj(t)
-        far += np.multiply(u, _horner(_power_sums(w[s_in], L[s_in], 0), u))
-    if s_out.any():
-        far -= _horner(_power_sums(1.0 / w[s_out], L[s_out], 1), t)
-    far /= c.radius
-    return _abs_S_on_points(roots[~series], c.center + c.radius * t, far)
+    return _CircleField(roots, c).abs_S(np.arange(m), m)
+
+
+def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float):
+    """(sum_k q_ik, sum_k q_ik^2) with q_ik = scale / (|x_i - y_k| - h),
+    both inf where some |x_i - y_k| <= h; blocked like `cauchy_sums`."""
+    step = max(1, min(len(x), BLOCK_ELEMS // max(1, len(y))))
+    diff, q = np.empty((step, len(y)), complex), np.empty((step, len(y)))
+    s1, s2 = np.empty(len(x)), np.empty(len(x))
+    for a in range(0, len(x), step):
+        nr = min(step, len(x) - a)
+        Q = np.abs(np.subtract(x[a:a + nr, None], y, out=diff[:nr]), out=q[:nr])
+        Q -= h
+        np.maximum(Q, 0.0, out=Q)
+        with np.errstate(divide="ignore"):
+            np.divide(scale, Q, out=Q)
+        s1[a:a + nr] = Q.sum(axis=1)
+        s2[a:a + nr] = np.square(Q, out=Q).sum(axis=1)
+    return s1, s2
 
 
 def circle_sup_norm(roots, c: Circle, m: int) -> float:
-    """max_j |S(a + r e^{2 pi i j / m})|, a lower bound for sup_{C(a,r)} |S|.
+    """max_j |S(a + r e^{2 pi i j / m})|, a lower bound for sup_{C(a,r)} |S|:
+    float(np.max(circle_abs_S(roots, c, m))) bit for bit, from the grid
+    points that a proven upper bound cannot rule out.
 
     Doubling m refines the same nested grid, so the value is nondecreasing
     in m along powers of two.
+
+    Search.  A first pass evaluates every s-th grid point, s the largest
+    power of SUP_REFINE with m/s >= SUP_COARSE, or 1 (every point), and
+    keeps the running maximum M of the computed values.  Each evaluated
+    point j covers the grid points within floor(s/2) steps of it
+    (cyclically), so the covers hold every grid point.  A cover whose
+    bound U_j (the right side below, with its rounding margin) is below M
+    holds no value above M and is done; every other cover is evaluated at
+    spacing s/SUP_REFINE, at the offsets k s/SUP_REFINE, |k| <=
+    SUP_REFINE/2, whose covers together hold it, and so on down to
+    spacing 1.
+
+    The bound.  Let u = 2^-53, X_j = a + r e^{2 pi i j/m} the exact grid
+    point and v_j the computed |S| at j.  Each root's term of v_j is
+    evaluated at a point p_jk within g = 32 u (|a| + r) of X_j: the near
+    roots at the rounded grid point, the far roots outside the circle at
+    a + r t~_j and those inside at a + r t~_j/|t~_j|^2, with t~_j the rounded
+    e^{2 pi i j/m} (its angle has 4 roundings, its cosine and sine one ulp
+    each, so |t~_j - e^{2 pi i j/m}| <= 27 u).  Write A_j = sum_k
+    1/|p_jk - Z_k|.  The rounding error of the computed S is then at most
+    gamma A_j, to first order in u, with
+
+        gamma = (32 Lam^2 + 2 (n + 8) Lam + 2) u,   Lam = 2 + D/18,
+
+    n the number of roots and D the longest far series (0 if none):
+      * near roots: a difference and Smith's complex reciprocal cost at
+        most 8 u of each term, and a sum of q terms in any order at most
+        (q - 1) u of the sum of their sizes: (q + 8) u A_j <= gamma A_j;
+      * far roots: the power of degree P of s_k = w_k or 1/w_k (s_k itself
+        within 9 u) is a running product within 12 P u, a power sum of at most
+        n terms adds (n - 1) u, Horner's rule adds (3.3 l + 1) u to the
+        coefficient of degree l, and the last product, difference, division
+        by r and the addition to the near sum add 8 u: at most
+        (16 (l + 1) + n + 8) u rho_k^(l+e) / r for the term l of root k.
+        Summed over l this is (16/(1 - rho)^2 + (n + 8)/(1 - rho)) u rho^e / r,
+        and the root's term is at least rho^e / (r (1 + rho)) in size.
+        Since rho_k^L_k < eps, L_k log(1/rho_k) > 36, so
+        1/(1 - rho_k) <= max(2, L_k/18) <= Lam, and with the dropped tail
+        (eps = 2u of the term) the root costs at most gamma of its term.
+
+    Let j' be a grid point in the cover of j, R steps away: its points
+    p_j'k lie within h = 2 pi r R/m + 2g of p_jk, and
+    |1/(p' - Z) - 1/(p - Z)| = |p' - p| / (|p' - Z| |p - Z|).  For a near
+    root at distance d_jk from the rounded X_j, |p' - Z_k| >= d_jk - h;
+    every far root lies delta_k = r |1 - |w_k|| from the circle, so
+    |p - Z_k| and |p' - Z_k| are at least delta_k - g.  With
+    v_j' <= (1 + 2u) (|S(p_j'.)| + gamma A_j') and
+    |S(p_j.)| <= (1 + 2u) v_j + gamma A_j (|.| rounds within 2u),
+
+        v_j' <= (1 + 5u) [v_j + h sum_near (d_jk - h)^-2
+                          + 2 gamma sum_near (d_jk - h)^-1
+                          + h sum_far (delta_k - g)^-2
+                          + 2 gamma sum_far (delta_k - g)^-1],
+
+    and a cover meeting a root (d_jk <= h) is never done.  The far sums
+    are one scalar per circle (times h per pass); the near ones take a
+    blocked pass over the near roots per point (`_cover_sums`).  The
+    bound's own rounding: the computed distances are within 3u, which
+    h (1 + 16 eps) in place of h absorbs, and each of the positive terms
+    within 16 u, their sums within (n - 1) u; the computed U_j is the
+    bracket times 1 + (n + 64) eps, more than twice the total.  This
+    assumes no intermediate leaves the normal range of floats; a bound
+    that overflows is inf and prunes nothing.
     """
-    return float(np.max(circle_abs_S(roots, c, m)))
+    roots = as_roots(roots)
+    m = as_count(m, "m")
+    field = _CircleField(roots, c)
+    step = 1
+    while step * SUP_REFINE * SUP_COARSE <= m:
+        step *= SUP_REFINE
+    j = np.arange(0, m, step)
+    v = field.abs_S(j, m)
+    M = float(np.max(v))
+    if step == 1:
+        return M
+    r = c.radius
+    g = 16 * _EPS * (abs(c.center) + r)
+    lam = 2.0 + field.degree / 18.0
+    gamma = (16 * lam ** 2 + (len(roots) + 8) * lam + 1) * _EPS
+    grow = 1.0 + (len(roots) + 64) * _EPS
+    # the far roots' distances to the circle less g, in units of r
+    gap = (np.abs(1.0 - field.far_aw) - 4 * _EPS * np.maximum(field.far_aw, 1.0)) - g / r
+    far1 = far2 = math.inf
+    if np.all(gap > 0):
+        far1, far2 = float(np.sum(1.0 / gap)), float(np.sum(1.0 / gap ** 2))
+    evaluated = np.zeros(m, bool)
+    evaluated[j] = True
+    offsets = np.arange(-(SUP_REFINE // 2), SUP_REFINE // 2 + 1)
+    while step > 1:
+        h = (2 * math.pi * r * (step // 2) / m + 2 * g) * (1 + 16 * _EPS)
+        s1, s2 = _cover_sums(field.points(j, m), field.near, h, r)
+        keep = (v + (h / r / r * (s2 + far2) + 2 * gamma / r * (s1 + far1))) * grow >= M
+        j, v = j[keep], v[keep]
+        if len(j) == 0:
+            break
+        step //= SUP_REFINE
+        new = np.unique((j[:, None] + step * offsets).ravel() % m)
+        new = new[~evaluated[new]]
+        if len(new):
+            evaluated[new] = True
+            vn = field.abs_S(new, m)
+            M = max(M, float(np.max(vn)))
+            j, v = np.concatenate([j, new]), np.concatenate([v, vn])
+    return M
 
 
 def _magnitudes(x, what: str) -> np.ndarray:

@@ -25,7 +25,7 @@ BOOL, STRING, NAN, INF = True, "8", math.nan, math.inf
 # (entry point and argument, the call with that argument set, its invalid inputs);
 # inf is a valid magnitude for log^+ and log^-
 ENTRY_POINTS = [
-    ("as_roots", as_roots, ([True, False], "x", ["1", "2j"], [None, 1.0])),
+    ("as_roots", as_roots, ([True, False], "x", ["1", "2j"], [None, 1.0], [[1, 2], [3]])),
     ("critical_points roots", critical_points, ([True, False, True], ["1", "-1", "1j"])),
     ("sliced_w1 points", lambda v: sliced_w1(v, ROOTS), ([True, False], "x")),
     ("sliced_w1 directions", lambda v: sliced_w1(ROOTS, [1.0], v), (BOOL, STRING, NAN, INF)),

@@ -127,8 +127,11 @@ def test_pole_on_contour_detected():
         circle_sup_norm([2.0], Circle(0j, 2.0), 64)
     # one root on the contour among many that the series would take
     far = 0.01 * np.exp(2j * np.pi * np.arange(500) / 500)
-    with pytest.raises(PoleOnContourError):
-        circle_abs_S(np.append(far, 2.0j), Circle(0j, 2.0), 64)
+    for m in (64, 4096):
+        with pytest.raises(PoleOnContourError):
+            circle_abs_S(np.append(far, 2.0j), Circle(0j, 2.0), m)
+        with pytest.raises(PoleOnContourError):
+            circle_sup_norm(np.append(far, 2.0j), Circle(0j, 2.0), m)
 
 
 @pytest.mark.parametrize("m", [2.5, True, np.bool_(True), float("nan"), float("inf"),
@@ -279,12 +282,13 @@ def test_target_on_source(y, data):
 
 
 @st.composite
-def _circle_case(draw, max_n=2000):
-    """Roots about a circle: |w| log-uniform from 1e-6 to 1e12 (w = (z - a)/r),
-    optionally a root at the centre and roots a few pole tolerances from
-    the contour, on each side."""
-    a = draw(st.complex_numbers(max_magnitude=5.0))
-    r = draw(st.floats(0.05, 20.0))
+def _circle_case(draw, max_n=2000, circle=None):
+    """Roots about a circle (a, r) (drawn, unless given): |w| log-uniform
+    from 1e-6 to 1e12 (w = (z - a)/r), optionally a root at the centre and
+    roots a few pole tolerances from the contour, on each side."""
+    if circle is None:
+        circle = draw(st.complex_numbers(max_magnitude=5.0)), draw(st.floats(0.05, 20.0))
+    a, r = circle
     n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mod = 10.0 ** rng.uniform(-6.0, 12.0, n)
@@ -365,3 +369,73 @@ def test_series_length_is_the_smallest_meeting_the_bound(rho):
 def test_circle_grid_nesting_property(case):
     roots, c, m = case
     assert np.array_equal(circle_abs_S(roots, c, 2 * m)[::2], circle_abs_S(roots, c, m))
+
+
+@pytest.mark.parametrize("m", [999, 1024])
+def test_circle_values_at_grid_subsets(m):
+    """The evaluator behind `circle_abs_S` gives any subset of the grid
+    indices, in any order, the full grid's values bit for bit, with both
+    series and the direct sum in play."""
+    rng = np.random.default_rng(m)
+    c = Circle(0.1 - 0.2j, 1.5)
+    roots = np.concatenate([rng.standard_cauchy(1500) + 1j * rng.standard_cauchy(1500),
+                            c.center + 1.5 * (1 + rng.uniform(-0.1, 0.1, 50))
+                            * np.exp(2j * np.pi * rng.uniform(0, 1, 50))])
+    field = logderiv._CircleField(as_roots(roots), c)
+    assert field.coef_in is not None and field.coef_out is not None and len(field.near)
+    full = circle_abs_S(roots, c, m)
+    for size in (1, 2, 3, 5, 8, 17, 64, 333):
+        idx = rng.choice(m, size, replace=False)
+        assert np.array_equal(field.abs_S(idx, m), full[idx])
+
+
+@st.composite
+def _sup_norm_case(draw):
+    """A `_circle_case`, optionally on a small circle far from the origin, at
+    one of a fixed set of grid sizes and a scale from 1e-200 to 1e200."""
+    far = draw(st.booleans())
+    roots, c, _ = draw(_circle_case(max_n=600, circle=(-3.0 + 1e3j, 1e-2) if far else None))
+    s = 10.0 ** draw(st.integers(-200, 200))
+    m = draw(st.sampled_from([4096, 1, 2, 3, 7, 41, 1000, 8192]))
+    return roots * s, Circle(c.center * s, c.radius * s), m
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(_sup_norm_case())
+def test_circle_sup_norm_is_the_grid_maximum(case):
+    """The pruned search returns the full grid's maximum bit for bit."""
+    roots, c, m = case
+    assert circle_sup_norm(roots, c, m) == float(np.max(circle_abs_S(roots, c, m)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_circle_sup_norm_prunes_the_grid(monkeypatch, seed):
+    """200 Gaussian roots about a unit circle: under a quarter of the 4096
+    grid points reach the kernel."""
+    direct = logderiv._abs_S_on_points
+    seen = []
+
+    def recording(roots, pts, far=None):
+        seen.append(len(pts))
+        return direct(roots, pts, far)
+
+    monkeypatch.setattr(logderiv, "_abs_S_on_points", recording)
+    roots = sample(BaseMeasure.complex_gaussian(), SeedSpec(seed), 200).samples
+    c, m = Circle(0.1 - 0.2j, 1.0), 4096
+    got = circle_sup_norm(roots, c, m)
+    assert 0 < sum(seen) < m // 4
+    assert got == float(np.max(circle_abs_S(roots, c, m)))
+
+
+@pytest.mark.parametrize("gap", [10 * POLE_RTOL, 1e-9, 1e-4, 0.02])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_circle_sup_norm_near_a_root_off_the_grid(gap, side):
+    """A root closer to the contour than the first pass's cover radius
+    (pi r 64/m, here 0.05), beyond the pole tolerance and between two grid
+    points, sets the maximum, and the search finds it exactly."""
+    roots = sample(BaseMeasure.complex_gaussian(), SeedSpec(4), 200).samples
+    c, m = Circle(0.1 - 0.2j, 1.0), 4096
+    for j in (1000.5, 32.25, 4095.5):
+        z = c.center + (c.radius + side * gap) * np.exp(2j * np.pi * j / m)
+        with_root = np.append(roots, z)
+        assert circle_sup_norm(with_root, c, m) == float(np.max(circle_abs_S(with_root, c, m)))
