@@ -114,8 +114,9 @@ def _cluster_roots(roots: np.ndarray):
 
 def _field_sums(w, z, m, chunk=None):
     """S, S', unweighted pole sum and nearest-root distance at the points w
-    (`chunk` rows per block, by default the kernel's block rule).  m = None
-    means unit multiplicities, where the pole sum is S itself."""
+    (`chunk` rows per block within each worker's range, by default the
+    kernel's block rule).  m = None means unit multiplicities, where the
+    pole sum is S itself."""
     if m is None:
         S, Sp, dmin = cauchy_sums(w, z, squared=(None,), nearest=True, rows=chunk)
         return S, -Sp, S, dmin
@@ -127,7 +128,7 @@ def _initial_iterates(z, m, chunk=None):
     """First-order zero estimates: one candidate near each distinct root
     (displacement m_k/T_k capped at half the nearest-neighbour gap), then the
     two closest candidates merge into their midpoint, leaving q-1 points.
-    m = None means unit multiplicities."""
+    m = None means unit multiplicities; `chunk` as in `_field_sums`."""
     T, dnear = cauchy_sums(z, z, weights=(m,), skip=np.arange(len(z)), nearest=True, rows=chunk)
     with np.errstate(divide="ignore", invalid="ignore"):
         disp = np.where(T != 0, (1.0 if m is None else m) / np.where(T == 0, 1.0, T), dnear / 2)

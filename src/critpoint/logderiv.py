@@ -2,11 +2,19 @@
 
 `cauchy_sums` is the one direct route for every Cauchy sum
 sum_k c_k/(x_i - y_k) (S, S' and the repulsion in the solver, residual
-certificates, `eval_S`, the near roots of a circle grid), with one block
-rule, BLOCK_ELEMS elements per block through reused buffers, and one
+certificates, `eval_S`, the near roots of a circle grid), with one
 coincidence rule: a target on a source gives an infinite term.  Sums near
 the roots cancel, so each row is summed pairwise in source order, whatever
-its block.  `circle_abs_S` evaluates |S| on the grid a + r e^{2 pi i j / m}
+its block.  It and the sup norm's bound pass (`_cover_sums`) share one
+block rule, `_blocked`: a pass over targets x sources that fits in
+BLOCK_ELEMS elements runs as one block in the calling thread; a larger one
+is cut into one contiguous range of rows per CPU the process may run on,
+each range a loop over blocks of BLOCK_ELEMS // workers elements, the
+caller's range in the calling thread and the others in threads that end
+with the call.  All ranges carve their buffers from one allocation, so a
+call holds the same scratch memory at any worker count.  Every row depends
+on its own target alone, so the sums are bit for bit the same however the
+rows are split.  `circle_abs_S` evaluates |S| on the grid a + r e^{2 pi i j / m}
 through one evaluator per (roots, circle), `_CircleField`, which owns the
 pole-on-contour test: roots far from the circle add a truncated Laurent
 series in e^{2 pi i j / m}, summed by Horner's rule at each grid point,
@@ -34,6 +42,8 @@ duplicates in `critical`), and |a| + r for the pole-on-contour test.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +54,11 @@ from .errors import ParameterError, PoleOnContourError, as_complex, as_count, as
 #: and against |a| + r in `circle_abs_S`
 POLE_RTOL = 1e-12
 
-#: elements per block of every blocked pass (targets x sources in
-#: `cauchy_sums`, the metrics in `measures`): 2 MB per complex buffer, so the
-#: allocator reuses freed buffers instead of mapping new pages
+#: elements per blocked pass at a time (targets x sources in `_blocked`,
+#: the metrics in `measures`): 2 MB per complex buffer, so the allocator
+#: reuses freed buffers instead of mapping new pages.  `_blocked` shares it
+#: out: with w workers each range's blocks hold BLOCK_ELEMS // w elements,
+#: and all ranges' buffers are slices of one allocation of the same total
 BLOCK_ELEMS = 1 << 17
 
 #: grid points of the first pass of `circle_sup_norm` (at least), and the
@@ -102,43 +114,115 @@ def _unit_grid(m: int, j=None) -> np.ndarray:
     return np.exp(2j * np.pi * (np.arange(m) if j is None else j) / m)
 
 
+def _workers() -> int:
+    """The CPUs this process may run on (its affinity mask, or the machine's
+    CPU count where there is no affinity call): the ranges of a split pass."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _carve(work: np.ndarray, shape: tuple, widths) -> list:
+    """Consecutive views of the float buffer work, one per width: a complex
+    array of `shape` for width 2, a float one for width 1, None for 0."""
+    size, at, views = shape[0] * shape[1], 0, []
+    for w in widths:
+        part = work[at:at + w * size]
+        views.append((part.view(complex) if w == 2 else part).reshape(shape) if w else None)
+        at += w * size
+    return views
+
+
+def _run_range(block, lo: int, hi: int, step: int, work: np.ndarray) -> None:
+    """The block loop: block(a, b, work) over rows [a, b) of lo..hi, step at a time."""
+    for a in range(lo, hi, step):
+        block(a, min(a + step, hi), work)
+
+
+def _blocked(nx: int, ny: int, width: int, block, rows=None) -> None:
+    """Run block(a, b, work) over row blocks [a, b) covering range(nx) of an
+    nx-by-ny pass, work a float buffer of at least width (b - a) ny entries
+    (width floats per element) that no other block uses at the same time.
+
+    A pass of at most one block (`rows` rows, by default BLOCK_ELEMS // ny)
+    runs inline.  A larger one is cut into w = min(_workers(), nx)
+    contiguous ranges of rows; each range loops over blocks of `rows` rows
+    (by default BLOCK_ELEMS // (w ny)) with its own slice of one buffer.
+    The calling thread runs the first range and a short-lived thread each
+    other one, under the caller's numpy error state; every thread is
+    joined before the call returns, and the first exception of any range
+    is raised in the caller.  numpy releases the GIL inside the ufunc
+    loops, so the ranges run at once.
+    """
+    per_block = BLOCK_ELEMS // max(1, ny)
+    if nx <= (rows or per_block):
+        block(0, nx, np.empty(width * nx * ny))
+        return
+    workers = min(_workers(), nx)
+    bounds = [r * nx // workers for r in range(workers + 1)]
+    step = max(1, min(rows or per_block // workers, -(-nx // workers)))
+    size = width * step * ny
+    work = np.empty(workers * size)
+    err, errors, threads = np.geterr(), [], []
+
+    def worker(r):
+        try:
+            with np.errstate(**err):  # numpy's error state is per thread
+                _run_range(block, bounds[r], bounds[r + 1], step, work[r * size:(r + 1) * size])
+        except BaseException as exc:
+            errors.append(exc)
+
+    try:
+        for r in range(1, workers):
+            threads.append(threading.Thread(target=worker, args=(r,)))
+            threads[-1].start()
+        _run_range(block, 0, bounds[1], step, work[:size])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
     """[sum_k c_k/(x_i - y_k) for c in weights] + [sum_k c_k/(x_i - y_k)^2 for
     c in squared] + [min_k |x_i - y_k|, if nearest], where c = None is weight 1.
 
     Row i leaves out column skip[i]; a target on a source gives a non-finite
-    sum and distance 0.  Blocks of `rows` targets (default BLOCK_ELEMS // len(y))
-    reuse one difference buffer, divided in place, and leave each row's sum alone.
+    sum and distance 0.  Row blocks (`_blocked`, `rows` targets per block)
+    reuse one difference buffer, divided in place, and leave each row's sum
+    alone.  A call of more than one block runs its rows on every CPU in the
+    process's affinity mask (`os.sched_getaffinity`), with the same result
+    bit for bit; start the process under `taskset -c 0` to keep it on one
+    core, in the calling thread alone.
     """
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    step = max(1, min(len(x), rows or BLOCK_ELEMS // max(1, len(y))))
+    ny = len(y)
     # products never overwrite an operand: numpy rounds an in-place product
     # of one-element arrays differently from its vector loop.  The buffers
     # a call needs share one block: glibc gives back a freed heap top of
     # more than twice the largest block it last unmapped, so separate
     # buffers of a larger total would be faulted in again on every call
-    shape, size = (step, len(y)), step * len(y)
     widths = (2, 2 * any(c is not None for c in weights + squared), 2 * bool(squared), nearest)
-    ends = np.cumsum(widths) * size
-    work = np.empty(ends[-1])
-    buf, prod, sq = (work[e - 2 * size:e].view(complex).reshape(shape) if w else None
-                     for w, e in zip(widths[:3], ends))
-    dist = work[ends[2]:].reshape(shape) if nearest else None
     out = [np.empty(len(x), complex) for _ in weights + squared] + [np.empty(len(x))] * nearest
-    for a in range(0, len(x), step):
-        nr = min(step, len(x) - a)
-        D = np.subtract(x[a:a + nr, None], y, out=buf[:nr])
+
+    def block(a, b, work):
+        D, prod, sq, dist = _carve(work, (b - a, ny), widths)
+        np.subtract(x[a:b, None], y, out=D)
         if skip is not None:
-            D[np.arange(nr), skip[a:a + nr]] = np.inf
+            D[np.arange(b - a), skip[a:b]] = np.inf
         if nearest:
-            out[-1][a:a + nr] = np.abs(D, out=dist[:nr]).min(axis=1)
+            out[-1][a:b] = np.abs(D, out=dist).min(axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             R = np.divide(1.0, D, out=D)
             for j, c in enumerate(weights + squared):
-                cR = R if c is None else np.multiply(c, R, out=prod[:nr])
+                cR = R if c is None else np.multiply(c, R, out=prod)
                 if j >= len(weights):
-                    cR = np.multiply(cR, R, out=sq[:nr])
-                out[j][a:a + nr] = cR.sum(axis=1)
+                    cR = np.multiply(cR, R, out=sq)
+                out[j][a:b] = cR.sum(axis=1)
+
+    _blocked(len(x), ny, sum(widths), block, rows)
     return out
 
 
@@ -281,21 +365,22 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     return _CircleField(roots, c).abs_S(np.arange(m), m)
 
 
-def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float):
+def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float, rows=None):
     """(sum_k q_ik, sum_k q_ik^2) with q_ik = scale / (|x_i - y_k| - h),
-    both inf where some |x_i - y_k| <= h; blocked like `cauchy_sums`."""
-    step = max(1, min(len(x), BLOCK_ELEMS // max(1, len(y))))
-    diff, q = np.empty((step, len(y)), complex), np.empty((step, len(y)))
+    both inf where some |x_i - y_k| <= h; blocked by `_blocked`."""
     s1, s2 = np.empty(len(x)), np.empty(len(x))
-    for a in range(0, len(x), step):
-        nr = min(step, len(x) - a)
-        Q = np.abs(np.subtract(x[a:a + nr, None], y, out=diff[:nr]), out=q[:nr])
+
+    def block(a, b, work):
+        diff, Q = _carve(work, (b - a, len(y)), (2, 1))
+        Q = np.abs(np.subtract(x[a:b, None], y, out=diff), out=Q)
         Q -= h
         np.maximum(Q, 0.0, out=Q)
         with np.errstate(divide="ignore"):
             np.divide(scale, Q, out=Q)
-        s1[a:a + nr] = Q.sum(axis=1)
-        s2[a:a + nr] = np.square(Q, out=Q).sum(axis=1)
+        s1[a:b] = Q.sum(axis=1)
+        s2[a:b] = np.square(Q, out=Q).sum(axis=1)
+
+    _blocked(len(x), len(y), 3, block, rows)
     return s1, s2
 
 
@@ -316,7 +401,11 @@ def circle_sup_norm(roots, c: Circle, m: int) -> float:
     holds no value above M and is done; every other cover is evaluated at
     spacing s/SUP_REFINE, at the offsets k s/SUP_REFINE, |k| <=
     SUP_REFINE/2, whose covers together hold it, and so on down to
-    spacing 1.
+    spacing 1.  Once the kept covers hold as many points as are left to
+    evaluate (len(kept) times the spacing), refining them would cost more
+    than the rest of the grid, so every point not yet evaluated is
+    evaluated in one call: with most roots on the contour, no cover is
+    ever pruned.
 
     The bound.  Let u = 2^-53, X_j = a + r e^{2 pi i j/m} the exact grid
     point and v_j the computed |S| at j.  Each root's term of v_j is
@@ -401,6 +490,9 @@ def circle_sup_norm(roots, c: Circle, m: int) -> float:
         j, v = j[keep], v[keep]
         if len(j) == 0:
             break
+        rest = np.flatnonzero(~evaluated)
+        if len(j) * step >= len(rest):
+            return max(M, float(np.max(field.abs_S(rest, m))))
         step //= SUP_REFINE
         new = np.unique((j[:, None] + step * offsets).ravel() % m)
         new = new[~evaluated[new]]

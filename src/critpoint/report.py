@@ -1,8 +1,8 @@
 """Machine-readable experiment reports: report.json + series.csv.
 
 Reports are deterministic given the configuration, except for the
-wall-clock section, which is excluded from series.csv precisely so the CSV
-is byte-identical across reruns.
+wall-clock and environment sections, which are excluded from series.csv
+precisely so the CSV is byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -11,9 +11,23 @@ import csv
 import io
 import json
 import os
+import platform
 from dataclasses import dataclass, field
 
+import numpy as np
+import scipy
+
+from . import logderiv
+
 SCHEMA_VERSION = 1
+
+
+def run_environment() -> dict:
+    """The interpreter and library versions, and the number of ranges the
+    Cauchy-sum kernel splits a large pass into (the CPUs the process may
+    run on)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "kernel_workers": logderiv._workers()}
 
 
 @dataclass(frozen=True)
@@ -37,6 +51,7 @@ class Report:
     rows: list = field(default_factory=list)   # (n, stat_name, value)
     verdicts: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=run_environment)
 
     def add_row(self, n: int, stat: str, value) -> None:
         self.rows.append((int(n), str(stat), float(value)))
@@ -66,6 +81,7 @@ class Report:
             "verdicts": [v.to_json() for v in self.verdicts],
             "passed": self.passed,
             "wall_clock": self.wall_clock,
+            "environment": self.environment,
         }
 
     def series_csv(self) -> str:

@@ -1,14 +1,17 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy
 
 import critpoint
 import critpoint.cli as cli
+import critpoint.logderiv as logderiv
 from critpoint.cli import main, parse_config
 from critpoint.experiments import (EXPERIMENTS, AnticoncentrationConfig,
                                    ConvergenceConfig, GrowthConfig, JensenConfig,
@@ -313,6 +316,29 @@ def test_report_config_reruns_identically(tmp_path, capsys):
     capsys.readouterr()
     csv1 = open(os.path.join(out1, "series.csv"), "rb").read()
     assert csv1 == open(os.path.join(out2, "series.csv"), "rb").read()
+
+
+@pytest.mark.parametrize("experiment", ["convergence", "jensen"])
+def test_report_environment_and_worker_independent_series(tmp_path, capsys, monkeypatch,
+                                                          experiment):
+    """report.json records the library versions and the kernel's worker
+    count outside its rows; a run whose kernel passes are split over three
+    workers writes the series.csv of a run pinned to one."""
+    monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 32)
+    doc = (small_convergence_config if experiment == "convergence" else
+           lambda out: small_config("jensen", out, trials=4))
+    csvs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(logderiv, "_workers", lambda: workers)
+        out = str(tmp_path / f"w{workers}")
+        main(["run", "--config", write(tmp_path, f"c{workers}.json", doc(out)), "--quiet"])
+        rep = json.loads(open(os.path.join(out, "report.json")).read())
+        assert rep["environment"] == {"python": platform.python_version(),
+                                      "numpy": np.__version__, "scipy": scipy.__version__,
+                                      "kernel_workers": workers}
+        csvs.append(open(os.path.join(out, "series.csv"), "rb").read())
+    capsys.readouterr()
+    assert csvs[0] == csvs[1]
 
 
 def test_docstring_lists_every_setting():

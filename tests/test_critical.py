@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpoint.critical as critical
+import critpoint.logderiv as logderiv
 from critpoint.critical import CriticalSet, critical_points, critical_points_oracle
 from critpoint.errors import ConvergenceError, ParameterError
 from critpoint.logderiv import spread
@@ -344,14 +345,20 @@ def test_critical_set_json():
     assert len(doc["residuals"]) == 1
 
 
-def test_unit_weights_match_weighted_ones_bit_for_bit():
+def test_unit_weights_match_weighted_ones_bit_for_bit(monkeypatch):
+    """Unit weights and weights of one agree bit for bit, in one block and
+    split into small blocks over three workers."""
     for kind, n, stream in (("disk", 700, 51), ("gauss", 2, 52), ("gauss", 301, 53)):
         z = _random_roots(kind, n, stream)
         ones = np.ones(n)
         w = critical._initial_iterates(z, ones)
-        assert np.array_equal(critical._initial_iterates(z, None), w)
-        for chunk in (None, 7):
-            unit = critical._field_sums(w, z, None, chunk)
-            weighted = critical._field_sums(w, z, ones, chunk)
-            for a, b in zip(unit, weighted):
-                assert np.array_equal(a, b)
+        want = critical._field_sums(w, z, None)
+        with monkeypatch.context() as mp:
+            for block, workers in ((logderiv.BLOCK_ELEMS, 1), (7 * n, 3)):
+                mp.setattr(logderiv, "BLOCK_ELEMS", block)
+                mp.setattr(logderiv, "_workers", lambda: workers)
+                assert np.array_equal(critical._initial_iterates(z, None), w)
+                unit = critical._field_sums(w, z, None)
+                weighted = critical._field_sums(w, z, ones)
+                for a, b, c in zip(unit, weighted, want):
+                    assert np.array_equal(a, b) and np.array_equal(a, c)

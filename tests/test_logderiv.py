@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -257,14 +261,116 @@ def test_cauchy_sums_matches_pair_loop(case):
 
 
 @_kernel_settings
-@given(_cauchy_case())
-def test_cauchy_sums_independent_of_block_rows(case):
+@given(_cauchy_case(), st.data())
+def test_cauchy_sums_independent_of_block_rows(case, data):
+    """`cauchy_sums` and `_cover_sums` give the one-block result bit for bit
+    at any worker count and block size, weights, squared terms, skips,
+    nearest distances and a target on a source (a non-finite sum) included."""
     x, y, c1, c2, skip = case
-    runs = [cauchy_sums(x, y, weights=(c1, None), squared=(c2,), skip=skip,
-                        nearest=True, rows=rows) for rows in (1, 3, None)]
-    for other in runs[1:]:
-        for a, b in zip(runs[0], other):
-            assert np.array_equal(a, b, equal_nan=True)
+    if data.draw(st.booleans()):
+        x[data.draw(st.integers(0, len(x) - 1))] = y[data.draw(st.integers(0, len(y) - 1))]
+    h, scale = data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.5, 2.0))
+
+    def run(rows):
+        return (cauchy_sums(x, y, weights=(c1, None), squared=(c2,), skip=skip,
+                            nearest=True, rows=rows),
+                cauchy_sums(x, y, squared=(None,), rows=rows),
+                logderiv._cover_sums(x, y, h, scale, rows=rows))
+
+    with np.errstate(divide="ignore", over="ignore"):  # q_ik^2 of a near pair
+        want = run(None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(logderiv, "BLOCK_ELEMS", data.draw(st.sampled_from([1, 5, 16])))
+            for workers in (1, 2, 3, 5):
+                mp.setattr(logderiv, "_workers", lambda: workers)
+                for rows in (1, 3, None):
+                    for got_call, want_call in zip(run(rows), want):
+                        for a, b in zip(got_call, want_call):
+                            assert np.array_equal(a, b, equal_nan=True)
+
+
+def _split_case():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    return x, rng.standard_normal(30) + 1j * rng.standard_normal(30)
+
+
+def test_split_pass_threads_end_with_the_call(monkeypatch):
+    """A split call runs one range per worker, the caller's in the calling
+    thread, and leaves no thread behind; with one worker it starts none."""
+    x, y = _split_case()
+    run_range = logderiv._run_range
+    ran = []
+
+    def recording(block, lo, hi, step, work):
+        ran.append((lo, threading.current_thread()))
+        run_range(block, lo, hi, step, work)
+
+    monkeypatch.setattr(logderiv, "_run_range", recording)
+    monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 64)
+    want = cauchy_sums(x, y, squared=(None,), nearest=True)
+    for workers in (1, 3):
+        monkeypatch.setattr(logderiv, "_workers", lambda: workers)
+        before = threading.active_count()
+        ran.clear()
+        got = cauchy_sums(x, y, squared=(None,), nearest=True)
+        assert threading.active_count() == before
+        assert sorted(lo for lo, _ in ran) == [40 * r // workers for r in range(workers)]
+        assert dict(ran)[0] is threading.current_thread()
+        assert len({id(thread) for _, thread in ran}) == workers
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_split_pass_raises_a_worker_error_in_the_caller(monkeypatch):
+    """An exception in a range run by another thread reaches the caller, and
+    every thread is joined first."""
+    x, y = _split_case()
+    run_range = logderiv._run_range
+
+    def failing(block, lo, hi, step, work):
+        if lo > 0:
+            raise ValueError(f"range from {lo}")
+        run_range(block, lo, hi, step, work)
+
+    monkeypatch.setattr(logderiv, "_run_range", failing)
+    monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 64)
+    monkeypatch.setattr(logderiv, "_workers", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="range from"):
+        cauchy_sums(x, y)
+    with pytest.raises(ValueError, match="range from"):
+        logderiv._cover_sums(x, y, 0.1, 1.0)
+    assert threading.active_count() == before
+
+
+def test_split_pass_keeps_the_callers_error_state(monkeypatch):
+    """Every range runs under the caller's numpy error state: an overflow
+    in the last range is ignored, or raised, as the caller asked."""
+    x, y = _split_case()
+    x[-1] = 1e308
+    y[0] = -1e308
+    monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 64)
+    monkeypatch.setattr(logderiv, "_workers", lambda: 3)
+    with np.errstate(over="ignore"):
+        (S,) = cauchy_sums(x, y)
+    assert np.all(np.isfinite(S))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        cauchy_sums(x, y)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_workers_follow_the_cpu_affinity():
+    """The kernel's worker count is the process's CPU affinity: a process
+    pinned to one CPU splits nothing."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logderiv.__file__)))
+    code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from critpoint import logderiv; print(logderiv._workers())")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                       env=dict(os.environ, PYTHONPATH=src))
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "1"
+    assert logderiv._workers() == len(os.sched_getaffinity(0))
 
 
 @_kernel_settings
@@ -425,6 +531,29 @@ def test_circle_sup_norm_prunes_the_grid(monkeypatch, seed):
     got = circle_sup_norm(roots, c, m)
     assert 0 < sum(seen) < m // 4
     assert got == float(np.max(circle_abs_S(roots, c, m)))
+
+
+@pytest.mark.parametrize("lo, hi", [(-9.0, -1.0), (-9.0, -3.0)])
+def test_circle_sup_norm_on_roots_hugging_the_contour(monkeypatch, lo, hi):
+    """With most roots closer to the contour than the first pass's cover
+    radius, no cover can be pruned: after the first pass the rest of the
+    grid goes to the kernel in one call, so each grid point is evaluated
+    once, and the value is still the grid maximum."""
+    direct = logderiv._abs_S_on_points
+    seen = []
+
+    def recording(roots, pts, far=None):
+        seen.append(len(pts))
+        return direct(roots, pts, far)
+
+    rng = np.random.default_rng(int(-hi))
+    n, c, m = 1000, Circle(0.1 - 0.2j, 1.0), 4096
+    gap = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+    roots = c.center + (1.0 + gap) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    want = float(np.max(circle_abs_S(roots, c, m)))
+    monkeypatch.setattr(logderiv, "_abs_S_on_points", recording)
+    assert circle_sup_norm(roots, c, m) == want
+    assert seen == [m // 64, m - m // 64]
 
 
 @pytest.mark.parametrize("gap", [10 * POLE_RTOL, 1e-9, 1e-4, 0.02])
