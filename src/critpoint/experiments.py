@@ -20,12 +20,12 @@ from . import mobius as mb
 from .critical import critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError, as_complex, as_count, as_list, as_positive, as_real)
-from .logderiv import (BLOCK_ELEMS, Circle, circle_abs_S, circle_sup_norm, eval_S, log_minus,
-                       log_plus)
+from .logderiv import (BLOCK_ELEMS, Circle, _blocked, _carve, circle_abs_S, circle_sup_norm, eval_S,
+                       log_minus, log_plus)
 from .measures import (log_minus_integral, reference_quantization, sliced_w1,
                        sliced_w1_many, quadrant_discrepancy)
 from .report import Report
-from .sampler import BaseMeasure, SeedSpec, sample
+from .sampler import TRANSFORM_BLOCK, BaseMeasure, SeedSpec, sample
 
 # substream purposes (never reuse a number)
 _P_TRAJECTORY = 1
@@ -297,9 +297,15 @@ def run_jensen(config: JensenConfig) -> Report:
         passed = 0
         skipped = 0
         gaps = []
+        # one transform block of roots at a time: each batch is held through
+        # its trials' solves
+        batch = max(1, TRANSFORM_BLOCK // n)
         for t in range(config.trials):
-            roots = sample(config.measure,
-                           config.seed.substream(_P_JENSEN_ROOTS, t), n).samples
+            if t % batch == 0:  # the roots of trials t.. t + batch - 1, one row each
+                streams = config.seed.substreams(
+                    _P_JENSEN_ROOTS, np.arange(t, min(t + batch, config.trials)))
+                drawn = sample(config.measure, config.seed, n, streams).samples
+            roots = drawn[t % batch]
             cs = critical_points(roots, tol=config.tol_solver)
             chosen = None
             for attempt in range(_MOBIUS_ATTEMPTS):
@@ -361,6 +367,32 @@ def _check_probes_nondegenerate(measure: BaseMeasure, probes) -> None:
             "(infinite support, or more atoms than probes)")
 
 
+def _probe_sums(paths, ns, probes, aproj, bproj) -> np.ndarray:
+    """acc[k, r, i] = a Re S + b Im S at probes[i] of the first ns[k] points
+    of path row r, (a, b) = (aproj, bproj), accumulated segment by segment
+    with each segment's real and imaginary parts summed pairwise.  Not
+    `cauchy_sums`: each row has its own sources, and the per-part sums
+    round differently from its complex ones.  Row blocks run on every CPU
+    (`_blocked`); every row is its own, so the split changes no bit."""
+    acc = np.zeros((len(ns), len(paths), len(probes)))
+
+    def block(a, b, work):
+        run, prev = np.zeros((b - a, len(probes))), 0
+        for k, n in enumerate(ns):
+            seg = paths[a:b, prev:n]
+            D, V = _carve(work, seg.shape, (2, 2))
+            for pi, probe in enumerate(probes):
+                np.subtract(probe, seg, out=D)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(1.0, D, out=V)
+                run[:, pi] += aproj * V.real.sum(axis=1) + bproj * V.imag.sum(axis=1)
+            acc[k, a:b] = run
+            prev = n
+
+    _blocked(len(paths), ns[-1], 4, block)
+    return acc
+
+
 def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
     """Concentration-function decay of (S_n(z_1), ..., S_n(z_d)).
 
@@ -383,27 +415,22 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
     trials = config.trials
     hits = {n: 0 for n in ns}
     batch = max(1, BLOCK_ELEMS // nmax)
+    clock = rep.wall_clock
+    clock["sample"] = clock["probe_sums"] = 0.0
     for t0 in range(0, trials, batch):
-        bn = min(batch, trials - t0)
-        paths = np.empty((2, bn, nmax), dtype=complex)
-        for half in range(2):
-            for bi in range(bn):
-                st = config.seed.substream(_P_ANTICONC, 2 * (t0 + bi) + half)
-                paths[half, bi] = sample(config.measure, st, nmax).samples
-        acc = np.zeros((2, bn, d))
-        prev = 0
-        for n in ns:
-            for half in range(2):
-                seg = paths[half][:, prev:n]
-                # inline, not `cauchy_sums`: each trial row has its own sources
-                for pi in range(d):
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        V = 1.0 / (probes[pi] - seg)
-                    acc[half, :, pi] += aproj * V.real.sum(axis=1) + bproj * V.imag.sum(axis=1)
-            prev = n
-            delta = acc[0] - acc[1]
+        t_sample = time.perf_counter()
+        # row 2 i + half: path `half` of trial t0 + i
+        streams = config.seed.substreams(
+            _P_ANTICONC, np.arange(2 * t0, 2 * min(t0 + batch, trials)))
+        paths = sample(config.measure, config.seed, nmax, streams).samples
+        t_sums = time.perf_counter()
+        acc = _probe_sums(paths, ns, probes, aproj, bproj)
+        for k, n in enumerate(ns):
+            delta = acc[k, 0::2] - acc[k, 1::2]
             norms = np.sqrt((delta * delta).sum(axis=1))
             hits[n] += int(np.count_nonzero(norms <= r_ball))
+        clock["sample"] += t_sums - t_sample
+        clock["probe_sums"] += time.perf_counter() - t_sums
     fit_pts = []
     for n in ns:
         p = hits[n] / trials

@@ -1,15 +1,55 @@
 """Shared test-side helpers: convex hulls for Gauss-Lucas checks, the
-optimal-pairing distance between two point multisets, and affine maps."""
+optimal-pairing distance between two point multisets, affine maps, and a
+trial-by-trial oracle of the anti-concentration hits."""
+
+import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from critpoint.experiments import _P_ANTICONC
 from critpoint.mobius import MobiusTransform
+from critpoint.sampler import sample
 
 
 def affine(alpha, beta=0):
     """The Mobius transform z -> alpha z + beta (alpha = 1, beta = 0 is the identity)."""
     return MobiusTransform(alpha, beta, 0, 1)
+
+
+def projected_probe_sums(path, ns, probes, aproj, bproj) -> np.ndarray:
+    """acc[k, i]: aproj Re S + bproj Im S at probes[i] of the first ns[k]
+    points of one path, accumulated segment by segment, each segment's real
+    and imaginary parts summed pairwise, as the experiment first did it."""
+    row = np.asarray(path)[None, :]
+    acc, run, prev = np.zeros((len(ns), len(probes))), np.zeros((1, len(probes))), 0
+    for k, n in enumerate(ns):
+        seg = row[:, prev:n]
+        for pi in range(len(probes)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                V = 1.0 / (probes[pi] - seg)
+            run[:, pi] += aproj * V.real.sum(axis=1) + bproj * V.imag.sum(axis=1)
+        acc[k] = run[0]
+        prev = n
+    return acc
+
+
+def anticoncentration_hits(config) -> dict:
+    """n -> hits of run_anticoncentration(config), one trial at a time: each
+    of the trial's two paths from its own `sample` call and its own
+    `projected_probe_sums`."""
+    probes = np.asarray(config.probes, dtype=complex)
+    r_ball = config.r_ball if config.r_ball is not None else math.sqrt(len(probes))
+    ns = config.n_schedule
+    hits = {n: 0 for n in ns}
+    for t in range(config.trials):
+        acc = [projected_probe_sums(
+            sample(config.measure, config.seed.substream(_P_ANTICONC, 2 * t + half),
+                   ns[-1]).samples, ns, probes, *config.projection) for half in range(2)]
+        delta = acc[0] - acc[1]
+        for n, norm in zip(ns, np.sqrt((delta * delta).sum(axis=1))):
+            hits[n] += int(norm <= r_ball)
+    return hits
 
 
 def multiset_match_distance(a, b) -> float:

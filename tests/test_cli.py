@@ -318,7 +318,7 @@ def test_report_config_reruns_identically(tmp_path, capsys):
     assert csv1 == open(os.path.join(out2, "series.csv"), "rb").read()
 
 
-@pytest.mark.parametrize("experiment", ["convergence", "jensen"])
+@pytest.mark.parametrize("experiment", ["convergence", "jensen", "anticoncentration"])
 def test_report_environment_and_worker_independent_series(tmp_path, capsys, monkeypatch,
                                                           experiment):
     """report.json records the library versions and the kernel's worker
@@ -326,7 +326,7 @@ def test_report_environment_and_worker_independent_series(tmp_path, capsys, monk
     workers writes the series.csv of a run pinned to one."""
     monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 32)
     doc = (small_convergence_config if experiment == "convergence" else
-           lambda out: small_config("jensen", out, trials=4))
+           lambda out: small_config(experiment, out, trials=4))
     csvs = []
     for workers in (1, 3):
         monkeypatch.setattr(logderiv, "_workers", lambda: workers)
@@ -336,6 +336,8 @@ def test_report_environment_and_worker_independent_series(tmp_path, capsys, monk
         assert rep["environment"] == {"python": platform.python_version(),
                                       "numpy": np.__version__, "scipy": scipy.__version__,
                                       "kernel_workers": workers}
+        if experiment == "anticoncentration":  # its phases, outside the rows
+            assert {"sample", "probe_sums", "total"} <= set(rep["wall_clock"])
         csvs.append(open(os.path.join(out, "series.csv"), "rb").read())
     capsys.readouterr()
     assert csvs[0] == csvs[1]

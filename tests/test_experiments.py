@@ -12,11 +12,12 @@ from critpoint.experiments import (AnticoncentrationConfig, ConvergenceConfig,
                                    run_anticoncentration, run_convergence,
                                    run_experiment, run_growth, run_jensen,
                                    run_lln_logminus)
+from critpoint import logderiv
 from critpoint.logderiv import Circle, circle_sup_norm, eval_S
 from critpoint.measures import from_points, log_minus_integral
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
 
-from helpers import affine
+from helpers import affine, anticoncentration_hits, projected_probe_sums
 
 
 CIRCLE = BaseMeasure.uniform_circle()
@@ -224,6 +225,67 @@ def test_anticoncentration_inconclusive_verdict():
     rep = run_anticoncentration(cfg)
     assert not rep.passed
     assert any("inconclusive" in str(v.observed) for v in rep.verdicts)
+
+
+@pytest.mark.parametrize("measure", [
+    CIRCLE, BaseMeasure.finite_support([1, -1, 1j, -1j, 0.5 + 0.5j], [0.2] * 5)],
+    ids=lambda m: m.kind)
+def test_anticoncentration_independent_of_batching_and_workers(measure, monkeypatch):
+    # 23 trials: batches of 3 or 2 trials leave a partial last batch, and
+    # the blocks of 48 or 40 elements split each batch's rows over workers
+    default = logderiv.BLOCK_ELEMS
+    for seed in (SeedSpec(3, 0), SeedSpec(8, 2), SeedSpec(4, 0)):
+        cfg = AnticoncentrationConfig(measure=measure, n_schedule=(4, 9, 16), trials=23,
+                                      seed=seed)
+        want = anticoncentration_hits(cfg)
+        assert 0 < sum(want.values())
+        csvs = set()
+        for workers, block_elems in ((1, default), (2, 48), (3, 40), (1, 40)):
+            monkeypatch.setattr(logderiv, "_workers", lambda: workers)
+            monkeypatch.setattr(logderiv, "BLOCK_ELEMS", block_elems)
+            monkeypatch.setattr(experiments, "BLOCK_ELEMS", block_elems)
+            rep = run_anticoncentration(cfg)
+            assert rep.stats("hits") == want
+            csvs.add(rep.series_csv())
+        assert len(csvs) == 1
+
+
+@pytest.mark.parametrize("workers, block_elems", [(1, None), (2, 300), (3, 64)])
+def test_probe_sums_match_one_path_at_a_time(workers, block_elems, monkeypatch):
+    # bit for bit, at any split of the rows; a root on a probe gives NaN
+    monkeypatch.setattr(logderiv, "_workers", lambda: workers)
+    if block_elems is not None:
+        monkeypatch.setattr(logderiv, "BLOCK_ELEMS", block_elems)
+    seed, ns = SeedSpec(5, 1), (3, 10, 40)
+    paths = np.array(sample(BaseMeasure.complex_gaussian(), seed, ns[-1],
+                            seed.substreams(5, np.arange(9))).samples)
+    probes = np.array([0.5, 2j, -1 - 1j, paths[4, 7]])
+    acc = experiments._probe_sums(paths, ns, probes, 0.3, -1.7)
+    assert acc.shape == (len(ns), len(paths), len(probes))
+    for r, path in enumerate(paths):
+        want = projected_probe_sums(path, ns, probes, 0.3, -1.7)
+        assert np.array_equal(acc[:, r], want, equal_nan=True), r
+    assert np.isfinite(acc[0, 4, 3]) and np.isnan(acc[1:, 4, 3]).all()
+
+
+def test_jensen_draws_every_trials_roots_by_batch(monkeypatch):
+    # each trial's roots are bit for bit its own stream's, at any batch size
+    cfg = JensenConfig(measure=BaseMeasure.complex_gaussian(), n_schedule=(5, 12), trials=7,
+                       seed=SeedSpec(2, 0), m_circle=128)
+    solved = []
+    solve = experiments.critical_points
+    monkeypatch.setattr(experiments, "critical_points",
+                        lambda roots, **kw: solved.append(roots) or solve(roots, **kw))
+    csvs = set()
+    for points in (experiments.TRANSFORM_BLOCK, 24):  # 24: batches of 4 and 2 trials
+        monkeypatch.setattr(experiments, "TRANSFORM_BLOCK", points)
+        solved.clear()
+        csvs.add(run_jensen(cfg).series_csv())
+        want = [sample(cfg.measure, cfg.seed.substream(experiments._P_JENSEN_ROOTS, t),
+                       n).samples for n in cfg.n_schedule for t in range(cfg.trials)]
+        assert len(solved) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(solved, want))
+    assert len(csvs) == 1
 
 
 def test_growth_single_atom_ratio():

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.random import Philox
 
+from critpoint import logderiv
 from critpoint.errors import ParameterError, as_complex, as_int, as_real
 from critpoint.measures import reference_quantization
-from critpoint.sampler import BaseMeasure, SeedSpec, sample
+from critpoint.sampler import BaseMeasure, SeedSpec, _philox_keys, sample
 
 ALL_MEASURES = [
     BaseMeasure.finite_support([1, -1, 2j], [0.2, 0.5, 0.3]),
@@ -74,6 +78,116 @@ def test_substreams_are_distinct():
     s = SeedSpec(4, 4)
     ids = {s.substream(p, i).stream_id for p in range(6) for i in range(50)}
     assert len(ids) == 300
+
+
+#: (stream_id, purpose, index) -> SeedSpec(., stream_id).substream(purpose, index).stream_id
+PINNED_SUBSTREAMS = {
+    (0, 1, 0): 4964578127960768432,
+    (0, 5, 0): 138435732662085109,
+    (0, 5, 1): 16267658029545905998,
+    (0, 5, 15999): 5671102723062785930,
+    (0, 3, 199): 2046990460878057021,
+    (0, 2, 0): 15415986080105920549,
+    (12345, 4, 899): 16803385862620987373,
+    (9, 6, 0): 10944706968659172507,
+    (2**63, 1, 0): 17543915942424499765,
+    (2**64 - 1, 7, 2**40): 6082143769122737660,
+}
+
+
+def test_substream_ids_are_pinned():
+    # a refactor of the mixer must move no stream: these ids name every
+    # experiment's samples, the references included
+    for (stream, purpose, index), want in PINNED_SUBSTREAMS.items():
+        for master in (0, 4, 2**64 - 1):  # the master seed is not mixed in
+            got = SeedSpec(master, stream).substream(purpose, index)
+            assert got == SeedSpec(master, want)
+        assert int(SeedSpec(1, stream).substreams(purpose, [index])[0]) == want
+
+
+def test_substreams_is_substream_for_every_index():
+    s = SeedSpec(4, 0)
+    idx = np.arange(5000)
+    ids = s.substreams(5, idx)
+    assert ids.dtype == np.uint64 and ids.shape == (5000,)
+    assert [int(v) for v in ids] == [s.substream(5, int(i)).stream_id for i in idx]
+    assert 2000 < np.count_nonzero(ids >= np.uint64(2**63)) < 3000
+
+
+WORDS = [0, 1, 7, 2**53 + 1, 2**62 + 3, 2**63 - 1, 2**63, 2**63 + 7, 2**63 + 1024,
+         2**63 + 1025, 2**63 + 3072, 2**64 - 2049, 2**64 - 1025]
+
+
+def test_philox_key_is_numpys_key_of_the_seed_list():
+    # the rule numpy applies to Philox(key=[master_seed, stream_id]), with
+    # float64 rounding where one word is below 2**63 and one is not
+    for master in WORDS:
+        keys = _philox_keys(master, WORDS)
+        for key, stream in zip(keys, WORDS):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want = Philox(key=[master, stream]).state["state"]["key"]
+            assert np.array_equal(key, want), (master, stream)
+            assert np.array_equal(_philox_keys(master, stream)[0], want)
+
+
+def test_philox_keys_alias_above_two_to_the_63():
+    # kept bit for bit: ids that round to one double share one stream
+    m = BaseMeasure.uniform_disk()
+    a = sample(m, SeedSpec(1, 2**63 + 7), 8).samples
+    assert np.array_equal(a, sample(m, SeedSpec(1, 2**63 + 8), 8).samples)
+    assert not np.array_equal(a, sample(m, SeedSpec(1, 2**63 + 2048 + 7), 8).samples)
+    assert not np.array_equal(sample(m, SeedSpec(1, 2**63 - 2), 8).samples,
+                              sample(m, SeedSpec(1, 2**63 - 1), 8).samples)
+    # both words at or above 2**63: exact
+    assert not np.array_equal(sample(m, SeedSpec(2**63, 2**63 + 7), 8).samples,
+                              sample(m, SeedSpec(2**63, 2**63 + 8), 8).samples)
+
+
+@pytest.mark.parametrize("master, stream", [(1, 2**64 - 1024), (1, 2**64 - 1),
+                                            (2**64 - 1, 0), (2**64 - 1000, 5)])
+def test_seed_words_without_a_key_are_rejected(master, stream):
+    # numpy would cast 2.0**64 to uint64: key 0, stream 0's samples, on this platform
+    spec = SeedSpec(master, stream)
+    with pytest.raises(ParameterError):
+        spec.generator()
+    with pytest.raises(ParameterError):
+        sample(BaseMeasure.uniform_circle(), spec, 4)
+    with pytest.raises(ParameterError):
+        sample(BaseMeasure.uniform_circle(), SeedSpec(master, 0), 4, [5, stream])
+
+
+@pytest.mark.parametrize("workers, block_elems", [(1, None), (3, 5), (2, 64)])
+@pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.kind)
+def test_batched_draws_match_per_path_draws(measure, workers, block_elems, monkeypatch):
+    monkeypatch.setattr(logderiv, "_workers", lambda: workers)
+    if block_elems is not None:
+        monkeypatch.setattr(logderiv, "BLOCK_ELEMS", block_elems)
+    seed = SeedSpec(6, 11)
+    derived = seed.substreams(5, np.arange(9))
+    ids = np.concatenate([derived, np.array([0, 2**63 - 1, 2**63, 2**63 + 4097,
+                                             2**64 - 1025], dtype=np.uint64)])
+    for count in (1, 2, 7, 800, 801):
+        t = sample(measure, seed, count, ids)
+        assert t.samples.shape == (len(ids), count) and not t.samples.flags.writeable
+        for i, row in enumerate(t.samples):
+            one = (sample(measure, seed.substream(5, i), count) if i < len(derived)
+                   else sample(measure, SeedSpec(seed.master_seed, int(ids[i])), count))
+            assert np.array_equal(row, one.samples), (count, i)
+        # a subset of the rows, in another order, as a list: the same rows
+        sub = [int(ids[k]) for k in (12, 3, 4, 0)]
+        assert np.array_equal(sample(measure, seed, count, sub).samples,
+                              t.samples[[12, 3, 4, 0]])
+
+
+def test_batched_draw_arguments():
+    m, seed = BaseMeasure.uniform_circle(), SeedSpec(1, 2)
+    assert sample(m, seed, 3, []).samples.shape == (0, 3)
+    assert np.array_equal(sample(m, seed, 3, np.array([4, 5], dtype=np.uint64)).samples,
+                          sample(m, seed, 3, [4, 5]).samples)
+    for bad in ([-1], [1.5], [True], [2**64], "12", [[1, 2]], np.array([[1, 2]], np.uint64)):
+        with pytest.raises(ParameterError):
+            sample(m, seed, 3, bad)
 
 
 @pytest.mark.parametrize("bad", [
