@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .critical import DUPLICATE_RTOL, critical_points
+from .critical import DEFAULT_TOL, DUPLICATE_RTOL, critical_points
 from .errors import ConvergenceError, CritpointError, ParameterError, as_complex
 from .experiments import EXPERIMENTS, run_experiment
 from .sampler import SeedSpec
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     critp = sub.add_parser("critical", help="critical points of an explicit root list")
     critp.add_argument("--roots", required=True, help="JSON array of [re, im] root pairs")
-    critp.add_argument("--tol", type=float, default=1e-10,
+    critp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="solver tolerance, relative to the roots' spread about their "
                             "centroid: it bounds each dimensionless certificate "
                             "|S(w)| min_k |w - z_k|; roots within "

@@ -17,10 +17,10 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import mobius as mb
-from .critical import critical_points
+from .critical import DEFAULT_TOL, critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError, as_complex, as_count, as_list, as_positive, as_real)
-from .logderiv import (BLOCK_ELEMS, Circle, _blocked, _carve, circle_abs_S, circle_sup_norm, eval_S,
+from .logderiv import (BLOCK_ELEMS, Circle, cauchy_sums, circle_abs_S, circle_sup_norm, eval_S,
                        log_minus, log_plus)
 from .measures import (log_minus_integral, reference_quantization, sliced_w1,
                        sliced_w1_many, quadrant_discrepancy)
@@ -132,7 +132,7 @@ def _to_json(v):
 class ConvergenceConfig(BaseConfig):
     experiment = "convergence"
     n_schedule: tuple = _setting(_schedule(2))  # the solver needs two roots
-    tol_solver: float = _setting(as_positive, 1e-10)
+    tol_solver: float = _setting(as_positive, DEFAULT_TOL)
     directions: int = _setting(as_count, 64)
     R_infty: float = _setting(as_real, 10.0)
     k_reference: int = _setting(as_count, 100_000)
@@ -145,7 +145,7 @@ class JensenConfig(BaseConfig):
     experiment = "jensen"
     n_schedule: tuple = _setting(_schedule(2))  # the solver needs two roots
     trials: int = _setting(as_count, 1)
-    tol_solver: float = _setting(as_positive, 1e-10)
+    tol_solver: float = _setting(as_positive, DEFAULT_TOL)
     m_circle: int = _setting(as_count, 4096)
     jensen_pass_rate: float = _setting(as_real, 0.99)
     jensen_slack: float = _setting(as_real, 0.05)
@@ -369,27 +369,14 @@ def _check_probes_nondegenerate(measure: BaseMeasure, probes) -> None:
 
 def _probe_sums(paths, ns, probes, aproj, bproj) -> np.ndarray:
     """acc[k, r, i] = a Re S + b Im S at probes[i] of the first ns[k] points
-    of path row r, (a, b) = (aproj, bproj), accumulated segment by segment
-    with each segment's real and imaginary parts summed pairwise.  Not
-    `cauchy_sums`: each row has its own sources, and the per-part sums
-    round differently from its complex ones.  Row blocks run on every CPU
-    (`_blocked`); every row is its own, so the split changes no bit."""
-    acc = np.zeros((len(ns), len(paths), len(probes)))
-
-    def block(a, b, work):
-        run, prev = np.zeros((b - a, len(probes))), 0
-        for k, n in enumerate(ns):
-            seg = paths[a:b, prev:n]
-            D, V = _carve(work, seg.shape, (2, 2))
-            for pi, probe in enumerate(probes):
-                np.subtract(probe, seg, out=D)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(1.0, D, out=V)
-                run[:, pi] += aproj * V.real.sum(axis=1) + bproj * V.imag.sum(axis=1)
-            acc[k, a:b] = run
-            prev = n
-
-    _blocked(len(paths), ns[-1], 4, block)
+    of path row r, (a, b) = (aproj, bproj), accumulated segment by segment,
+    each segment's sums from the row form of `cauchy_sums`."""
+    acc = np.empty((len(ns), len(paths), len(probes)))
+    run, prev = np.zeros((len(paths), len(probes))), 0
+    for k, n in enumerate(ns):
+        (S,) = cauchy_sums(np.broadcast_to(probes, run.shape), paths[:, prev:n])
+        run += aproj * S.real + bproj * S.imag
+        acc[k], prev = run, n
     return acc
 
 

@@ -2,19 +2,21 @@
 
 `cauchy_sums` is the one direct route for every Cauchy sum
 sum_k c_k/(x_i - y_k) (S, S' and the repulsion in the solver, residual
-certificates, `eval_S`, the near roots of a circle grid), with one
-coincidence rule: a target on a source gives an infinite term.  Sums near
-the roots cancel, so each row is summed pairwise in source order, whatever
-its block.  It and the sup norm's bound pass (`_cover_sums`) share one
-block rule, `_blocked`: a pass over targets x sources that fits in
-BLOCK_ELEMS elements runs as one block in the calling thread; a larger one
-is cut into one contiguous range of rows per CPU the process may run on,
-each range a loop over blocks of BLOCK_ELEMS // workers elements, the
-caller's range in the calling thread and the others in threads that end
+certificates, `eval_S`, the near roots of a circle grid, the probe sums of
+anticoncentration along each sample path), with one coincidence rule: a
+target on a source gives an infinite term.  Its rows are one target each
+against shared sources, or t targets each against the row's own sources.
+Sums near the roots cancel, so each target is summed pairwise in source
+order, whatever its block.  It and the sup norm's bound pass (`_cover_sums`)
+share one block rule, `_blocked`: a pass of rows x elements per row that
+fits in BLOCK_ELEMS elements runs as one block in the calling thread; a
+larger one is cut into one contiguous range of rows per CPU the process may
+run on, each range a loop over blocks of BLOCK_ELEMS // workers elements,
+the caller's range in the calling thread and the others in threads that end
 with the call.  All ranges carve their buffers from one allocation, so a
 call holds the same scratch memory at any worker count.  Every row depends
-on its own target alone, so the sums are bit for bit the same however the
-rows are split.  `circle_abs_S` evaluates |S| on the grid a + r e^{2 pi i j / m}
+on its own targets and sources alone, so the sums are bit for bit the same
+however the rows are split.  `circle_abs_S` evaluates |S| on the grid a + r e^{2 pi i j / m}
 through one evaluator per (roots, circle), `_CircleField`, which owns the
 pole-on-contour test: roots far from the circle add a truncated Laurent
 series in e^{2 pi i j / m}, summed by Horner's rule at each grid point,
@@ -126,7 +128,7 @@ def _workers() -> int:
 def _carve(work: np.ndarray, shape: tuple, widths) -> list:
     """Consecutive views of the float buffer work, one per width: a complex
     array of `shape` for width 2, a float one for width 1, None for 0."""
-    size, at, views = shape[0] * shape[1], 0, []
+    size, at, views = math.prod(shape), 0, []
     for w in widths:
         part = work[at:at + w * size]
         views.append((part.view(complex) if w == 2 else part).reshape(shape) if w else None)
@@ -189,40 +191,43 @@ def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, row
     """[sum_k c_k/(x_i - y_k) for c in weights] + [sum_k c_k/(x_i - y_k)^2 for
     c in squared] + [min_k |x_i - y_k|, if nearest], where c = None is weight 1.
 
-    Row i leaves out column skip[i]; a target on a source gives a non-finite
-    sum and distance 0.  Row blocks (`_blocked`, `rows` targets per block)
-    reuse one difference buffer, divided in place, and leave each row's sum
-    alone.  A call of more than one block runs its rows on every CPU in the
-    process's affinity mask (`os.sched_getaffinity`), with the same result
-    bit for bit; start the process under `taskset -c 0` to keep it on one
-    core, in the calling thread alone.
+    x of shape (q,) against shared sources y of shape (n,), or in the row
+    form x of shape (R, t) against y of shape (R, n), row r's targets against
+    row r's sources (weights None, no skip); results have x's shape.  Row i
+    leaves out column skip[i]; a target on a source gives a non-finite sum
+    and distance 0.  Row blocks (`_blocked`, `rows` rows per block) reuse one
+    difference buffer, divided in place, and leave each target's sum alone.
+    A call of more than one block runs its rows on every CPU in the process's
+    affinity mask (`os.sched_getaffinity`), with the same result bit for bit;
+    start the process under `taskset -c 0` to keep it on one core, in the
+    calling thread alone.
     """
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    ny = len(y)
+    row = x.shape[1:] + y.shape[-1:]  # a row's pairs: (n,), or (t, n) in the row form
     # products never overwrite an operand: numpy rounds an in-place product
     # of one-element arrays differently from its vector loop.  The buffers
     # a call needs share one block: glibc gives back a freed heap top of
     # more than twice the largest block it last unmapped, so separate
     # buffers of a larger total would be faulted in again on every call
     widths = (2, 2 * any(c is not None for c in weights + squared), 2 * bool(squared), nearest)
-    out = [np.empty(len(x), complex) for _ in weights + squared] + [np.empty(len(x))] * nearest
+    out = [np.empty(x.shape, complex) for _ in weights + squared] + [np.empty(x.shape)] * nearest
 
     def block(a, b, work):
-        D, prod, sq, dist = _carve(work, (b - a, ny), widths)
-        np.subtract(x[a:b, None], y, out=D)
+        D, prod, sq, dist = _carve(work, (b - a,) + row, widths)
+        np.subtract(x[a:b, ..., None], y if y.ndim == 1 else y[a:b, None], out=D)
         if skip is not None:
             D[np.arange(b - a), skip[a:b]] = np.inf
         if nearest:
-            out[-1][a:b] = np.abs(D, out=dist).min(axis=1)
+            out[-1][a:b] = np.abs(D, out=dist).min(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             R = np.divide(1.0, D, out=D)
             for j, c in enumerate(weights + squared):
                 cR = R if c is None else np.multiply(c, R, out=prod)
                 if j >= len(weights):
                     cR = np.multiply(cR, R, out=sq)
-                out[j][a:b] = cR.sum(axis=1)
+                out[j][a:b] = cR.sum(axis=-1)
 
-    _blocked(len(x), ny, sum(widths), block, rows)
+    _blocked(len(x), math.prod(row), sum(widths), block, rows)
     return out
 
 
@@ -365,7 +370,7 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     return _CircleField(roots, c).abs_S(np.arange(m), m)
 
 
-def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float, rows=None):
+def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float):
     """(sum_k q_ik, sum_k q_ik^2) with q_ik = scale / (|x_i - y_k| - h),
     both inf where some |x_i - y_k| <= h; blocked by `_blocked`."""
     s1, s2 = np.empty(len(x)), np.empty(len(x))
@@ -380,7 +385,7 @@ def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float, rows=None)
         s1[a:b] = Q.sum(axis=1)
         s2[a:b] = np.square(Q, out=Q).sum(axis=1)
 
-    _blocked(len(x), len(y), 3, block, rows)
+    _blocked(len(x), len(y), 3, block)
     return s1, s2
 
 

@@ -120,9 +120,15 @@ class SeedSpec:
         return SeedSpec(self.master_seed, int(self.substreams(purpose, index)))
 
     def substreams(self, purpose: int, indexes) -> np.ndarray:
-        """The stream ids of substream(purpose, i) for every i of indexes
-        (an array of non-negative integers), as a uint64 array, in one pass."""
-        return _mix64(self.stream_id, purpose, indexes)
+        """The stream ids of substream(purpose, i) for every i of indexes, as
+        a uint64 array, in one pass.  ParameterError unless purpose is an
+        integer and indexes an integer or an array of an integer dtype, all
+        in [0, 2**64)."""
+        purpose, idx = np.asarray(purpose), np.asarray(indexes)
+        if (purpose.ndim or purpose.dtype.kind not in "iu" or idx.dtype.kind not in "iu"
+                or purpose < 0 or (idx < 0).any()):
+            raise ParameterError("substream purposes and indexes must be integers in [0, 2**64)")
+        return _mix64(self.stream_id, purpose, idx)
 
     def to_json(self) -> dict:
         return {"master_seed": self.master_seed, "stream_id": self.stream_id}

@@ -19,18 +19,15 @@ def affine(alpha, beta=0):
 
 def projected_probe_sums(path, ns, probes, aproj, bproj) -> np.ndarray:
     """acc[k, i]: aproj Re S + bproj Im S at probes[i] of the first ns[k]
-    points of one path, accumulated segment by segment, each segment's real
-    and imaginary parts summed pairwise, as the experiment first did it."""
-    row = np.asarray(path)[None, :]
-    acc, run, prev = np.zeros((len(ns), len(probes))), np.zeros((1, len(probes))), 0
+    points of one path, accumulated segment by segment, each segment's
+    complex sum S taken pairwise in path order by numpy."""
+    path, probes = np.asarray(path), np.asarray(probes)
+    acc, run, prev = np.zeros((len(ns), len(probes))), np.zeros(len(probes)), 0
     for k, n in enumerate(ns):
-        seg = row[:, prev:n]
-        for pi in range(len(probes)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                V = 1.0 / (probes[pi] - seg)
-            run[:, pi] += aproj * V.real.sum(axis=1) + bproj * V.imag.sum(axis=1)
-        acc[k] = run[0]
-        prev = n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            S = (1.0 / (probes[:, None] - path[None, prev:n])).sum(axis=1)
+        run += aproj * S.real + bproj * S.imag
+        acc[k], prev = run, n
     return acc
 
 

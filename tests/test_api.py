@@ -4,12 +4,14 @@ never a TypeError or a value."""
 
 import math
 
+import numpy as np
 import pytest
 
 import critpoint
 from critpoint import (Circle, MobiusTransform, ParameterError, apply, circle_sup_norm,
                        critical_points, eval_S, log_minus, log_plus, sliced_w1, sliced_w1_many)
 from critpoint.logderiv import as_roots, circle_abs_S
+from critpoint.sampler import SeedSpec
 
 
 def test_every_export_resolves_once():
@@ -21,6 +23,9 @@ def test_every_export_resolves_once():
 ROOTS = [0.5, -0.5j]
 UNIT = Circle(0j, 1.0)
 BOOL, STRING, NAN, INF = True, "8", math.nan, math.inf
+SEED = SeedSpec(4, 4)
+#: not integers in [0, 2**64), the range of a stream id's words
+WORDS = (BOOL, STRING, NAN, INF, 1.5, -1, 2**64)
 
 # (entry point and argument, the call with that argument set, its invalid inputs);
 # inf is a valid magnitude for log^+ and log^-
@@ -42,6 +47,11 @@ ENTRY_POINTS = [
     ("log_plus", log_plus, (BOOL, STRING, NAN)),
     ("log_minus", log_minus, (BOOL, STRING, NAN)),
     ("apply", lambda v: apply(MobiusTransform(1, 0, 0, 1), v), (BOOL, STRING, NAN, INF)),
+    ("SeedSpec.substream purpose", lambda v: SEED.substream(v), WORDS),
+    ("SeedSpec.substream index", lambda v: SEED.substream(4, v), WORDS),
+    ("SeedSpec.substreams indexes", lambda v: SEED.substreams(4, v),
+     (np.array([-1]), np.array([0, -1]), [2**64], np.array([1.5]), np.array([True]), ["8"],
+      [NAN])),
 ]
 
 

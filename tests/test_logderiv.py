@@ -265,20 +265,33 @@ def test_cauchy_sums_matches_pair_loop(case):
 def test_cauchy_sums_independent_of_block_rows(case, data):
     """`cauchy_sums` and `_cover_sums` give the one-block result bit for bit
     at any worker count and block size, weights, squared terms, skips,
-    nearest distances and a target on a source (a non-finite sum) included."""
+    nearest distances and a target on a source (a non-finite sum) included.
+    In the row form every row is the shared-source call on that row."""
     x, y, c1, c2, skip = case
     if data.draw(st.booleans()):
         x[data.draw(st.integers(0, len(x) - 1))] = y[data.draw(st.integers(0, len(y) - 1))]
     h, scale = data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.5, 2.0))
+    # row form: the same targets in every row, each row's sources moved by its own offset
+    R = data.draw(st.integers(1, 4))
+    X, Y = np.tile(x, (R, 1)), y + np.arange(R)[:, None] * (0.75 - 0.5j)
+    if data.draw(st.booleans()):
+        r = data.draw(st.integers(0, len(X) - 1))
+        X[r, data.draw(st.integers(0, len(x) - 1))] = Y[r, data.draw(st.integers(0, len(y) - 1))]
 
     def run(rows):
         return (cauchy_sums(x, y, weights=(c1, None), squared=(c2,), skip=skip,
                             nearest=True, rows=rows),
                 cauchy_sums(x, y, squared=(None,), rows=rows),
-                logderiv._cover_sums(x, y, h, scale, rows=rows))
+                cauchy_sums(X, Y, squared=(None,), nearest=True, rows=rows),
+                logderiv._cover_sums(x, y, h, scale))
 
     with np.errstate(divide="ignore", over="ignore"):  # q_ik^2 of a near pair
         want = run(None)
+        for r in range(len(X)):
+            for a, b in zip(want[2], cauchy_sums(X[r], Y[r], squared=(None,), nearest=True)):
+                assert a.shape == X.shape and np.array_equal(a[r], b, equal_nan=True)
+        on_source = (X[:, :, None] == Y[:, None, :]).any(axis=2)
+        assert not np.isfinite(want[2][0][on_source]).any()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(logderiv, "BLOCK_ELEMS", data.draw(st.sampled_from([1, 5, 16])))
             for workers in (1, 2, 3, 5):
