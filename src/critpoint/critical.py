@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, as_count, as_positive
+from .errors import ConvergenceError, ParameterError, as_positive
 from .logderiv import as_roots, cauchy_sums, spread
 
 _EPS = float(np.finfo(float).eps)
@@ -42,7 +42,8 @@ _EPS = float(np.finfo(float).eps)
 DUPLICATE_RTOL = 1e-14
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_SWEEPS = 500
+#: Aberth sweeps before `critical_points` gives up with ConvergenceError
+MAX_SWEEPS = 500
 
 _GOLDEN_ANGLE = 2.0 * np.pi * 0.6180339887498949
 
@@ -53,6 +54,8 @@ class CriticalSet:
 
     residuals[i] is |S(W_i)| * min_k |W_i - Z_k| (zero for points placed at
     repeated roots, which `_cluster_roots` groups, not solved for).
+    near_duplicate_clusters counts the roots merged into another, unequal
+    root as one multiple root (0 when every repeated root is exact).
     """
 
     points: np.ndarray
@@ -76,7 +79,8 @@ class CriticalSet:
     def to_json(self) -> dict:
         return {"points": [[w.real, w.imag] for w in self.points],
                 "residuals": [float(r) for r in self.residuals],
-                "method": self.method}
+                "method": self.method,
+                "near_duplicate_clusters": self.near_duplicate_clusters}
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +159,7 @@ def _closest_pair(c):
     return i, int(np.argmin(d))
 
 
-def _aberth_zeros(z, m, tol, max_sweeps):
+def _aberth_zeros(z, m, tol):
     """Zeros of S(w) = sum m_k/(w - z_k) for distinct z_k of spread 1 about 0,
     so |w| <= 1 at every zero (Gauss-Lucas); returns (w, residuals).
 
@@ -179,7 +183,7 @@ def _aberth_zeros(z, m, tol, max_sweeps):
     res = np.full(nz, np.inf)
     small = np.zeros(nz, bool)
     act = np.arange(nz)
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         wa = w[act]
         S, Sp, U, dmin = _field_sums(wa, z, m)
         res[act] = np.where(S == 0, 0.0, np.abs(S) * dmin)
@@ -200,29 +204,29 @@ def _aberth_zeros(z, m, tol, max_sweeps):
         w[act] = wa - corr
         small[act] = np.abs(corr) / (1.0 + np.abs(w[act])) < tol
     raise ConvergenceError(
-        f"Aberth iteration did not certify after {max_sweeps} sweeps "
+        f"Aberth iteration did not certify after {MAX_SWEEPS} sweeps "
         f"(worst residual {res.max():.3e})", worst_residual=float(res.max()))
 
 
-def critical_points(roots, tol: float = DEFAULT_TOL,
-                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> CriticalSet:
+def critical_points(roots, tol: float = DEFAULT_TOL) -> CriticalSet:
     """All n-1 critical points by the Aberth iteration on S.
 
     Roots within DUPLICATE_RTOL times the spread s of the roots about their
     centroid c are merged first and re-inserted, at their original values,
     as critical points of multiplicity m-1.  The iteration runs with integer
     weights on the distinct roots mapped to (z - c)/s, where `tol` bounds
-    the dimensionless certificates |S(W)| * min_k |W - Z_k|.
+    the dimensionless certificates |S(W)| * min_k |W - Z_k|.  Raises
+    ConvergenceError when some point is not certified within MAX_SWEEPS
+    sweeps.
     """
     roots = as_roots(roots)
     if len(roots) < 2:
         raise ParameterError("critical points need at least two roots")
     tol = as_positive(tol, "tol")
-    max_sweeps = as_count(max_sweeps, "max_sweeps")
     z, mult, inexact = _cluster_roots(roots)
     repeated = np.repeat(z, (mult - 1).astype(int))
     c, s = z.mean(), spread(z) or 1.0  # one distinct root: nothing to solve
-    zeros, res = _aberth_zeros((z - c) / s, mult, tol, max_sweeps)
+    zeros, res = _aberth_zeros((z - c) / s, mult, tol)
     points = np.concatenate([zeros * s + c, repeated])
     residuals = np.concatenate([res, np.zeros(len(repeated))])
     order = np.argsort(points)

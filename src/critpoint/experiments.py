@@ -198,6 +198,19 @@ def _escaped_mass(points: np.ndarray, radius: float) -> float:
     return np.count_nonzero(np.abs(points) > radius) / len(points)
 
 
+#: an n's entry of `Report.solver` before its first solve returns
+_NO_SOLVES = {"solves": 0, "near_duplicate_clusters": 0, "points_above_tol": 0}
+
+
+def _count_solve(counts: dict, cs, tol: float) -> None:
+    """Add one returned solve to a `Report.solver` entry: the roots it merged
+    as near-duplicates, and its points whose certificate is above tol
+    (certified only at the double-precision floor)."""
+    counts["solves"] += 1
+    counts["near_duplicate_clusters"] += cs.near_duplicate_clusters
+    counts["points_above_tol"] += int(np.count_nonzero(cs.residuals > tol))
+
+
 # ---------------------------------------------------------------------------
 # convergence
 
@@ -226,10 +239,12 @@ def run_convergence(config: ConvergenceConfig) -> Report:
     to_ref = dict(zip(nus, sliced_w1_many(nus.values(), ref, config.directions)))
     rep.wall_clock["sliced_w1_nu_ref"] = time.perf_counter() - t_ref
     for n, cs in solved.items():
+        counts = rep.solver[f"n={n}"] = dict(_NO_SOLVES)
         if n not in nus:
             rep.add_row(n, "solver_failed", 1.0)
             rep.add_row(n, "solver_worst_residual", cs.worst_residual or math.nan)
             continue
+        _count_solve(counts, cs, config.tol_solver)
         t_n = time.perf_counter()
         mu_n, nu_n = traj.samples[:n], nus[n]
         rep.add_row(n, "sliced_w1_nu_mu", sliced_w1(nu_n, mu_n, config.directions))
@@ -293,10 +308,9 @@ def run_jensen(config: JensenConfig) -> Report:
     t_all = time.perf_counter()
     for n in config.n_schedule:
         t_n = time.perf_counter()
-        valid = 0
         passed = 0
-        skipped = 0
         gaps = []
+        counts = rep.solver[f"n={n}"] = dict(_NO_SOLVES)
         # one transform block of roots at a time: each batch is held through
         # its trials' solves
         batch = max(1, TRANSFORM_BLOCK // n)
@@ -307,6 +321,7 @@ def run_jensen(config: JensenConfig) -> Report:
                 drawn = sample(config.measure, config.seed, n, streams).samples
             roots = drawn[t % batch]
             cs = critical_points(roots, tol=config.tol_solver)
+            _count_solve(counts, cs, config.tol_solver)
             chosen = None
             for attempt in range(_MOBIUS_ATTEMPTS):
                 u = mb.sample_mobius(
@@ -316,21 +331,18 @@ def run_jensen(config: JensenConfig) -> Report:
                     chosen = (u,) + got
                     break
             if chosen is None:
-                skipped += 1
                 continue
             u, sup, s_at_a = chosen
             crit_sum = float(np.sum(log_minus(np.abs(mb.apply(u, cs.points)))))
             root_sum = float(np.sum(log_minus(np.abs(mb.apply(u, roots)))))
             lhs = crit_sum - root_sum
             rhs = math.log(sup) - math.log(abs(s_at_a))
-            valid += 1
-            gap = rhs - lhs
-            gaps.append(gap)
+            gaps.append(rhs - lhs)
             if lhs <= rhs + config.jensen_slack:
                 passed += 1
-        rate = passed / valid if valid else 0.0
-        rep.add_row(n, "trials_valid", valid)
-        rep.add_row(n, "trials_skipped", skipped)
+        rate = passed / len(gaps) if gaps else 0.0
+        rep.add_row(n, "trials_valid", len(gaps))
+        rep.add_row(n, "trials_skipped", config.trials - len(gaps))
         rep.add_row(n, "pass_rate", rate)
         rep.add_row(n, "normalized_pass_rate", rate)
         if gaps:
@@ -338,7 +350,7 @@ def run_jensen(config: JensenConfig) -> Report:
             rep.add_row(n, "mean_gap", sum(gaps) / len(gaps))
         rep.add_verdict(f"jensen_pass_rate_n{n}", rate >= config.jensen_pass_rate,
                         config.jensen_pass_rate, rate,
-                        f"{passed}/{valid} valid trials within slack {config.jensen_slack}")
+                        f"{passed}/{len(gaps)} valid trials within slack {config.jensen_slack}")
         rep.wall_clock[f"n={n}"] = time.perf_counter() - t_n
     rep.wall_clock["total"] = time.perf_counter() - t_all
     return rep
@@ -481,10 +493,14 @@ def run_growth(config: GrowthConfig) -> Report:
         rep.add_row(n, "ratio", ratio)
         rep.add_row(n, "ratio_refined", ratio2)
         rep.add_row(n, "refine_delta", abs(ratio2 - ratio))
-    worst = max(ratios) if ratios else math.inf
-    rep.add_verdict("growth_ratio", worst <= config.growth_ratio_max,
-                    config.growth_ratio_max, worst,
-                    f"circle C({a}, {r}), m={config.m_circle}")
+    if ratios:
+        worst = max(ratios)
+        rep.add_verdict("growth_ratio", worst <= config.growth_ratio_max,
+                        config.growth_ratio_max, worst,
+                        f"circle C({a}, {r}), m={config.m_circle}")
+    else:
+        rep.add_verdict("growth_ratio", False, config.growth_ratio_max, "inconclusive",
+                        f"a root lies on the circle C({a}, {r}) at every n")
     rep.wall_clock["total"] = time.perf_counter() - t_all
     return rep
 

@@ -106,8 +106,10 @@ class Circle:
         object.__setattr__(self, "center", as_complex(self.center, "circle center"))
         object.__setattr__(self, "radius", as_positive(self.radius, "circle radius"))
 
-    def points(self, m: int) -> np.ndarray:
-        return self.center + self.radius * _unit_grid(m)
+    def points(self, m: int, j=None) -> np.ndarray:
+        """a + r e^{2 pi i j / m} at the indices j (default 0..m-1), bit for
+        bit the full grid's points there (`_unit_grid`)."""
+        return self.center + self.radius * _unit_grid(m, j)
 
 
 def _unit_grid(m: int, j=None) -> np.ndarray:
@@ -324,9 +326,6 @@ class _CircleField:
         #: |w_k| and the longest series length of the far roots, for the bound
         self.far_aw, self.degree = aw[series], float(L[series].max(initial=0.0))
 
-    def points(self, j: np.ndarray, m: int) -> np.ndarray:
-        return self.circle.center + self.circle.radius * _unit_grid(m, j)
-
     def abs_S(self, j: np.ndarray, m: int) -> np.ndarray:
         """|S| at the grid points j of the m grid."""
         t = _unit_grid(m, j)
@@ -337,7 +336,7 @@ class _CircleField:
         if self.coef_out is not None:
             far -= _horner(self.coef_out, t)
         far /= self.circle.radius
-        return _abs_S_on_points(self.near, self.points(j, m), far)
+        return _abs_S_on_points(self.near, self.circle.center + self.circle.radius * t, far)
 
 
 def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
@@ -490,7 +489,7 @@ def circle_sup_norm(roots, c: Circle, m: int) -> float:
     offsets = np.arange(-(SUP_REFINE // 2), SUP_REFINE // 2 + 1)
     while step > 1:
         h = (2 * math.pi * r * (step // 2) / m + 2 * g) * (1 + 16 * _EPS)
-        s1, s2 = _cover_sums(field.points(j, m), field.near, h, r)
+        s1, s2 = _cover_sums(c.points(m, j), field.near, h, r)
         keep = (v + (h / r / r * (s2 + far2) + 2 * gamma / r * (s1 + far1))) * grow >= M
         j, v = j[keep], v[keep]
         if len(j) == 0:

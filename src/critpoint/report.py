@@ -2,7 +2,9 @@
 
 Reports are deterministic given the configuration, except for the
 wall-clock and environment sections, which are excluded from series.csv
-precisely so the CSV is byte-identical across reruns.
+precisely so the CSV is byte-identical across reruns.  The solver section
+(per n: the solves that returned, the roots they merged as near-duplicates
+and their points above tol_solver) is deterministic but not in series.csv.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class Report:
     rows: list = field(default_factory=list)   # (n, stat_name, value)
     verdicts: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
+    solver: dict = field(default_factory=dict)
     environment: dict = field(default_factory=run_environment)
 
     def add_row(self, n: int, stat: str, value) -> None:
@@ -81,6 +84,7 @@ class Report:
             "verdicts": [v.to_json() for v in self.verdicts],
             "passed": self.passed,
             "wall_clock": self.wall_clock,
+            "solver": self.solver,
             "environment": self.environment,
         }
 

@@ -246,15 +246,10 @@ class BaseMeasure:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One realized prefix Z_1..Z_n of a sample path, regenerable from its
-    seed; or, from `sample(..., streams)`, one such prefix per row."""
+    """What `sample` drew: one prefix Z_1..Z_n of a sample path, or, from
+    `sample(..., streams)`, one such prefix per row; a read-only array."""
 
-    measure: BaseMeasure
-    seed: SeedSpec
     samples: np.ndarray
-
-    def __len__(self):
-        return len(self.samples)
 
 
 def _uniform_pairs(keys: np.ndarray, count: int) -> np.ndarray:
@@ -301,7 +296,8 @@ def _stream_ids(streams) -> np.ndarray:
 
 
 def sample(measure: BaseMeasure, seed: SeedSpec, count: int, streams=None) -> Trajectory:
-    """Draw count i.i.d. samples from measure on the stream named by seed.
+    """Draw count i.i.d. samples from measure on the stream named by seed,
+    the read-only `samples` of a Trajectory.
 
     With `streams`, a sequence of stream ids under seed.master_seed, the
     samples are one row per stream id, row i bit for bit
@@ -320,4 +316,4 @@ def sample(measure: BaseMeasure, seed: SeedSpec, count: int, streams=None) -> Tr
 
     _blocked(len(z), count, 0, block, max(1, TRANSFORM_BLOCK // count))
     z.setflags(write=False)
-    return Trajectory(measure, seed, z[0] if streams is None else z)
+    return Trajectory(z[0] if streams is None else z)

@@ -56,15 +56,19 @@ def test_critical_subcommand_two_roots(tmp_path, capsys):
 
 
 def test_critical_subcommand_writes_artifact(tmp_path, capsys):
-    roots = write(tmp_path, "roots.json", [[0, 0], [0, 0], [3, 0]])
-    out_dir = str(tmp_path / "out")
-    code = main(["critical", "--roots", roots, "--out", out_dir])
-    capsys.readouterr()
-    assert code == 0
-    doc = json.loads(open(os.path.join(out_dir, "critical.json")).read())
-    assert doc["method"] == "aberth"
-    pts = sorted((complex(p[0], p[1]) for p in doc["points"]), key=abs)
-    assert abs(pts[0]) < 1e-9 and abs(pts[1] - 2.0) < 1e-9
+    # a second root equal to the first is a double root; one 1e-15 away is
+    # merged into it as a near-duplicate, and critical.json counts the merge
+    for second, merged in ((0.0, 0), (1e-15, 1)):
+        roots = write(tmp_path, "roots.json", [[0, 0], [second, 0], [3, 0]])
+        out_dir = str(tmp_path / f"out{merged}")
+        code = main(["critical", "--roots", roots, "--out", out_dir])
+        capsys.readouterr()
+        assert code == 0
+        doc = json.loads(open(os.path.join(out_dir, "critical.json")).read())
+        assert doc["method"] == "aberth"
+        assert doc["near_duplicate_clusters"] == merged
+        pts = sorted((complex(p[0], p[1]) for p in doc["points"]), key=abs)
+        assert abs(pts[0]) < 1e-9 and abs(pts[1] - 2.0) < 1e-9
 
 
 def test_run_writes_reports_and_is_deterministic(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +145,36 @@ def test_convergence_rows_in_schedule_order(monkeypatch):
     assert rep.stat(16, "solver_worst_residual") == 0.5
     assert [v.name for v in rep.verdicts] == ["all_solves_converged"]
     assert not rep.passed
+
+
+@pytest.mark.parametrize("make, run", [
+    (lambda **kw: ConvergenceConfig(k_reference=500, improvement_factor=None,
+                                    quadrant_max=None, **kw), run_convergence),
+    (lambda **kw: JensenConfig(trials=5, m_circle=128, **kw), run_jensen)],
+    ids=["convergence", "jensen"])
+def test_solver_section_counts_merges_and_points_above_tol(make, run, monkeypatch):
+    # each solve planted with 2 merged roots and 3 points above tol_solver;
+    # convergence reports its one solve per n, Jensen the sums over its trials
+    cfg = make(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(9, 0))
+    solves = 1 if run is run_convergence else cfg.trials
+    clean = {f"n={n}": {"solves": solves, "near_duplicate_clusters": 0, "points_above_tol": 0}
+             for n in cfg.n_schedule}
+    rep = run(cfg)
+    assert rep.solver == clean
+    solve = experiments.critical_points
+
+    def planted(roots, tol):
+        cs = solve(roots, tol=tol)
+        res = np.array(cs.residuals)
+        res[:3] = 2 * tol
+        return replace(cs, residuals=res, near_duplicate_clusters=2)
+
+    monkeypatch.setattr(experiments, "critical_points", planted)
+    got = run(cfg)
+    assert got.solver == {k: {"solves": solves, "near_duplicate_clusters": 2 * solves,
+                              "points_above_tol": 3 * solves} for k in clean}
+    assert got.to_json()["solver"] == got.solver
+    assert [row[:2] for row in got.rows] == [row[:2] for row in rep.rows]
 
 
 def test_jensen_trivial_roots_transform():
@@ -299,6 +331,22 @@ def test_growth_single_atom_ratio():
         expected = math.log(n / 2) / math.log(n) if n > 2 else 0.0
         assert rep.stat(n, "ratio") == pytest.approx(expected, abs=1e-12)
     assert rep.passed
+
+
+def test_growth_with_every_root_on_the_circle_is_inconclusive(tmp_path):
+    # no n evaluates a circle, so there is no ratio: report.json stays strict JSON
+    cfg = GrowthConfig(measure=BaseMeasure.finite_support([1, -1], [0.5, 0.5]),
+                       n_schedule=(4, 8), circle_center=0j, circle_radius=1.0)
+    rep = run_growth(cfg)
+    rep.write(str(tmp_path))
+
+    def reject(name):
+        raise ValueError(f"report.json holds {name}")
+
+    doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    assert [(v["name"], v["passed"], v["observed"]) for v in doc["verdicts"]] == [
+        ("growth_ratio", False, "inconclusive")]
+    assert rep.stats("pole_on_contour") == {4: 1.0, 8: 1.0}
 
 
 def test_growth_refinement_stability():

@@ -115,6 +115,8 @@ def test_circle_grid_is_the_even_half_of_the_doubled_grid():
     roots = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     for c, m in ((Circle(0.05 + 0.03j, 0.7), 4096), (Circle(-3.0 + 1e3j, 1e-2), 96)):
         assert np.array_equal(c.points(2 * m)[::2], c.points(m))
+        for j in (np.arange(0, m, 16), rng.permutation(m)[: m // 3], np.array([m - 1, 0, 5])):
+            assert np.array_equal(c.points(m, j), c.points(m)[j])
         fine = circle_abs_S(roots, c, 2 * m)
         assert np.array_equal(fine[::2], circle_abs_S(roots, c, m))
         assert float(np.max(fine[::2])) == circle_sup_norm(roots, c, m)
