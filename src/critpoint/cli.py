@@ -9,12 +9,14 @@ the rest under "tolerances".  A key the experiment does not read is an error.
 "n_schedule" increases, and starts at 2 or above for convergence, jensen and
 growth.
 
-    convergence        tol_solver, directions, R_infty, k_reference,
-                       improvement_factor, quadrant_max
-    jensen             trials, tol_solver, m_circle, jensen_pass_rate, jensen_slack
-    anticoncentration  trials, probes, projection, r_ball, slope_min, slope_max, min_hits
-    growth             m_circle, growth_ratio_max, circle_center + circle_radius (or neither)
+    convergence        directions, k_reference, improvement_factor, quadrant_max
+    jensen             trials, m_circle, jensen_slack
+    anticoncentration  trials, probes, projection, r_ball
+    growth             m_circle, circle_center, circle_radius (both or neither)
     lln                k_reference, u_transform
+
+The solver's tolerance (`critical.DEFAULT_TOL`) and the other verdict
+thresholds are module constants, not settings.
 
 report.json's "config" is the config as run, defaults filled in; it reads back as one.
 """
@@ -29,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .critical import DEFAULT_TOL, DUPLICATE_RTOL, critical_points
+from .critical import critical_points
 from .errors import ConvergenceError, CritpointError, ParameterError, as_complex
 from .experiments import EXPERIMENTS, run_experiment
 from .sampler import SeedSpec
@@ -90,7 +92,7 @@ def _cmd_critical(args) -> int:
         raise ParameterError(f"{args.roots}: expected a nonempty JSON array of [re, im] pairs")
     roots = np.array([as_complex(v, "root") for v in doc], dtype=complex)
     try:
-        cs = critical_points(roots, tol=args.tol)
+        cs = critical_points(roots)
     except CritpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConvergenceError) else 2
@@ -117,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     critp = sub.add_parser("critical", help="critical points of an explicit root list")
     critp.add_argument("--roots", required=True, help="JSON array of [re, im] root pairs")
-    critp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="solver tolerance, relative to the roots' spread about their "
-                            "centroid: it bounds each dimensionless certificate "
-                            "|S(w)| min_k |w - z_k|; roots within "
-                            f"{DUPLICATE_RTOL:g} times that spread are one multiple root")
     critp.add_argument("--out", default=None, help="also write critical.json here")
     return p
 

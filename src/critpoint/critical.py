@@ -15,8 +15,8 @@ chases the spurious zero at infinity from any exterior start.
 
 Closeness is relative to the spread s = max |z_k - c| of the distinct roots
 about their centroid c: roots within DUPLICATE_RTOL * s are one multiple
-root, and the iteration runs on (z - c)/s, so `tol` and its other tests
-carry no unit length and the solve is affine-equivariant.
+root, and the iteration runs on (z - c)/s, so DEFAULT_TOL and its other
+tests carry no unit length and the solve is affine-equivariant.
 
 The independent route (`critical_points_oracle`) uses one identity instead:
 for weights m_k > 0 and v_k = sqrt(m_k / sum m), the zeros of
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, as_positive
+from .errors import ConvergenceError, ParameterError
 from .logderiv import as_roots, cauchy_sums, spread
 
 _EPS = float(np.finfo(float).eps)
@@ -41,6 +41,8 @@ _EPS = float(np.finfo(float).eps)
 #: roots closer than this times their spread cluster, transitively, into one multiple root
 DUPLICATE_RTOL = 1e-14
 
+#: the bound on every dimensionless certificate |S(w)| min_k |w - z_k| (and on
+#: the relative Newton correction that freezes a point)
 DEFAULT_TOL = 1e-10
 #: Aberth sweeps before `critical_points` gives up with ConvergenceError
 MAX_SWEEPS = 500
@@ -159,13 +161,13 @@ def _closest_pair(c):
     return i, int(np.argmin(d))
 
 
-def _aberth_zeros(z, m, tol):
+def _aberth_zeros(z, m):
     """Zeros of S(w) = sum m_k/(w - z_k) for distinct z_k of spread 1 about 0,
     so |w| <= 1 at every zero (Gauss-Lucas); returns (w, residuals).
 
     Iterate i is frozen once its last Newton correction was small,
-    |corr_i| / (1 + |w_i|) < tol, and its residual is certified,
-    |S(w_i)| * dmin_i <= max(tol, floor_i) with floor_i = 8 eps (1+|w_i|)
+    |corr_i| / (1 + |w_i|) < DEFAULT_TOL, and its residual is certified,
+    |S(w_i)| * dmin_i <= max(DEFAULT_TOL, floor_i) with floor_i = 8 eps (1+|w_i|)
     |S'(w_i)| dmin_i, the representable double-precision limit (an iterate
     cannot sit closer than eps(1+|w_i|) to the true zero, which bounds the
     attainable |S|).  S depends on the roots alone, so a frozen point's
@@ -188,7 +190,7 @@ def _aberth_zeros(z, m, tol):
         S, Sp, U, dmin = _field_sums(wa, z, m)
         res[act] = np.where(S == 0, 0.0, np.abs(S) * dmin)
         floor = 8.0 * _EPS * (1.0 + np.abs(wa)) * np.abs(Sp) * dmin
-        keep = ~(small[act] & (res[act] <= np.maximum(tol, floor)))
+        keep = ~(small[act] & (res[act] <= np.maximum(DEFAULT_TOL, floor)))
         act, wa, S, Sp, U = act[keep], wa[keep], S[keep], Sp[keep], U[keep]
         if len(act) == 0:
             return w, res
@@ -202,31 +204,30 @@ def _aberth_zeros(z, m, tol):
             corr[bad] = 0.0
             wa[bad] += (1.0 + np.abs(wa[bad])) * 1e-9 * np.exp(1j * _GOLDEN_ANGLE * (sweep + act[bad]))
         w[act] = wa - corr
-        small[act] = np.abs(corr) / (1.0 + np.abs(w[act])) < tol
+        small[act] = np.abs(corr) / (1.0 + np.abs(w[act])) < DEFAULT_TOL
     raise ConvergenceError(
         f"Aberth iteration did not certify after {MAX_SWEEPS} sweeps "
         f"(worst residual {res.max():.3e})", worst_residual=float(res.max()))
 
 
-def critical_points(roots, tol: float = DEFAULT_TOL) -> CriticalSet:
+def critical_points(roots) -> CriticalSet:
     """All n-1 critical points by the Aberth iteration on S.
 
     Roots within DUPLICATE_RTOL times the spread s of the roots about their
     centroid c are merged first and re-inserted, at their original values,
     as critical points of multiplicity m-1.  The iteration runs with integer
-    weights on the distinct roots mapped to (z - c)/s, where `tol` bounds
-    the dimensionless certificates |S(W)| * min_k |W - Z_k|.  Raises
+    weights on the distinct roots mapped to (z - c)/s, where DEFAULT_TOL
+    bounds the dimensionless certificates |S(W)| * min_k |W - Z_k|.  Raises
     ConvergenceError when some point is not certified within MAX_SWEEPS
     sweeps.
     """
     roots = as_roots(roots)
     if len(roots) < 2:
         raise ParameterError("critical points need at least two roots")
-    tol = as_positive(tol, "tol")
     z, mult, inexact = _cluster_roots(roots)
     repeated = np.repeat(z, (mult - 1).astype(int))
     c, s = z.mean(), spread(z) or 1.0  # one distinct root: nothing to solve
-    zeros, res = _aberth_zeros((z - c) / s, mult, tol)
+    zeros, res = _aberth_zeros((z - c) / s, mult)
     points = np.concatenate([zeros * s + c, repeated])
     residuals = np.concatenate([res, np.zeros(len(repeated))])
     order = np.argsort(points)

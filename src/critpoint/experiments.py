@@ -38,6 +38,13 @@ _P_LLN_MOBIUS = 7
 
 _MOBIUS_ATTEMPTS = 100
 
+# verdict thresholds and row parameters, which no config sets
+R_INFTY = 10.0  # convergence: |z| beyond which a point is escaped mass
+JENSEN_PASS_RATE = 0.99  # jensen: the fraction of valid trials that must pass
+SLOPE_MIN, SLOPE_MAX = -1.9, -1.2  # anticoncentration: the fitted slope's band
+MIN_HITS = 10  # anticoncentration: the hits an n needs to enter the slope fit
+GROWTH_RATIO_MAX = 6.0  # growth: the largest log^+ sup |S| / log n that passes
+
 
 # ---------------------------------------------------------------------------
 # settings: each field names its checker, used by Python construction and JSON
@@ -132,9 +139,7 @@ def _to_json(v):
 class ConvergenceConfig(BaseConfig):
     experiment = "convergence"
     n_schedule: tuple = _setting(_schedule(2))  # the solver needs two roots
-    tol_solver: float = _setting(as_positive, DEFAULT_TOL)
     directions: int = _setting(as_count, 64)
-    R_infty: float = _setting(as_real, 10.0)
     k_reference: int = _setting(as_count, 100_000)
     improvement_factor: float | None = _setting(_optional(as_real), 4.0)
     quadrant_max: float | None = _setting(_optional(as_real), 0.05)
@@ -145,9 +150,7 @@ class JensenConfig(BaseConfig):
     experiment = "jensen"
     n_schedule: tuple = _setting(_schedule(2))  # the solver needs two roots
     trials: int = _setting(as_count, 1)
-    tol_solver: float = _setting(as_positive, DEFAULT_TOL)
     m_circle: int = _setting(as_count, 4096)
-    jensen_pass_rate: float = _setting(as_real, 0.99)
     jensen_slack: float = _setting(as_real, 0.05)
 
 
@@ -158,9 +161,6 @@ class AnticoncentrationConfig(BaseConfig):
     probes: tuple = _setting(_probes, (2 + 0j, 3j, -2 - 2j))
     projection: tuple = _setting(_projection, (1.0, 0.0))
     r_ball: float | None = _setting(_optional(as_positive), None)  # None: sqrt(#probes)
-    slope_min: float = _setting(as_real, -1.9)
-    slope_max: float = _setting(as_real, -1.2)
-    min_hits: int = _setting(as_count, 10)
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,6 @@ class GrowthConfig(BaseConfig):
     experiment = "growth"
     n_schedule: tuple = _setting(_schedule(2))  # the ratios divide by log n
     m_circle: int = _setting(as_count, 4096)
-    growth_ratio_max: float = _setting(as_real, 6.0)
     circle_center: complex | None = _setting(_optional(as_complex), None)
     circle_radius: float | None = _setting(_optional(as_positive), None)
 
@@ -202,13 +201,13 @@ def _escaped_mass(points: np.ndarray, radius: float) -> float:
 _NO_SOLVES = {"solves": 0, "near_duplicate_clusters": 0, "points_above_tol": 0}
 
 
-def _count_solve(counts: dict, cs, tol: float) -> None:
+def _count_solve(counts: dict, cs) -> None:
     """Add one returned solve to a `Report.solver` entry: the roots it merged
-    as near-duplicates, and its points whose certificate is above tol
-    (certified only at the double-precision floor)."""
+    as near-duplicates, and its points whose certificate is above the
+    solver's DEFAULT_TOL (certified only at the double-precision floor)."""
     counts["solves"] += 1
     counts["near_duplicate_clusters"] += cs.near_duplicate_clusters
-    counts["points_above_tol"] += int(np.count_nonzero(cs.residuals > tol))
+    counts["points_above_tol"] += int(np.count_nonzero(cs.residuals > DEFAULT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def run_convergence(config: ConvergenceConfig) -> Report:
     for n in config.n_schedule:
         t_n = time.perf_counter()
         try:
-            solved[n] = critical_points(traj.samples[:n], tol=config.tol_solver)
+            solved[n] = critical_points(traj.samples[:n])
         except ConvergenceError as exc:
             solved[n] = exc
         rep.wall_clock[f"n={n}"] = time.perf_counter() - t_n
@@ -244,14 +243,14 @@ def run_convergence(config: ConvergenceConfig) -> Report:
             rep.add_row(n, "solver_failed", 1.0)
             rep.add_row(n, "solver_worst_residual", cs.worst_residual or math.nan)
             continue
-        _count_solve(counts, cs, config.tol_solver)
+        _count_solve(counts, cs)
         t_n = time.perf_counter()
         mu_n, nu_n = traj.samples[:n], nus[n]
         rep.add_row(n, "sliced_w1_nu_mu", sliced_w1(nu_n, mu_n, config.directions))
         rep.add_row(n, "sliced_w1_nu_ref", to_ref[n])
         rep.add_row(n, "quadrant_nu_mu", quadrant_discrepancy(nu_n, mu_n))
-        rep.add_row(n, "escaped_mass_nu", _escaped_mass(nu_n, config.R_infty))
-        rep.add_row(n, "escaped_mass_mu", _escaped_mass(mu_n, config.R_infty))
+        rep.add_row(n, "escaped_mass_nu", _escaped_mass(nu_n, R_INFTY))
+        rep.add_row(n, "escaped_mass_mu", _escaped_mass(mu_n, R_INFTY))
         rep.add_row(n, "max_residual", float(cs.residuals.max(initial=0.0)))
         rep.wall_clock[f"n={n}"] += time.perf_counter() - t_n
     failures = len(solved) - len(nus)
@@ -262,8 +261,9 @@ def run_convergence(config: ConvergenceConfig) -> Report:
             f = config.improvement_factor
             for stat in ("sliced_w1_nu_mu", "sliced_w1_nu_ref"):
                 d0, d1 = rep.stat(first, stat), rep.stat(last, stat)
+                # a string, not inf, when d1 = 0: report.json stays strict JSON
                 rep.add_verdict(f"{stat}_improves", d1 * f <= d0, f"x{f}",
-                                d0 / d1 if d1 > 0 else math.inf,
+                                d0 / d1 if d1 > 0 else "zero final distance",
                                 f"{stat}: {d0:.5g} -> {d1:.5g}")
         if config.quadrant_max is not None:
             q = rep.stat(last, "quadrant_nu_mu")
@@ -320,8 +320,8 @@ def run_jensen(config: JensenConfig) -> Report:
                     _P_JENSEN_ROOTS, np.arange(t, min(t + batch, config.trials)))
                 drawn = sample(config.measure, config.seed, n, streams).samples
             roots = drawn[t % batch]
-            cs = critical_points(roots, tol=config.tol_solver)
-            _count_solve(counts, cs, config.tol_solver)
+            cs = critical_points(roots)
+            _count_solve(counts, cs)
             chosen = None
             for attempt in range(_MOBIUS_ATTEMPTS):
                 u = mb.sample_mobius(
@@ -348,8 +348,8 @@ def run_jensen(config: JensenConfig) -> Report:
         if gaps:
             rep.add_row(n, "min_gap", min(gaps))
             rep.add_row(n, "mean_gap", sum(gaps) / len(gaps))
-        rep.add_verdict(f"jensen_pass_rate_n{n}", rate >= config.jensen_pass_rate,
-                        config.jensen_pass_rate, rate,
+        rep.add_verdict(f"jensen_pass_rate_n{n}", rate >= JENSEN_PASS_RATE,
+                        JENSEN_PASS_RATE, rate,
                         f"{passed}/{len(gaps)} valid trials within slack {config.jensen_slack}")
         rep.wall_clock[f"n={n}"] = time.perf_counter() - t_n
     rep.wall_clock["total"] = time.perf_counter() - t_all
@@ -436,7 +436,7 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
         rep.add_row(n, "phat", p)
         rep.add_row(n, "hits", hits[n])
         rep.add_row(n, "stderr", math.sqrt(max(p * (1 - p), 0.0) / trials))
-        if hits[n] >= config.min_hits:
+        if hits[n] >= MIN_HITS:
             fit_pts.append((math.log(n), math.log(p)))
     if len(fit_pts) >= 2:
         xs = np.array([p[0] for p in fit_pts])
@@ -445,14 +445,12 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
         slope = float(np.linalg.lstsq(A, ys, rcond=None)[0][0])
         rep.add_row(0, "slope", slope)
         rep.add_row(0, "fit_rows", len(fit_pts))
-        rep.add_verdict("slope_upper", slope <= config.slope_max,
-                        config.slope_max, slope)
-        rep.add_verdict("slope_lower", slope >= config.slope_min,
-                        config.slope_min, slope)
+        rep.add_verdict("slope_upper", slope <= SLOPE_MAX, SLOPE_MAX, slope)
+        rep.add_verdict("slope_lower", slope >= SLOPE_MIN, SLOPE_MIN, slope)
     else:
         rep.add_row(0, "fit_rows", len(fit_pts))
-        rep.add_verdict("slope_upper", False, config.slope_max, "inconclusive",
-                        f"fewer than 2 rows reached {config.min_hits} hits; raise trials")
+        rep.add_verdict("slope_upper", False, SLOPE_MAX, "inconclusive",
+                        f"fewer than 2 rows reached {MIN_HITS} hits; raise trials")
     rep.wall_clock["total"] = time.perf_counter() - t_all
     return rep
 
@@ -495,11 +493,10 @@ def run_growth(config: GrowthConfig) -> Report:
         rep.add_row(n, "refine_delta", abs(ratio2 - ratio))
     if ratios:
         worst = max(ratios)
-        rep.add_verdict("growth_ratio", worst <= config.growth_ratio_max,
-                        config.growth_ratio_max, worst,
+        rep.add_verdict("growth_ratio", worst <= GROWTH_RATIO_MAX, GROWTH_RATIO_MAX, worst,
                         f"circle C({a}, {r}), m={config.m_circle}")
     else:
-        rep.add_verdict("growth_ratio", False, config.growth_ratio_max, "inconclusive",
+        rep.add_verdict("growth_ratio", False, GROWTH_RATIO_MAX, "inconclusive",
                         f"a root lies on the circle C({a}, {r}) at every n")
     rep.wall_clock["total"] = time.perf_counter() - t_all
     return rep

@@ -4,7 +4,7 @@ Reports are deterministic given the configuration, except for the
 wall-clock and environment sections, which are excluded from series.csv
 precisely so the CSV is byte-identical across reruns.  The solver section
 (per n: the solves that returned, the roots they merged as near-duplicates
-and their points above tol_solver) is deterministic but not in series.csv.
+and their points above DEFAULT_TOL) is deterministic but not in series.csv.
 """
 
 from __future__ import annotations

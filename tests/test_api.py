@@ -38,7 +38,6 @@ ENTRY_POINTS = [
      (BOOL, STRING, NAN, INF)),
     ("circle_abs_S m", lambda v: circle_abs_S(ROOTS, UNIT, v), (BOOL, STRING, NAN, INF)),
     ("circle_sup_norm m", lambda v: circle_sup_norm(ROOTS, UNIT, v), (BOOL, STRING, NAN, INF)),
-    ("critical_points tol", lambda v: critical_points(ROOTS, tol=v), (BOOL, STRING, NAN, INF)),
     ("Circle center", lambda v: Circle(v, 1.0), (BOOL, STRING, NAN, INF)),
     ("Circle radius", lambda v: Circle(0j, v), (BOOL, STRING, NAN, INF)),
     ("eval_S z", lambda v: eval_S(ROOTS, v), (BOOL, STRING, NAN, INF)),

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -13,7 +14,7 @@ import critpoint
 import critpoint.cli as cli
 import critpoint.logderiv as logderiv
 from critpoint.cli import main, parse_config
-from critpoint.experiments import (EXPERIMENTS, AnticoncentrationConfig,
+from critpoint.experiments import (EXPERIMENTS, AnticoncentrationConfig, BaseConfig,
                                    ConvergenceConfig, GrowthConfig, JensenConfig,
                                    LLNConfig)
 from critpoint.sampler import BaseMeasure, SeedSpec
@@ -159,12 +160,13 @@ def test_missing_roots_file_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_critical_non_finite_tol_exit_2(tmp_path, capsys):
-    # tol = inf would certify every iterate after two sweeps
+def test_critical_has_no_tol_flag_exit_2(tmp_path, capsys):
+    # the solver's tolerance is critical.DEFAULT_TOL, not an option
     roots = write(tmp_path, "roots.json", [[1, 0], [-1, 0], [0, 1]])
-    for tol in ("inf", "nan"):
-        assert main(["critical", "--roots", roots, "--tol", tol]) == 2
-        assert "tol must be a finite real number" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["critical", "--roots", roots, "--tol", "1e-10"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("out_dir", [5, "", None, ["out"]])
@@ -260,6 +262,13 @@ def test_malformed_setting_exit_2(tmp_path, capsys, make):
     ("lln", "trials", 3, "top"),
     ("convergence", "m_circle", 512, "tolerances"),
     ("jensen", "tol_solver", 1e-10, "top"),
+    # settings that are module constants now
+    ("convergence", "R_infty", 10.0, "tolerances"),
+    ("jensen", "jensen_pass_rate", 0.99, "tolerances"),
+    ("anticoncentration", "slope_min", -1.9, "tolerances"),
+    ("anticoncentration", "slope_max", -1.2, "tolerances"),
+    ("anticoncentration", "min_hits", 10, "tolerances"),
+    ("growth", "growth_ratio_max", 6.0, "tolerances"),
 ])
 def test_unread_key_exit_2_names_it(tmp_path, capsys, experiment, key, value, where):
     cfg = write(tmp_path, "c.json", _with_setting(experiment, key, value, where)(str(tmp_path)))
@@ -285,7 +294,20 @@ def test_no_experiment_accepts_a_setting_it_does_not_read():
                 with pytest.raises(critpoint.ParameterError, match=key):
                     parse_config(doc)
                 rejected += 1
-    assert rejected == 76
+    assert rejected == 49
+
+
+def test_settings_table_lists_each_configs_settings():
+    # the module docstring's table: one row per experiment, naming the
+    # fields its config adds to BaseConfig's, in field order
+    table = {}
+    for line in cli.__doc__.splitlines():
+        name, _, rest = line.strip().partition(" ")
+        if line.startswith("    ") and name in EXPERIMENTS:
+            table[name] = [s.strip() for s in re.sub(r"\(.*?\)", "", rest).split(",")]
+    base = {f.name for f in fields(BaseConfig)}
+    assert table == {name: [f.name for f in fields(cls) if f.name not in base]
+                     for name, (cls, _) in EXPERIMENTS.items()}
 
 
 @pytest.mark.parametrize("config", [

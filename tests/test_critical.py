@@ -271,7 +271,7 @@ def test_nonconvergence_raises(monkeypatch):
 
 def test_residual_certificates_reported():
     roots = _random_roots("gauss", 50, 10)
-    cs = critical_points(roots, tol=1e-10)
+    cs = critical_points(roots)
     assert np.all(cs.residuals <= 1e-10)
     assert cs.method == "aberth"
 
@@ -287,7 +287,7 @@ def test_active_set_shrinks_and_certifies(monkeypatch):
 
     monkeypatch.setattr(critical, "_field_sums", recording)
     tol = critical.DEFAULT_TOL
-    cs = critical_points(roots, tol=tol)
+    cs = critical_points(roots)
     assert rows[0] == len(roots) - 1
     assert all(b <= a for a, b in zip(rows, rows[1:]))
     assert rows[-1] < rows[0]
@@ -320,9 +320,6 @@ def test_closest_pair_matches_scan():
 def test_input_validation():
     with pytest.raises(ParameterError):
         critical_points([1.0])
-    for tol in (0.0, np.inf, np.nan):
-        with pytest.raises(ParameterError):
-            critical_points([1.0, 2.0], tol=tol)
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError):
             critical_points([1.0, 2j, bad])

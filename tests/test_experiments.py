@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from critpoint import mobius as mb
-from critpoint.critical import critical_points, critical_points_oracle
+from critpoint.critical import DEFAULT_TOL, critical_points, critical_points_oracle
 from critpoint import experiments
 from critpoint.errors import ConvergenceError, NonDegeneracyError, ParameterError
 from critpoint.experiments import (AnticoncentrationConfig, ConvergenceConfig,
@@ -45,8 +45,8 @@ def test_config_validation():
     lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), directions=1.5),
     lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), k_reference="abc"),
     lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), k_reference=None),
-    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), tol_solver=math.nan),
-    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), R_infty=None),
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), improvement_factor=math.nan),
+    lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8,), quadrant_max="abc"),
     lambda: ConvergenceConfig(measure=CIRCLE, n_schedule=(8.7, 16)),
     lambda: ConvergenceConfig(measure="circle", n_schedule=(8,)),
     lambda: JensenConfig(measure=CIRCLE, n_schedule=(8,), trials=2.9),
@@ -127,10 +127,10 @@ def test_convergence_report_shape():
 def test_convergence_rows_in_schedule_order(monkeypatch):
     # series.csv lists each n's rows in schedule order, a failed solve's two
     # rows in its place; the reference distances are computed after all solves
-    def solve(roots, tol):
+    def solve(roots):
         if len(roots) == 16:
             raise ConvergenceError("planted", worst_residual=0.5)
-        return critical_points(roots, tol=tol)
+        return critical_points(roots)
 
     monkeypatch.setattr(experiments, "critical_points", solve)
     cfg = ConvergenceConfig(measure=CIRCLE, n_schedule=(8, 16, 32), seed=SeedSpec(9, 0),
@@ -153,7 +153,7 @@ def test_convergence_rows_in_schedule_order(monkeypatch):
     (lambda **kw: JensenConfig(trials=5, m_circle=128, **kw), run_jensen)],
     ids=["convergence", "jensen"])
 def test_solver_section_counts_merges_and_points_above_tol(make, run, monkeypatch):
-    # each solve planted with 2 merged roots and 3 points above tol_solver;
+    # each solve planted with 2 merged roots and 3 points above DEFAULT_TOL;
     # convergence reports its one solve per n, Jensen the sums over its trials
     cfg = make(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(9, 0))
     solves = 1 if run is run_convergence else cfg.trials
@@ -163,10 +163,10 @@ def test_solver_section_counts_merges_and_points_above_tol(make, run, monkeypatc
     assert rep.solver == clean
     solve = experiments.critical_points
 
-    def planted(roots, tol):
-        cs = solve(roots, tol=tol)
+    def planted(roots):
+        cs = solve(roots)
         res = np.array(cs.residuals)
-        res[:3] = 2 * tol
+        res[:3] = 2 * DEFAULT_TOL
         return replace(cs, residuals=res, near_duplicate_clusters=2)
 
     monkeypatch.setattr(experiments, "critical_points", planted)
@@ -333,17 +333,53 @@ def test_growth_single_atom_ratio():
     assert rep.passed
 
 
-def test_growth_with_every_root_on_the_circle_is_inconclusive(tmp_path):
-    # no n evaluates a circle, so there is no ratio: report.json stays strict JSON
-    cfg = GrowthConfig(measure=BaseMeasure.finite_support([1, -1], [0.5, 0.5]),
-                       n_schedule=(4, 8), circle_center=0j, circle_radius=1.0)
-    rep = run_growth(cfg)
-    rep.write(str(tmp_path))
-
+def _strict_json(path):
+    """The JSON document at path; NaN and the infinities are refused."""
     def reject(name):
-        raise ValueError(f"report.json holds {name}")
+        raise ValueError(f"{path} holds {name}")
 
-    doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+#: every root on C(0, 1): no n evaluates the circle
+ROOTS_ON_CIRCLE = GrowthConfig(measure=BaseMeasure.finite_support([1, -1], [0.5, 0.5]),
+                               n_schedule=(4, 8), circle_center=0j, circle_radius=1.0)
+#: one atom: every distance is 0, at the first n as at the last
+SINGLE_ATOM = ConvergenceConfig(measure=BaseMeasure.finite_support([0.0], [1.0]),
+                                n_schedule=(4, 8), k_reference=50)
+
+
+@pytest.mark.parametrize("config", [
+    ConvergenceConfig(measure=CIRCLE, n_schedule=(8, 16), k_reference=500),
+    SINGLE_ATOM,
+    JensenConfig(measure=CIRCLE, n_schedule=(8,), trials=3, m_circle=128),
+    AnticoncentrationConfig(measure=CIRCLE, n_schedule=(10, 20), trials=50),
+    GrowthConfig(measure=CIRCLE, n_schedule=(8, 16), m_circle=64),
+    ROOTS_ON_CIRCLE,
+    LLNConfig(measure=CIRCLE, n_schedule=(10,), k_reference=1000),
+], ids=["convergence", "convergence-single-atom", "jensen", "anticoncentration", "growth",
+        "growth-roots-on-circle", "lln"])
+def test_every_experiment_writes_strict_json(config, tmp_path):
+    rep = run_experiment(config)
+    rep.write(str(tmp_path))
+    doc = _strict_json(tmp_path / "report.json")
+    assert doc["config"] == config.to_json()
+    assert doc["passed"] == rep.passed
+
+
+def test_convergence_zero_final_distance_observed_as_a_string():
+    # d0 / d1 with d1 = 0 would be inf, which strict JSON cannot hold
+    rep = run_convergence(SINGLE_ATOM)
+    assert [(v.name, v.passed, v.observed) for v in rep.verdicts[1:3]] == [
+        (f"{stat}_improves", True, "zero final distance")
+        for stat in ("sliced_w1_nu_mu", "sliced_w1_nu_ref")]
+
+
+def test_growth_with_every_root_on_the_circle_is_inconclusive(tmp_path):
+    # no n evaluates a circle, so there is no ratio to report
+    rep = run_growth(ROOTS_ON_CIRCLE)
+    rep.write(str(tmp_path))
+    doc = _strict_json(tmp_path / "report.json")
     assert [(v["name"], v["passed"], v["observed"]) for v in doc["verdicts"]] == [
         ("growth_ratio", False, "inconclusive")]
     assert rep.stats("pole_on_contour") == {4: 1.0, 8: 1.0}
