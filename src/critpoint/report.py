@@ -17,7 +17,6 @@ import platform
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import logderiv
 
@@ -25,11 +24,11 @@ SCHEMA_VERSION = 1
 
 
 def run_environment() -> dict:
-    """The interpreter and library versions, and the number of ranges the
+    """The interpreter and numpy versions, and the number of ranges the
     Cauchy-sum kernel splits a large pass into (the CPUs the process may
-    run on)."""
+    run on).  A run loads no other library."""
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "kernel_workers": logderiv._workers()}
+            "kernel_workers": logderiv._workers()}
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,12 @@ transform then runs over row blocks on every CPU (`logderiv._blocked`),
 written over the uniforms' buffer.  Every row is bit for bit the path of
 its stream drawn alone.
 
+The measure transforms need numpy alone.  The Gaussian one is the normal
+quantile of each uniform, `_ndtri`: a numpy port of the Cephes `ndtri` that
+scipy.special runs, bit for bit its values, so that sampling does not load
+scipy.  Its logarithms are math.log, the C library's log, because numpy's
+own log rounds some values differently.
+
 The key rule (`_philox_keys`) is the one numpy applies to the list
 [master_seed, stream_id]: where exactly one word is >= 2**63 that list goes
 through float64, so both words are rounded to 53 significant bits.  Under
@@ -27,11 +33,11 @@ that rounds to 2**64 has no key and raises ParameterError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import ParameterError, as_complex, as_count, as_int, as_list, as_positive
 from .logderiv import _blocked
@@ -43,6 +49,32 @@ _LOC_SCALE = {"UniformCircle": ("center", "radius"), "UniformDisk": ("center", "
               "ComplexGaussian": ("mean", "scale"), "ComplexCauchy": ("location", "scale")}
 
 _MASK64 = (1 << 64) - 1
+
+# Cephes ndtri (as scipy.special runs it): the split point e^-2, sqrt(2 pi),
+# and the coefficients of its three rational approximations, highest power
+# first; the Q polynomials are monic and their leading 1 is left out
+_E2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+#: p in (e^-2, 1 - e^-2]
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+#: x = sqrt(-2 log y) in [2, 8)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+#: x in [8, 64)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 #: points per block of the measure transform in `sample`.  Its expression
 #: allocates its own temporaries in whichever thread runs the block: 8192
@@ -266,8 +298,80 @@ def _uniform_pairs(keys: np.ndarray, count: int) -> np.ndarray:
     return u
 
 
+def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
+    """Cephes polevl(x, coef), or p1evl(x, coef) when monic (coef without
+    its leading 1): Horner's rule with one rounding per product and one
+    per sum, as the compiled C runs it (no fused multiply-add)."""
+    a = x + coef[0] if monic else x * coef[0] + coef[1]
+    for c in coef[1 if monic else 2:]:
+        a *= x
+        a += c
+    return a
+
+
+def _rational(w: np.ndarray, P, Q) -> np.ndarray:
+    """w P(w) / Q(w), rounded as Cephes rounds w * polevl(w, P) / p1evl(w, Q)."""
+    r = _polevl(w, P)
+    r *= w
+    r /= _polevl(w, Q, monic=True)
+    return r
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log (the C library's log) of each entry of the 1-d float array x."""
+    return np.fromiter(map(math.log, memoryview(x)), float, len(x))
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each entry of the float array p: bit
+    for bit the Cephes `ndtri` that scipy.special runs, -inf at 0, inf at 1
+    and NaN off [0, 1].
+
+    Entries in (e^-2, 1 - e^-2] take the P0/Q0 approximation in
+    (p - 1/2)^2.  The others take y = p, or 1 - p above 1 - e^-2, then
+    x = sqrt(-2 log y) and x - log(x)/x less P1/Q1 (x < 8) or P2/Q2 (x >= 8)
+    in 1/x, negated for the lower tail.  Each branch runs only on the
+    entries in it, gathered by index, in the C code's order of operations.
+    The two logs are `_log`, the C library's log that the compiled code
+    calls: numpy's vectorised log is not libm's and differs from it in the
+    last bit on some inputs, so np.log would move samples.  Only the tails,
+    about 27% of uniform draws, pay for the per-entry calls.
+    """
+    flat = np.ravel(p)
+    out = np.empty_like(flat)
+    mid = (flat > _E2) & (flat <= 1.0 - _E2)
+    i = np.flatnonzero(mid)
+    t = flat[i] - 0.5
+    r = _rational(t * t, _P0, _Q0)
+    r *= t
+    r += t
+    r *= _S2PI
+    out[i] = r
+    i = np.flatnonzero(~mid)
+    q = flat[i]
+    upper = q > 1.0 - _E2
+    y = np.where(upper, 1.0 - q, q)
+    live = ~(y <= 0.0)  # y = 0 (p is 0 or 1) or p off [0, 1] has no log; NaN runs as in C
+    x = _log(y[live])
+    x *= -2.0
+    np.sqrt(x, out=x)
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    near = x < 8.0
+    for part, P, Q in ((near, _P1, _Q1), (~near, _P2, _Q2)):
+        x0[part] -= _rational(z[part], P, Q)
+    tails = np.where(y == 0.0, np.where(upper, np.inf, -np.inf), np.nan)
+    tails[live] = np.where(upper[live], x0, -x0)
+    out[i] = tails
+    return out.reshape(p.shape)
+
+
 def _points(measure: BaseMeasure, u: np.ndarray) -> np.ndarray:
-    """The samples of measure from the uniform pairs u[..., 0], u[..., 1]."""
+    """The samples of measure from the uniform pairs u[..., 0], u[..., 1].
+
+    A ComplexGaussian coordinate is `_ndtri` of its uniform: the in-repo
+    Cephes ndtri, with libm's log (math.log), since np.log's SIMD loops
+    round some logs differently and would move samples."""
     kind, p = measure.kind, measure.params
     if kind == "FiniteSupport":
         atoms, weights = measure.atoms_and_weights()
@@ -278,7 +382,8 @@ def _points(measure: BaseMeasure, u: np.ndarray) -> np.ndarray:
     if kind == "UniformDisk":
         return p["center"] + p["radius"] * np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
     if kind == "ComplexGaussian":
-        return p["mean"] + p["scale"] * (ndtri(u[..., 0]) + 1j * ndtri(u[..., 1]))
+        g = _ndtri(u)
+        return p["mean"] + p["scale"] * (g[..., 0] + 1j * g[..., 1])
     # ComplexCauchy: no finite moments by design
     return p["location"] + p["scale"] * (np.tan(np.pi * (u[..., 0] - 0.5))
                                          + 1j * np.tan(np.pi * (u[..., 1] - 0.5)))

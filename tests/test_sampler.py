@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.random import Philox
 
 from critpoint import logderiv
 from critpoint.errors import ParameterError, as_complex, as_int, as_real
 from critpoint.measures import reference_quantization
-from critpoint.sampler import BaseMeasure, SeedSpec, _philox_keys, sample
+from critpoint.sampler import _E2, BaseMeasure, SeedSpec, _ndtri, _philox_keys, sample
 
 ALL_MEASURES = [
     BaseMeasure.finite_support([1, -1, 2j], [0.2, 0.5, 0.3]),
@@ -188,6 +189,66 @@ def test_batched_draw_arguments():
     for bad in ([-1], [1.5], [True], [2**64], "12", [[1, 2]], np.array([[1, 2]], np.uint64)):
         with pytest.raises(ParameterError):
             sample(m, seed, 3, bad)
+
+
+def _ndtri_cases():
+    rng = np.random.default_rng(20230117)
+    walk = []  # 16 steps to either side of each split point
+    for c in (_E2, 1 - _E2):
+        for d in (0.0, 1.0):
+            x = c
+            for _ in range(16):
+                walk.append(x := np.nextafter(x, d))
+        walk.append(c)
+    k = np.arange(1, 4097) * 2.0**-53
+    u = rng.random((64, 257, 2))
+    return {
+        "uniforms": rng.random(10**6),
+        "multiples of 2^-53": np.concatenate([k, 1 - k]),
+        "exp(-36 U)": np.exp(-36 * rng.random(2 * 10**5)),
+        "split neighbours": np.array(walk),
+        "exact points": np.array([0.5, 1 - 2.0**-53, 2.0**-53, 0.0, 1.0]),
+        "off [0, 1]": np.array([np.nan, -np.nan, -0.5, 1.5, np.inf, -np.inf, -0.0]),
+        "rows x count x 2": u,
+        "rows x count, strided": u[..., 0],
+    }
+
+
+NDTRI_CASES = _ndtri_cases()
+
+
+@pytest.mark.parametrize("case", NDTRI_CASES)
+def test_ndtri_is_scipys_bit_for_bit(case):
+    p = NDTRI_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtri(p)
+    want = scipy.special.ndtri(p)
+    assert got.shape == p.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_ndtri_reaches_every_branch_and_both_infinities():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _ndtri(np.array([0.0, 1.0, 0.5])).tolist() == [-np.inf, np.inf, 0.0]
+    # y < e^-32 is sqrt(-2 log y) > 8, the P2/Q2 branch, in both tails
+    y = NDTRI_CASES["multiples of 2^-53"][:4096]
+    assert 0 < (y < np.exp(-32)).sum() < len(y)
+    p = NDTRI_CASES["split neighbours"]
+    for c in (_E2, 1 - _E2):
+        assert (p < c).any() and (p == c).any() and (p > c).any()
+
+
+def test_gaussian_rows_are_scipys_ndtri_of_the_philox_uniforms():
+    m = BaseMeasure.complex_gaussian(0.25 - 1j, 1.75)
+    seed, ids, count = SeedSpec(41, 0), [3, 2**63 + 9, 0, 77], 3000
+    z = sample(m, seed, count, ids).samples
+    for row, stream in zip(z, ids):
+        u = SeedSpec(seed.master_seed, stream).generator().random((count, 2))
+        want = (0.25 - 1j) + 1.75 * (scipy.special.ndtri(u[:, 0])
+                                     + 1j * scipy.special.ndtri(u[:, 1]))
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [
