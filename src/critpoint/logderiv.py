@@ -2,9 +2,10 @@
 
 `cauchy_sums` is the one direct route for every Cauchy sum
 sum_k c_k/(x_i - y_k) (S, S' and the repulsion in the solver, residual
-certificates, `eval_S`, the near roots of a circle grid, the probe sums of
-anticoncentration along each sample path), with one coincidence rule: a
-target on a source gives an infinite term.  Its rows are one target each
+certificates, `eval_S`, the sup norm's grid values, the near roots of
+`circle_abs_S`'s grid, the probe sums of anticoncentration along each
+sample path), with one coincidence rule: a target on a source gives an
+infinite term.  Its rows are one target each
 against shared sources, or t targets each against the row's own sources.
 Sums near the roots cancel, so each target is summed pairwise in source
 order, whatever its block.  It and the sup norm's bound pass (`_cover_sums`)
@@ -16,21 +17,22 @@ the caller's range in the calling thread and the others in threads that end
 with the call.  All ranges carve their buffers from one allocation, so a
 call holds the same scratch memory at any worker count.  Every row depends
 on its own targets and sources alone, so the sums are bit for bit the same
-however the rows are split.  `circle_abs_S` evaluates |S| on the grid a + r e^{2 pi i j / m}
-through one evaluator per (roots, circle), `_CircleField`, which owns the
-pole-on-contour test: roots far from the circle add a truncated Laurent
-series in e^{2 pi i j / m}, summed by Horner's rule at each grid point,
-and only the roots near the circle go through `cauchy_sums`.  Every value
-comes from its own grid index alone, so any subset of the grid is
-evaluated bit for bit as in the full grid.
+however the rows are split.
 
-`circle_sup_norm` is the grid maximum, found by a Lipschitz branch and
-bound over the grid (Piyavskii 1972, Shubert 1972): an evaluated point
-rules out its neighbours when |S| there plus a proven bound on how far
-the computed |S| can rise within their arc, h sum_k (d_k - h)^-2 plus a
-rounding margin 2 gamma sum_k (d_k - h)^-1 (d_k the distance to root k,
-h the arc), stays below the running maximum.  The proof of gamma and of
-the margins is in `circle_sup_norm`'s docstring.
+Two routes evaluate |S| on the grid a + r e^{2 pi i j / m}, and both
+start with one pole-on-contour test, `_check_contour`.  `circle_abs_S`
+(growth's full grids of up to 16k roots) is the only user of a truncated
+Laurent series: roots far from the circle add a series in
+e^{2 pi i j / m}, summed by Horner's rule at each grid point, and only the
+roots near the circle go through `cauchy_sums`.  `circle_sup_norm` uses no
+series: it is the maximum of the direct sums over all roots on the grid,
+found by a Lipschitz branch and bound over the grid (Piyavskii 1972,
+Shubert 1972).  An evaluated point rules out its neighbours when |S|
+there plus a proven bound on how far the computed |S| can rise within
+their arc, h sum_k (d_k - h)^-2 plus a rounding margin
+2 gamma sum_k (d_k - h)^-1 (d_k the distance to root k, h the arc), stays
+below the running maximum.  The proof of gamma and of the margins is in
+`circle_sup_norm`'s docstring.
 
 The roots are a plain multiset: every entry point checks them with
 `as_roots`, which returns them as a read-only 1-d complex array, and
@@ -53,7 +55,7 @@ import numpy as np
 from .errors import ParameterError, PoleOnContourError, as_complex, as_count, as_positive
 
 #: relative pole-detection tolerance, against the roots' spread in `eval_S`
-#: and against |a| + r in `circle_abs_S`
+#: and against |a| + r in `_check_contour`
 POLE_RTOL = 1e-12
 
 #: elements per blocked pass at a time (targets x sources in `_blocked`,
@@ -302,48 +304,20 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-class _CircleField:
-    """|S| at any grid points of one circle, prepared once per (roots,
-    circle): the pole-on-contour test, the split of the roots into near
-    ones, summed directly, and far ones, summed by their truncated Laurent
-    series, and the series' power sums (see `circle_abs_S`)."""
-
-    def __init__(self, roots: np.ndarray, c: Circle):
-        tau = POLE_RTOL * (abs(c.center) + c.radius)
-        if np.min(np.abs(np.abs(roots - c.center) - c.radius)) <= tau:
-            raise PoleOnContourError(
-                f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
-        w = (roots - c.center) / c.radius
-        aw = np.abs(w)
-        inside = aw < 1.0
-        with np.errstate(divide="ignore"):
-            L = _series_lengths(np.minimum(aw, 1.0 / aw))
-        series = L <= np.where(inside, _series_degree(L[inside]), _series_degree(L[~inside]))
-        s_in, s_out = series & inside, series & ~inside
-        self.circle, self.near = c, roots[~series]
-        self.coef_in = _power_sums(w[s_in], L[s_in], 0) if s_in.any() else None
-        self.coef_out = _power_sums(1.0 / w[s_out], L[s_out], 1) if s_out.any() else None
-        #: |w_k| and the longest series length of the far roots, for the bound
-        self.far_aw, self.degree = aw[series], float(L[series].max(initial=0.0))
-
-    def abs_S(self, j: np.ndarray, m: int) -> np.ndarray:
-        """|S| at the grid points j of the m grid."""
-        t = _unit_grid(m, j)
-        far = np.zeros(len(j), complex)
-        if self.coef_in is not None:
-            u = np.conj(t)
-            far += np.multiply(u, _horner(self.coef_in, u))
-        if self.coef_out is not None:
-            far -= _horner(self.coef_out, t)
-        far /= self.circle.radius
-        return _abs_S_on_points(self.near, self.circle.center + self.circle.radius * t, far)
+def _check_contour(roots: np.ndarray, c: Circle) -> None:
+    """PoleOnContourError when a root lies within POLE_RTOL (|a| + r) of the
+    circle: the grid points are rounded at the scale |a| + r, not the
+    roots' spread, so a root that near is on it."""
+    tau = POLE_RTOL * (abs(c.center) + c.radius)
+    if np.min(np.abs(np.abs(roots - c.center) - c.radius)) <= tau:
+        raise PoleOnContourError(
+            f"a root lies within {tau:.3e} of the circle C({c.center}, {c.radius})")
 
 
 def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     """|S| at the m grid points x_j = a + r t_j, t_j = e^{2 pi i j / m},
     j = 0..m-1.  Raises PoleOnContourError when a root lies within
-    POLE_RTOL (|a| + r) of the circle: the grid points are rounded at the
-    scale |a| + r, not the roots' spread, so a root that near is on it.
+    POLE_RTOL (|a| + r) of the circle (`_check_contour`).
 
     With w_k = (Z_k - a)/r and rho_k = min(|w_k|, 1/|w_k|) < 1, a root
     inside the circle adds (1/r) sum_{l >= 0} w_k^l t_j^{-(l+1)} and a root
@@ -355,18 +329,33 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     sum's own rounding.  On each side of the circle the series takes the
     roots with L_k <= D, where the Horner degree D minimises D plus the
     number of roots left to the direct sum; the power sums of the series
-    are evaluated at each t_j by Horner's rule in t_j and conj(t_j), and
-    the other ("near") roots through `cauchy_sums`.  When no root goes to a
-    series, this is the direct sum over all roots.
+    (`_power_sums`) are evaluated at each t_j by Horner's rule in t_j and
+    conj(t_j), and the other ("near") roots through `cauchy_sums`.  When no
+    root goes to a series, this is the direct sum over all roots.
 
     The split and the coefficients depend on the roots and the circle, not
     on m, and every grid value is computed from its own t_j alone, so the
-    value at j does not depend on which other points are evaluated with
-    it, and the m grid is bit for bit the even-indexed half of the 2m grid.
+    m grid is bit for bit the even-indexed half of the 2m grid.
     """
     roots = as_roots(roots)
     m = as_count(m, "m")
-    return _CircleField(roots, c).abs_S(np.arange(m), m)
+    _check_contour(roots, c)
+    w = (roots - c.center) / c.radius
+    aw = np.abs(w)
+    inside = aw < 1.0
+    with np.errstate(divide="ignore"):
+        L = _series_lengths(np.minimum(aw, 1.0 / aw))
+    series = L <= np.where(inside, _series_degree(L[inside]), _series_degree(L[~inside]))
+    s_in, s_out = series & inside, series & ~inside
+    t = _unit_grid(m)
+    far = np.zeros(m, complex)
+    if s_in.any():
+        u = np.conj(t)
+        far += np.multiply(u, _horner(_power_sums(w[s_in], L[s_in], 0), u))
+    if s_out.any():
+        far -= _horner(_power_sums(1.0 / w[s_out], L[s_out], 1), t)
+    far /= c.radius
+    return _abs_S_on_points(roots[~series], c.center + c.radius * t, far)
 
 
 def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float):
@@ -390,8 +379,11 @@ def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float):
 
 def circle_sup_norm(roots, c: Circle, m: int) -> float:
     """max_j |S(a + r e^{2 pi i j / m})|, a lower bound for sup_{C(a,r)} |S|:
-    float(np.max(circle_abs_S(roots, c, m))) bit for bit, from the grid
-    points that a proven upper bound cannot rule out.
+    the maximum of the direct sums over all roots on the m grid,
+    float(np.max(_abs_S_on_points(roots, c.points(m)))) bit for bit, from
+    the grid points that a proven upper bound cannot rule out.  It takes no
+    series, so it differs from the maximum of `circle_abs_S` only in
+    rounding.  Raises PoleOnContourError as `circle_abs_S` does.
 
     Doubling m refines the same nested grid, so the value is nondecreasing
     in m along powers of two.
@@ -412,97 +404,73 @@ def circle_sup_norm(roots, c: Circle, m: int) -> float:
     ever pruned.
 
     The bound.  Let u = 2^-53, X_j = a + r e^{2 pi i j/m} the exact grid
-    point and v_j the computed |S| at j.  Each root's term of v_j is
-    evaluated at a point p_jk within g = 32 u (|a| + r) of X_j: the near
-    roots at the rounded grid point, the far roots outside the circle at
-    a + r t~_j and those inside at a + r t~_j/|t~_j|^2, with t~_j the rounded
-    e^{2 pi i j/m} (its angle has 4 roundings, its cosine and sine one ulp
-    each, so |t~_j - e^{2 pi i j/m}| <= 27 u).  Write A_j = sum_k
-    1/|p_jk - Z_k|.  The rounding error of the computed S is then at most
+    point and v_j the computed |S| at j.  Every root's term of v_j is
+    evaluated at the rounded grid point p_j = a + r t~_j, within
+    g = 32 u (|a| + r) of X_j, with t~_j the rounded e^{2 pi i j/m} (its
+    angle has 4 roundings, its cosine and sine one ulp each, so
+    |t~_j - e^{2 pi i j/m}| <= 27 u).  Write A_j = sum_k 1/|p_j - Z_k|.  A
+    difference and Smith's complex reciprocal cost at most 8 u of each
+    term, and a sum of n terms in any order at most (n - 1) u of the sum
+    of their sizes, so the rounding error of the computed S is at most
     gamma A_j, to first order in u, with
 
-        gamma = (32 Lam^2 + 2 (n + 8) Lam + 2) u,   Lam = 2 + D/18,
+        gamma = (n + 8) u,
 
-    n the number of roots and D the longest far series (0 if none):
-      * near roots: a difference and Smith's complex reciprocal cost at
-        most 8 u of each term, and a sum of q terms in any order at most
-        (q - 1) u of the sum of their sizes: (q + 8) u A_j <= gamma A_j;
-      * far roots: the power of degree P of s_k = w_k or 1/w_k (s_k itself
-        within 9 u) is a running product within 12 P u, a power sum of at most
-        n terms adds (n - 1) u, Horner's rule adds (3.3 l + 1) u to the
-        coefficient of degree l, and the last product, difference, division
-        by r and the addition to the near sum add 8 u: at most
-        (16 (l + 1) + n + 8) u rho_k^(l+e) / r for the term l of root k.
-        Summed over l this is (16/(1 - rho)^2 + (n + 8)/(1 - rho)) u rho^e / r,
-        and the root's term is at least rho^e / (r (1 + rho)) in size.
-        Since rho_k^L_k < eps, L_k log(1/rho_k) > 36, so
-        1/(1 - rho_k) <= max(2, L_k/18) <= Lam, and with the dropped tail
-        (eps = 2u of the term) the root costs at most gamma of its term.
+    n the number of roots.
 
-    Let j' be a grid point in the cover of j, R steps away: its points
-    p_j'k lie within h = 2 pi r R/m + 2g of p_jk, and
-    |1/(p' - Z) - 1/(p - Z)| = |p' - p| / (|p' - Z| |p - Z|).  For a near
-    root at distance d_jk from the rounded X_j, |p' - Z_k| >= d_jk - h;
-    every far root lies delta_k = r |1 - |w_k|| from the circle, so
-    |p - Z_k| and |p' - Z_k| are at least delta_k - g.  With
-    v_j' <= (1 + 2u) (|S(p_j'.)| + gamma A_j') and
-    |S(p_j.)| <= (1 + 2u) v_j + gamma A_j (|.| rounds within 2u),
+    Let j' be a grid point in the cover of j, R steps away: p_j' lies
+    within h = 2 pi r R/m + 2g of p_j, and
+    |1/(p' - Z) - 1/(p - Z)| = |p' - p| / (|p' - Z| |p - Z|).  With d_jk
+    the distance from p_j to root k, |p_j' - Z_k| >= d_jk - h.  With
+    v_j' <= (1 + 2u) (|S(p_j')| + gamma A_j') and
+    |S(p_j)| <= (1 + 2u) v_j + gamma A_j (|.| rounds within 2u),
 
-        v_j' <= (1 + 5u) [v_j + h sum_near (d_jk - h)^-2
-                          + 2 gamma sum_near (d_jk - h)^-1
-                          + h sum_far (delta_k - g)^-2
-                          + 2 gamma sum_far (delta_k - g)^-1],
+        v_j' <= (1 + 5u) [v_j + h sum_k (d_jk - h)^-2
+                          + 2 gamma sum_k (d_jk - h)^-1],
 
-    and a cover meeting a root (d_jk <= h) is never done.  The far sums
-    are one scalar per circle (times h per pass); the near ones take a
-    blocked pass over the near roots per point (`_cover_sums`).  The
-    bound's own rounding: the computed distances are within 3u, which
-    h (1 + 16 eps) in place of h absorbs, and each of the positive terms
-    within 16 u, their sums within (n - 1) u; the computed U_j is the
-    bracket times 1 + (n + 64) eps, more than twice the total.  This
-    assumes no intermediate leaves the normal range of floats; a bound
-    that overflows is inf and prunes nothing.
+    and a cover meeting a root (d_jk <= h) is never done.  The sums take a
+    blocked pass over the roots per point (`_cover_sums`).  The bound's own
+    rounding: the computed distances are within 3u, which h (1 + 16 eps) in
+    place of h absorbs, and each of the positive terms within 16 u, their
+    sums within (n - 1) u; the computed U_j is the bracket times
+    1 + (n + 64) eps, more than twice the total.  This assumes no
+    intermediate leaves the normal range of floats; a bound that overflows
+    is inf and prunes nothing.
     """
     roots = as_roots(roots)
     m = as_count(m, "m")
-    field = _CircleField(roots, c)
+    _check_contour(roots, c)
     step = 1
     while step * SUP_REFINE * SUP_COARSE <= m:
         step *= SUP_REFINE
     j = np.arange(0, m, step)
-    v = field.abs_S(j, m)
+    v = _abs_S_on_points(roots, c.points(m, j))
     M = float(np.max(v))
     if step == 1:
         return M
     r = c.radius
     g = 16 * _EPS * (abs(c.center) + r)
-    lam = 2.0 + field.degree / 18.0
-    gamma = (16 * lam ** 2 + (len(roots) + 8) * lam + 1) * _EPS
+    gamma = (len(roots) + 8) * _EPS / 2
     grow = 1.0 + (len(roots) + 64) * _EPS
-    # the far roots' distances to the circle less g, in units of r
-    gap = (np.abs(1.0 - field.far_aw) - 4 * _EPS * np.maximum(field.far_aw, 1.0)) - g / r
-    far1 = far2 = math.inf
-    if np.all(gap > 0):
-        far1, far2 = float(np.sum(1.0 / gap)), float(np.sum(1.0 / gap ** 2))
     evaluated = np.zeros(m, bool)
     evaluated[j] = True
     offsets = np.arange(-(SUP_REFINE // 2), SUP_REFINE // 2 + 1)
     while step > 1:
         h = (2 * math.pi * r * (step // 2) / m + 2 * g) * (1 + 16 * _EPS)
-        s1, s2 = _cover_sums(c.points(m, j), field.near, h, r)
-        keep = (v + (h / r / r * (s2 + far2) + 2 * gamma / r * (s1 + far1))) * grow >= M
+        s1, s2 = _cover_sums(c.points(m, j), roots, h, r)
+        keep = (v + (h / r / r * s2 + 2 * gamma / r * s1)) * grow >= M
         j, v = j[keep], v[keep]
         if len(j) == 0:
             break
         rest = np.flatnonzero(~evaluated)
         if len(j) * step >= len(rest):
-            return max(M, float(np.max(field.abs_S(rest, m))))
+            return max(M, float(np.max(_abs_S_on_points(roots, c.points(m, rest)))))
         step //= SUP_REFINE
         new = np.unique((j[:, None] + step * offsets).ravel() % m)
         new = new[~evaluated[new]]
         if len(new):
             evaluated[new] = True
-            vn = field.abs_S(new, m)
+            vn = _abs_S_on_points(roots, c.points(m, new))
             M = max(M, float(np.max(vn)))
             j, v = np.concatenate([j, new]), np.concatenate([v, vn])
     return M

@@ -8,7 +8,8 @@ import pytest
 from critpoint import mobius as mb
 from critpoint.critical import DEFAULT_TOL, critical_points, critical_points_oracle
 from critpoint import experiments
-from critpoint.errors import ConvergenceError, NonDegeneracyError, ParameterError
+from critpoint.errors import (ConvergenceError, NonDegeneracyError, ParameterError,
+                             PoleOnContourError)
 from critpoint.experiments import (AnticoncentrationConfig, ConvergenceConfig,
                                    GrowthConfig, JensenConfig, LLNConfig,
                                    run_anticoncentration, run_convergence,
@@ -365,6 +366,24 @@ def test_every_experiment_writes_strict_json(config, tmp_path):
     doc = _strict_json(tmp_path / "report.json")
     assert doc["config"] == config.to_json()
     assert doc["passed"] == rep.passed
+
+
+def test_jensen_skips_a_transform_whose_contour_meets_a_root(monkeypatch, tmp_path):
+    """A PoleOnContourError from the sup norm makes the transform invalid:
+    with every contour refused, every trial is skipped, no gap is reported
+    and the pass-rate verdict fails, in strict JSON."""
+    def on_contour(*args):
+        raise PoleOnContourError("a root lies on the contour")
+
+    monkeypatch.setattr(experiments, "circle_sup_norm", on_contour)
+    config = JensenConfig(measure=CIRCLE, n_schedule=(8,), trials=3, m_circle=128)
+    rep = run_jensen(config)
+    assert rep.stat(8, "trials_skipped") == config.trials
+    assert rep.stat(8, "trials_valid") == 0
+    assert {row[1] for row in rep.rows}.isdisjoint({"min_gap", "mean_gap"})
+    assert [(v.name, v.passed) for v in rep.verdicts] == [("jensen_pass_rate_n8", False)]
+    rep.write(str(tmp_path))
+    assert _strict_json(tmp_path / "report.json")["passed"] is False
 
 
 def test_convergence_zero_final_distance_observed_as_a_string():

@@ -21,6 +21,14 @@ from critpoint.sampler import BaseMeasure, SeedSpec, sample
 # at z = 1.5, giving 3 / 1.25
 JENSEN_EXAMPLE_SUP = 2.4
 
+#: the direct kernel, as the module defines it (tests below wrap it)
+_direct = logderiv._abs_S_on_points
+
+
+def _grid_max(roots, c, m):
+    """The maximum of the direct sums over all roots on the m grid of c."""
+    return float(np.max(_direct(roots, c.points(m))))
+
 
 def test_eval_S_values():
     assert eval_S([1, -1], 0j) == 0
@@ -119,7 +127,12 @@ def test_circle_grid_is_the_even_half_of_the_doubled_grid():
             assert np.array_equal(c.points(m, j), c.points(m)[j])
         fine = circle_abs_S(roots, c, 2 * m)
         assert np.array_equal(fine[::2], circle_abs_S(roots, c, m))
-        assert float(np.max(fine[::2])) == circle_sup_norm(roots, c, m)
+        # the search sums every root directly, the grid takes the far ones
+        # by their series: the two agree to the direct sum's rounding
+        sup, direct = circle_sup_norm(roots, c, m), _direct(roots, c.points(m))
+        assert sup == float(np.max(direct))
+        x = c.points(m)[np.argmax(direct)]
+        assert abs(sup - float(np.max(fine[::2]))) <= 1e-12 * np.sum(1 / np.abs(x - roots))
 
 
 def test_circle_sup_norm_jensen_example():
@@ -492,24 +505,6 @@ def test_circle_grid_nesting_property(case):
     assert np.array_equal(circle_abs_S(roots, c, 2 * m)[::2], circle_abs_S(roots, c, m))
 
 
-@pytest.mark.parametrize("m", [999, 1024])
-def test_circle_values_at_grid_subsets(m):
-    """The evaluator behind `circle_abs_S` gives any subset of the grid
-    indices, in any order, the full grid's values bit for bit, with both
-    series and the direct sum in play."""
-    rng = np.random.default_rng(m)
-    c = Circle(0.1 - 0.2j, 1.5)
-    roots = np.concatenate([rng.standard_cauchy(1500) + 1j * rng.standard_cauchy(1500),
-                            c.center + 1.5 * (1 + rng.uniform(-0.1, 0.1, 50))
-                            * np.exp(2j * np.pi * rng.uniform(0, 1, 50))])
-    field = logderiv._CircleField(as_roots(roots), c)
-    assert field.coef_in is not None and field.coef_out is not None and len(field.near)
-    full = circle_abs_S(roots, c, m)
-    for size in (1, 2, 3, 5, 8, 17, 64, 333):
-        idx = rng.choice(m, size, replace=False)
-        assert np.array_equal(field.abs_S(idx, m), full[idx])
-
-
 @st.composite
 def _sup_norm_case(draw):
     """A `_circle_case`, optionally on a small circle far from the origin, at
@@ -526,26 +521,25 @@ def _sup_norm_case(draw):
 def test_circle_sup_norm_is_the_grid_maximum(case):
     """The pruned search returns the full grid's maximum bit for bit."""
     roots, c, m = case
-    assert circle_sup_norm(roots, c, m) == float(np.max(circle_abs_S(roots, c, m)))
+    assert circle_sup_norm(roots, c, m) == _grid_max(roots, c, m)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_circle_sup_norm_prunes_the_grid(monkeypatch, seed):
     """200 Gaussian roots about a unit circle: under a quarter of the 4096
     grid points reach the kernel."""
-    direct = logderiv._abs_S_on_points
     seen = []
 
     def recording(roots, pts, far=None):
         seen.append(len(pts))
-        return direct(roots, pts, far)
+        return _direct(roots, pts, far)
 
     monkeypatch.setattr(logderiv, "_abs_S_on_points", recording)
     roots = sample(BaseMeasure.complex_gaussian(), SeedSpec(seed), 200).samples
     c, m = Circle(0.1 - 0.2j, 1.0), 4096
     got = circle_sup_norm(roots, c, m)
     assert 0 < sum(seen) < m // 4
-    assert got == float(np.max(circle_abs_S(roots, c, m)))
+    assert got == _grid_max(roots, c, m)
 
 
 @pytest.mark.parametrize("lo, hi", [(-9.0, -1.0), (-9.0, -3.0)])
@@ -554,18 +548,17 @@ def test_circle_sup_norm_on_roots_hugging_the_contour(monkeypatch, lo, hi):
     radius, no cover can be pruned: after the first pass the rest of the
     grid goes to the kernel in one call, so each grid point is evaluated
     once, and the value is still the grid maximum."""
-    direct = logderiv._abs_S_on_points
     seen = []
 
     def recording(roots, pts, far=None):
         seen.append(len(pts))
-        return direct(roots, pts, far)
+        return _direct(roots, pts, far)
 
     rng = np.random.default_rng(int(-hi))
     n, c, m = 1000, Circle(0.1 - 0.2j, 1.0), 4096
     gap = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
     roots = c.center + (1.0 + gap) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-    want = float(np.max(circle_abs_S(roots, c, m)))
+    want = _grid_max(roots, c, m)
     monkeypatch.setattr(logderiv, "_abs_S_on_points", recording)
     assert circle_sup_norm(roots, c, m) == want
     assert seen == [m // 64, m - m // 64]
@@ -582,4 +575,23 @@ def test_circle_sup_norm_near_a_root_off_the_grid(gap, side):
     for j in (1000.5, 32.25, 4095.5):
         z = c.center + (c.radius + side * gap) * np.exp(2j * np.pi * j / m)
         with_root = np.append(roots, z)
-        assert circle_sup_norm(with_root, c, m) == float(np.max(circle_abs_S(with_root, c, m)))
+        assert circle_sup_norm(with_root, c, m) == _grid_max(with_root, c, m)
+
+
+def test_circle_sup_norm_takes_no_series(monkeypatch):
+    """On 4000 Cauchy roots, where `circle_abs_S` takes the series for the
+    far roots, the search never builds or sums one and still returns the
+    direct full-grid maximum bit for bit."""
+    def no_series(*args):
+        raise RuntimeError("a series was evaluated")
+
+    rng = np.random.default_rng(12)
+    rng.standard_normal(100)  # the draws of the series test before its 4000 roots
+    roots = rng.standard_cauchy(4000) + 1j * rng.standard_cauchy(4000)
+    c = Circle(0.1 - 0.2j, 1.5)
+    monkeypatch.setattr(logderiv, "_power_sums", no_series)
+    monkeypatch.setattr(logderiv, "_horner", no_series)
+    with pytest.raises(RuntimeError):
+        circle_abs_S(roots, c, 512)
+    for m in (512, 4096):
+        assert circle_sup_norm(roots, c, m) == _grid_max(roots, c, m)
