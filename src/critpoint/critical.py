@@ -13,6 +13,16 @@ i.e. Newton on the numerator with Aberth repulsion between iterates.  The
 naive S/S' step is not used: S decays like n/z at infinity, so Newton on S
 chases the spurious zero at infinity from any exterior start.
 
+Every sum over the roots or the iterates goes through
+`logderiv.cauchy_sums`.  Its full passes at large degree (the first-order
+estimates, the first sweeps, the repulsion among all iterates) may take
+its far route, whose S, S' and repulsion differ from the direct sums by
+at most eps sum_k |1/(w - z_k)| (|.|^2 for S') plus rounding, as the
+direct sums' own rounding does, and whose nearest-root distance is the
+direct one bit for bit.  The freeze and certificate rules are unchanged:
+a certificate |S(w)| dmin bounds the computed S of that pass, which is
+within that rounding of the exact sum on either route.
+
 Closeness is relative to the spread s = max |z_k - c| of the distinct roots
 about their centroid c: roots within DUPLICATE_RTOL * s are one multiple
 root, and the iteration runs on (z - c)/s, so DEFAULT_TOL and its other
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .logderiv import as_roots, cauchy_sums, spread
+from .logderiv import as_roots, cauchy_sums, counting_pairs, spread
 
 _EPS = float(np.finfo(float).eps)
 
@@ -58,12 +68,18 @@ class CriticalSet:
     repeated roots, which `_cluster_roots` groups, not solved for).
     near_duplicate_clusters counts the roots merged into another, unequal
     root as one multiple root (0 when every repeated root is exact).
+    The solver's work: `active[s]` points were evaluated in sweep s, and
+    the Cauchy sums of the solve summed `direct_pairs` target-source pairs
+    directly and `far_pairs` through the far route (`logderiv.cauchy_sums`).
     """
 
     points: np.ndarray
     residuals: np.ndarray
     method: str
     near_duplicate_clusters: int = 0
+    active: tuple = ()
+    direct_pairs: int = 0
+    far_pairs: int = 0
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.atleast_1d(np.asarray(self.points, dtype=complex)))
@@ -77,6 +93,10 @@ class CriticalSet:
 
     def __len__(self):
         return len(self.points)
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.active)
 
     def to_json(self) -> dict:
         return {"points": [[w.real, w.imag] for w in self.points],
@@ -163,7 +183,8 @@ def _closest_pair(c):
 
 def _aberth_zeros(z, m):
     """Zeros of S(w) = sum m_k/(w - z_k) for distinct z_k of spread 1 about 0,
-    so |w| <= 1 at every zero (Gauss-Lucas); returns (w, residuals).
+    so |w| <= 1 at every zero (Gauss-Lucas); returns (w, residuals, the
+    number of points evaluated in each sweep).
 
     Iterate i is frozen once its last Newton correction was small,
     |corr_i| / (1 + |w_i|) < DEFAULT_TOL, and its residual is certified,
@@ -174,26 +195,30 @@ def _aberth_zeros(z, m):
     certificate stays valid while the others move.  Each sweep evaluates
     the field only at the active points; frozen points still repel them, so
     a sweep costs O(active * q).  The iteration returns when no point is
-    active.
+    active; ConvergenceError carries each sweep's active count and worst
+    residual when it does not within MAX_SWEEPS sweeps.
     """
     nz = len(z) - 1
     if nz == 0:
-        return np.empty(0, complex), np.empty(0)
+        return np.empty(0, complex), np.empty(0), ()
     if np.all(m == 1):
         m = None
     w = _initial_iterates(z, m)
     res = np.full(nz, np.inf)
     small = np.zeros(nz, bool)
     act = np.arange(nz)
+    active, worst = [], []
     for sweep in range(MAX_SWEEPS):
         wa = w[act]
+        active.append(len(act))
         S, Sp, U, dmin = _field_sums(wa, z, m)
         res[act] = np.where(S == 0, 0.0, np.abs(S) * dmin)
+        worst.append(float(res.max()))
         floor = 8.0 * _EPS * (1.0 + np.abs(wa)) * np.abs(Sp) * dmin
         keep = ~(small[act] & (res[act] <= np.maximum(DEFAULT_TOL, floor)))
         act, wa, S, Sp, U = act[keep], wa[keep], S[keep], Sp[keep], U[keep]
         if len(act) == 0:
-            return w, res
+            return w, res, tuple(active)
         (Rep,) = cauchy_sums(wa, w, skip=act)
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = 1.0 / (Sp / S + U - Rep)
@@ -207,7 +232,8 @@ def _aberth_zeros(z, m):
         small[act] = np.abs(corr) / (1.0 + np.abs(w[act])) < DEFAULT_TOL
     raise ConvergenceError(
         f"Aberth iteration did not certify after {MAX_SWEEPS} sweeps "
-        f"(worst residual {res.max():.3e})", worst_residual=float(res.max()))
+        f"(worst residual {res.max():.3e})", worst_residual=float(res.max()),
+        active=tuple(active), worst_residuals=tuple(worst))
 
 
 def critical_points(roots) -> CriticalSet:
@@ -219,7 +245,7 @@ def critical_points(roots) -> CriticalSet:
     weights on the distinct roots mapped to (z - c)/s, where DEFAULT_TOL
     bounds the dimensionless certificates |S(W)| * min_k |W - Z_k|.  Raises
     ConvergenceError when some point is not certified within MAX_SWEEPS
-    sweeps.
+    sweeps.  The set carries the solve's sweeps and pairs (`CriticalSet`).
     """
     roots = as_roots(roots)
     if len(roots) < 2:
@@ -227,12 +253,14 @@ def critical_points(roots) -> CriticalSet:
     z, mult, inexact = _cluster_roots(roots)
     repeated = np.repeat(z, (mult - 1).astype(int))
     c, s = z.mean(), spread(z) or 1.0  # one distinct root: nothing to solve
-    zeros, res = _aberth_zeros((z - c) / s, mult)
+    with counting_pairs() as tally:
+        zeros, res, active = _aberth_zeros((z - c) / s, mult)
     points = np.concatenate([zeros * s + c, repeated])
     residuals = np.concatenate([res, np.zeros(len(repeated))])
     order = np.argsort(points)
     return CriticalSet(points[order], residuals[order], "aberth",
-                       near_duplicate_clusters=inexact)
+                       near_duplicate_clusters=inexact, active=active,
+                       direct_pairs=tally.direct, far_pairs=tally.far)
 
 
 def _residuals_against(points: np.ndarray, roots: np.ndarray) -> np.ndarray:

@@ -19,12 +19,16 @@ class ParameterError(CritpointError, ValueError):
 class ConvergenceError(CritpointError, RuntimeError):
     """The iterative solver failed to certify a solution.
 
-    Carries ``worst_residual``, the largest uncertified residual at abort time.
+    Carries ``worst_residual``, the largest uncertified residual at abort
+    time, and the solver's history: ``active``, the points evaluated in
+    each sweep, and ``worst_residuals``, the largest residual after each.
     """
 
-    def __init__(self, message, worst_residual=None):
+    def __init__(self, message, worst_residual=None, active=(), worst_residuals=()):
         super().__init__(message)
         self.worst_residual = worst_residual
+        self.active = tuple(active)
+        self.worst_residuals = tuple(worst_residuals)
 
 
 class NonDegeneracyError(CritpointError, ValueError):

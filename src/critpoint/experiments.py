@@ -201,13 +201,30 @@ def _escaped_mass(points: np.ndarray, radius: float) -> float:
 _NO_SOLVES = {"solves": 0, "near_duplicate_clusters": 0, "points_above_tol": 0}
 
 
-def _count_solve(counts: dict, cs) -> None:
-    """Add one returned solve to a `Report.solver` entry: the roots it merged
-    as near-duplicates, and its points whose certificate is above the
-    solver's DEFAULT_TOL (certified only at the double-precision floor)."""
+def _start_solves(rep: Report, n: int) -> None:
+    """Empty `Report.solver` and `Report.solver_work` entries for n."""
+    rep.solver[f"n={n}"] = dict(_NO_SOLVES)
+    rep.solver_work[f"n={n}"] = {"sweeps": 0, "active": [], "direct_pairs": 0, "far_pairs": 0}
+
+
+def _count_solve(rep: Report, n: int, cs) -> None:
+    """Add one returned solve to the entries of n: in `Report.solver` the
+    roots it merged as near-duplicates and its points whose certificate is
+    above the solver's DEFAULT_TOL (certified only at the double-precision
+    floor); in `Report.solver_work` its sweeps, its active points per sweep
+    (summed sweep by sweep) and the pairs its Cauchy sums summed directly
+    and by the far route."""
+    counts, work = rep.solver[f"n={n}"], rep.solver_work[f"n={n}"]
     counts["solves"] += 1
     counts["near_duplicate_clusters"] += cs.near_duplicate_clusters
     counts["points_above_tol"] += int(np.count_nonzero(cs.residuals > DEFAULT_TOL))
+    work["sweeps"] += cs.sweeps
+    work["direct_pairs"] += cs.direct_pairs
+    work["far_pairs"] += cs.far_pairs
+    active = work["active"]
+    active += [0] * (cs.sweeps - len(active))
+    for s, a in enumerate(cs.active):
+        active[s] += a
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +255,12 @@ def run_convergence(config: ConvergenceConfig) -> Report:
     to_ref = dict(zip(nus, sliced_w1_many(nus.values(), ref, config.directions)))
     rep.wall_clock["sliced_w1_nu_ref"] = time.perf_counter() - t_ref
     for n, cs in solved.items():
-        counts = rep.solver[f"n={n}"] = dict(_NO_SOLVES)
+        _start_solves(rep, n)
         if n not in nus:
             rep.add_row(n, "solver_failed", 1.0)
             rep.add_row(n, "solver_worst_residual", cs.worst_residual or math.nan)
             continue
-        _count_solve(counts, cs)
+        _count_solve(rep, n, cs)
         t_n = time.perf_counter()
         mu_n, nu_n = traj.samples[:n], nus[n]
         rep.add_row(n, "sliced_w1_nu_mu", sliced_w1(nu_n, mu_n, config.directions))
@@ -310,7 +327,7 @@ def run_jensen(config: JensenConfig) -> Report:
         t_n = time.perf_counter()
         passed = 0
         gaps = []
-        counts = rep.solver[f"n={n}"] = dict(_NO_SOLVES)
+        _start_solves(rep, n)
         # one transform block of roots at a time: each batch is held through
         # its trials' solves
         batch = max(1, TRANSFORM_BLOCK // n)
@@ -321,7 +338,7 @@ def run_jensen(config: JensenConfig) -> Report:
                 drawn = sample(config.measure, config.seed, n, streams).samples
             roots = drawn[t % batch]
             cs = critical_points(roots)
-            _count_solve(counts, cs)
+            _count_solve(rep, n, cs)
             chosen = None
             for attempt in range(_MOBIUS_ATTEMPTS):
                 u = mb.sample_mobius(

@@ -1,6 +1,6 @@
 """Logarithmic derivative S(z) = sum_k 1/(z - Z_k) and circle sup norms.
 
-`cauchy_sums` is the one direct route for every Cauchy sum
+`cauchy_sums` is the one entry point for every Cauchy sum
 sum_k c_k/(x_i - y_k) (S, S' and the repulsion in the solver, residual
 certificates, `eval_S`, the sup norm's grid values, the near roots of
 `circle_abs_S`'s grid, the probe sums of anticoncentration along each
@@ -18,6 +18,55 @@ with the call.  All ranges carve their buffers from one allocation, so a
 call holds the same scratch memory at any worker count.  Every row depends
 on its own targets and sources alone, so the sums are bit for bit the same
 however the rows are split.
+
+The far route.  A call with 1-d targets x (q of them) and shared sources
+y (n), of at least FAR_MIN_PAIRS = q n pairs (the measured crossover on 2
+CPUs: 1.5k-2k uniform disk points), is binned on a grid of square boxes
+of side h over the bounding box of x and y, about FAR_BOX_SOURCES
+sources per box (`_box_grid`).  The near field of a target is the 3 x 3
+block of boxes around its own; the call takes the route when the near
+fields hold at most FAR_NEAR_SHARE of the q n pairs, and the direct
+route otherwise.  So the choice rests on counts the call observes: points
+spread over an area take it, while a few boxes holding most points (heavy
+tails such as Cauchy roots), the n <= 200 solves of Jensen, growth's
+circle grids against the roots near the circle and the row form keep the
+direct sums.  The near field is summed directly, box by box, with
+`_blocked` and its buffer: skips, coincidences and the nearest distance
+as on the direct route, each target's sum over its near sources in a
+fixed order.  A target whose near field holds no source within h gets
+its nearest distance from all sources, directly, since a source outside
+the near field is at least h away; the distances are the direct route's
+bit for bit.  The far field (`farfield`) expands each source box in a
+multipole series about its centre, translates it once per offset
+d = (c_A - c_B)/h (integers, a batched product) to a local series about
+each target box's centre c_A, and sums that series at each target by
+Horner's rule (Greengard & Rokhlin 1987).  It runs in the calling thread,
+so the result is the same at any worker count and block rows.
+
+The truncation bound.  In units of h write x = c_A + t, y = c_B + s and
+v = (s - t)/d with |v| <= rho = (r_A + r_B)/|d|, r = sqrt(2)/2 the half
+diagonal of a box (widened by 2^-30 for points that rounding puts a hair
+past a box edge), so rho <= sqrt(2)/2 for |d| >= 2.  Then
+1/(x - y) = (1/d) sum_{j >= 0} v^j, and its multipole coefficients
+sum_k c_k s_k^l and the local ones, (-1)^m binom(l + m, l) d^-(l+m+1)
+times them, regroup the terms of degree j = l + m; an offset keeps l, m
+< p.  Every term left out has j >= p, and the sum of a degree's terms is
+at most rho^j / |d| in size, so the tail is at most
+rho^p / ((1 - rho) |d|), while |1/(x - y)| >= 1/((1 + rho) |d|).  The
+order p of an offset is `_series_lengths` at rho, the smallest p with
+rho^p <= eps (1 - rho)/(1 + rho), so each pair's truncation error is at
+most eps |c_k/(x - y_k)|, and a target's at most eps sum_k
+|c_k/(x - y_k)|, the scale of the direct sum's own rounding.  The
+squared sums are minus the derivative of the local series in t:
+1/(x - y)^2 = d^-2 sum_j (j + 1) v^j, the extra factor (j + 1) coming
+from the derivative, and the terms left out have j >= p - 1, so with
+|1/(x - y)|^2 >= 1/((1 + rho) |d|)^2 the order is the smallest p with
+sum_{s >= p-1} (s + 1) rho^s <= eps / (1 + rho)^2
+(`farfield._series_lengths_squared`): each pair's error is at most
+eps |c_k/(x - y_k)^2|.  The rest is rounding: every offset and term is
+taken relative to exact box centres (h has 9 significant bits and the
+grid's corner is a multiple of h), so a point's offset from its centre
+rounds once, and the products sum terms bounded by the same series.
 
 Two routes evaluate |S| on the grid a + r e^{2 pi i j / m}, and both
 start with one pole-on-contour test, `_check_contour`.  `circle_abs_S`
@@ -45,6 +94,8 @@ duplicates in `critical`), and |a| + r for the pole-on-contour test.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import os
 import threading
@@ -69,6 +120,14 @@ BLOCK_ELEMS = 1 << 17
 #: factor by which each later pass refines the spacing (even)
 SUP_COARSE = 64
 SUP_REFINE = 4
+
+#: the far route of `cauchy_sums` (module docstring): a 1-d call of at
+#: least FAR_MIN_PAIRS pairs is binned into boxes of about FAR_BOX_SOURCES
+#: sources each, and takes the route when the near field holds at most
+#: FAR_NEAR_SHARE of its pairs
+FAR_MIN_PAIRS = 1 << 21
+FAR_BOX_SOURCES = 64
+FAR_NEAR_SHARE = 0.25
 
 _EPS = float(np.finfo(float).eps)
 
@@ -168,7 +227,9 @@ def _blocked(nx: int, ny: int, width: int, block, rows=None) -> None:
     workers = min(_workers(), nx)
     bounds = [r * nx // workers for r in range(workers + 1)]
     step = max(1, min(rows or per_block // workers, -(-nx // workers)))
-    size = width * step * ny
+    # every split pass of a width takes the same buffer, so the allocator
+    # hands the last one's freed block to the next
+    size = width * max(step * ny, BLOCK_ELEMS // workers)
     work = np.empty(workers * size)
     err, errors, threads = np.geterr(), [], []
 
@@ -191,6 +252,36 @@ def _blocked(nx: int, ny: int, width: int, block, rows=None) -> None:
         raise errors[0]
 
 
+class PairTally:
+    """Target-source pairs of `cauchy_sums` calls: summed directly (the
+    distances of the nearest-source fallback included), and summed through
+    the far route's expansions."""
+
+    def __init__(self):
+        self.direct = self.far = 0
+
+
+#: the PairTally of the innermost `counting_pairs` block of this thread or task
+_TALLY = contextvars.ContextVar("critpoint_pair_tally", default=None)
+
+
+@contextlib.contextmanager
+def counting_pairs():
+    """Yield a PairTally of the pairs that the `cauchy_sums` calls made in
+    this thread (or task) within the block sum; an enclosing block's tally
+    gets them too when this one ends."""
+    tally = PairTally()
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
+        outer = _TALLY.get()
+        if outer is not None:
+            outer.direct += tally.direct
+            outer.far += tally.far
+
+
 def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
     """[sum_k c_k/(x_i - y_k) for c in weights] + [sum_k c_k/(x_i - y_k)^2 for
     c in squared] + [min_k |x_i - y_k|, if nearest], where c = None is weight 1.
@@ -204,35 +295,114 @@ def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, row
     A call of more than one block runs its rows on every CPU in the process's
     affinity mask (`os.sched_getaffinity`), with the same result bit for bit;
     start the process under `taskset -c 0` to keep it on one core, in the
-    calling thread alone.
+    calling thread alone.  A 1-d call that `_box_grid` bins takes the far
+    route (`farfield.far_sums`); the module docstring states when and how
+    exact.  The pairs each route summed go to the tally of `counting_pairs`.
     """
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    tally = _TALLY.get()
+    if x.ndim == 1 and y.ndim == 1:
+        binned = _box_grid(x, y)
+        if binned is not None:
+            from . import farfield  # compiled on first use: most runs never take the route
+            return farfield.far_sums(farfield.Grid(*binned), x, y, weights, squared, skip,
+                                     nearest, rows, tally)
+    if tally is not None:
+        tally.direct += x.size * y.shape[-1]
+    return _direct_sums(x, y, weights, squared, skip, nearest, rows)
+
+
+def _widths(weights, squared, nearest) -> tuple:
+    """Floats per pair of a block's buffers: the differences, the weighted
+    and the squared terms, and the distances."""
+    return (2, 2 * any(c is not None for c in weights + squared), 2 * bool(squared), nearest)
+
+
+def _reduce(D, bufs, weights, squared, out, at, nearest) -> None:
+    """The sums over D's last axis, the differences x_i - y_k with skipped
+    pairs set to inf, into out[j][at]; D is divided in place."""
+    prod, sq, dist = bufs
+    if nearest:
+        out[-1][at] = np.abs(D, out=dist).min(axis=-1, initial=np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        R = np.divide(1.0, D, out=D)
+        for j, c in enumerate(weights + squared):
+            cR = R if c is None else np.multiply(c, R, out=prod)
+            if j >= len(weights):
+                cR = np.multiply(cR, R, out=sq)
+            out[j][at] = cR.sum(axis=-1)
+
+
+def _direct_sums(x, y, weights, squared, skip, nearest, rows):
+    """`cauchy_sums` over every pair."""
     row = x.shape[1:] + y.shape[-1:]  # a row's pairs: (n,), or (t, n) in the row form
     # products never overwrite an operand: numpy rounds an in-place product
     # of one-element arrays differently from its vector loop.  The buffers
     # a call needs share one block: glibc gives back a freed heap top of
     # more than twice the largest block it last unmapped, so separate
     # buffers of a larger total would be faulted in again on every call
-    widths = (2, 2 * any(c is not None for c in weights + squared), 2 * bool(squared), nearest)
+    widths = _widths(weights, squared, nearest)
     out = [np.empty(x.shape, complex) for _ in weights + squared] + [np.empty(x.shape)] * nearest
 
     def block(a, b, work):
-        D, prod, sq, dist = _carve(work, (b - a,) + row, widths)
+        D, *bufs = _carve(work, (b - a,) + row, widths)
         np.subtract(x[a:b, ..., None], y if y.ndim == 1 else y[a:b, None], out=D)
         if skip is not None:
             D[np.arange(b - a), skip[a:b]] = np.inf
-        if nearest:
-            out[-1][a:b] = np.abs(D, out=dist).min(axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            R = np.divide(1.0, D, out=D)
-            for j, c in enumerate(weights + squared):
-                cR = R if c is None else np.multiply(c, R, out=prod)
-                if j >= len(weights):
-                    cR = np.multiply(cR, R, out=sq)
-                out[j][a:b] = cR.sum(axis=-1)
+        _reduce(D, bufs, weights, squared, out, slice(a, b), nearest)
 
     _blocked(len(x), math.prod(row), sum(widths), block, rows)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the far route
+
+
+def _box_grid(x, y):
+    """The far route's binning of a 1-d call, (h, o, gx, gy, the box of
+    each target, the box of each source) as `farfield.Grid` takes it, or
+    None for the direct route:
+    when q n is below FAR_MIN_PAIRS, when the points are not finite or span
+    no area, or when the near fields would hold more than FAR_NEAR_SHARE
+    of the q n pairs (a few boxes hold most points).  The boxes hold about
+    FAR_BOX_SOURCES sources each on average over the bounding box of
+    targets and sources."""
+    q, n = len(x), len(y)
+    if q * n < FAR_MIN_PAIRS:
+        return None
+    lo = complex(min(x.real.min(), y.real.min()), min(x.imag.min(), y.imag.min()))
+    hi = complex(max(x.real.max(), y.real.max()), max(x.imag.max(), y.imag.max()))
+    w, t = hi.real - lo.real, hi.imag - lo.imag
+    boxes = n / FAR_BOX_SOURCES
+    side = max(math.sqrt(w * t / boxes), max(w, t) / boxes)
+    if not (math.isfinite(side) and side > 0):
+        return None
+    frac, e = math.frexp(side)
+    h = math.ldexp(math.ceil(math.ldexp(frac, 8)), e - 8)  # side rounded up to 9 bits
+    corner = []
+    for v in (lo.real, lo.imag):
+        k = math.floor(v / h)
+        if not abs(k) < 2.0 ** 40:  # the centres would not be doubles
+            return None
+        while k * h > v:
+            k -= 1
+        corner.append(k * h)
+    o = complex(*corner)
+    gx, gy = int((hi.real - o.real) // h) + 1, int((hi.imag - o.imag) // h) + 1
+
+    def box(p):
+        i = np.clip(np.floor((p.real - o.real) / h), 0, gx - 1).astype(np.intp)
+        j = np.clip(np.floor((p.imag - o.imag) / h), 0, gy - 1).astype(np.intp)
+        return i * gy + j
+
+    # the near field's pairs from the box counts, before any sorting
+    t_box, s_box = box(x), box(y)
+    near = np.pad(np.bincount(s_box, minlength=gx * gy).reshape(gx, gy), 1)
+    near = sum(near[a:a + gx, b:b + gy] for a in range(3) for b in range(3))
+    if np.bincount(t_box, minlength=gx * gy) @ near.ravel() > FAR_NEAR_SHARE * q * n:
+        return None
+    return h, o, gx, gy, t_box, s_box
 
 
 def eval_S(roots, z: complex) -> complex:

@@ -399,7 +399,9 @@ def test_module_entry_point_runs():
 
 def test_cli_import_skips_scipy_optimize(tmp_path):
     # scipy is a test-side oracle only: neither starting the CLI nor a run,
-    # Gaussian sampling (the in-repo ndtri) included, may load any of it
+    # Gaussian sampling (the in-repo ndtri) included, may load any of it.
+    # Nor may the import build tables (binomials for the far route's
+    # translations, say): every run would pay for them in its set-up
     gaussian = {"kind": "ComplexGaussian", "params": {"mean": [0, 0], "scale": 1}}
     disk = {"kind": "UniformDisk", "params": {"center": [0, 0], "radius": 1}}
     jensen = {**small_config("jensen", str(tmp_path / "j"), trials=3), "measure": gaussian}
@@ -408,7 +410,14 @@ def test_cli_import_skips_scipy_optimize(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(critpoint.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     p = subprocess.run([sys.executable, "-c",
-                        "import sys, critpoint.cli\n"
+                        "import math, sys\n"
+                        "comb, combs = math.comb, []\n"
+                        "math.comb = lambda *a: combs.append(a) or comb(*a)\n"
+                        "import numpy as np, critpoint.cli\n"
+                        "math.comb = comb\n"
+                        "print(len(combs), sorted(f'{m}.{k}' for m, mod in list(sys.modules.items())\n"
+                        "      if m.split('.')[0] == 'critpoint'\n"
+                        "      for k, v in vars(mod).items() if isinstance(v, np.ndarray)))\n"
                         "for c in sys.argv[1:]:\n"
                         "    assert critpoint.cli.main(['run', '--config', c, '--quiet']) == 0\n"
                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
@@ -416,5 +425,6 @@ def test_cli_import_skips_scipy_optimize(tmp_path):
                        env=dict(os.environ, PYTHONPATH=path),
                        capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
+    assert p.stdout.strip().splitlines()[0] == "0 []"
     assert p.stdout.strip().splitlines()[-1] == "[]"
     assert all(os.path.exists(tmp_path / d / "series.csv") for d in "jc")

@@ -358,3 +358,63 @@ def test_unit_weights_match_weighted_ones_bit_for_bit(monkeypatch):
                 weighted = critical._field_sums(w, z, ones)
                 for a, b, c in zip(unit, weighted, want):
                     assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def _force_far(mp):
+    """Every 1-d Cauchy sum takes the far route, on boxes of about 8 roots."""
+    mp.setattr(logderiv, "FAR_MIN_PAIRS", 0)
+    mp.setattr(logderiv, "FAR_NEAR_SHARE", 1.0)
+    mp.setattr(logderiv, "FAR_BOX_SOURCES", 8)
+
+
+def _pairs_of(q, active):
+    """The pairs of a solve of q distinct roots that evaluated active[s]
+    points in sweep s: the first-order pass, the field sweeps and the
+    repulsion of the points that stay active after each sweep but the last."""
+    return q * q + q * sum(active) + (q - 1) * sum(active[1:])
+
+
+def test_critical_set_counts_its_work(monkeypatch):
+    """A solve carries its sweeps, its active points per sweep and its
+    pairs: all direct at the default crossover for 300 roots, mostly far
+    when the far route is forced; either way the same total."""
+    roots = _random_roots("disk", 300, 7)
+    cs = critical_points(roots)
+    assert cs.sweeps == len(cs.active) > 3 and cs.active[0] == 299
+    assert list(cs.active) == sorted(cs.active, reverse=True)
+    assert (cs.direct_pairs, cs.far_pairs) == (_pairs_of(300, cs.active), 0)
+    _force_far(monkeypatch)
+    far = critical_points(roots)
+    assert far.far_pairs > far.direct_pairs > 0
+    assert far.direct_pairs + far.far_pairs == _pairs_of(300, far.active)
+    assert critical_points_oracle(roots).method == "eigen"
+    assert critical_points_oracle(roots).sweeps == 0
+
+
+@pytest.mark.parametrize("kind", ["disk", "gauss"])
+def test_far_route_solve_certified_against_the_oracle(kind, monkeypatch):
+    """With every full pass on the far route, the solve still certifies
+    every point on the direct residual and agrees with the eigenvalue
+    route."""
+    roots = _random_roots(kind, 400, 11)
+    _force_far(monkeypatch)
+    cs = critical_points(roots)
+    assert cs.far_pairs > 0
+    with logderiv.counting_pairs() as tally:
+        monkeypatch.setattr(logderiv, "FAR_MIN_PAIRS", 10 ** 12)
+        res = critical._residuals_against(cs.points, roots)
+    assert tally.far == 0
+    assert np.all(res <= critical.DEFAULT_TOL)
+    want = critical_points_oracle(roots).points
+    assert multiset_match_distance(cs.points, want) <= 1e-12 * spread(roots)
+
+
+def test_nonconvergence_carries_the_history(monkeypatch):
+    """ConvergenceError carries each sweep's active count and worst residual."""
+    roots = _random_roots("disk", 32, 9)
+    monkeypatch.setattr(critical, "MAX_SWEEPS", 3)
+    with pytest.raises(ConvergenceError) as err:
+        critical_points(roots)
+    e = err.value
+    assert len(e.active) == len(e.worst_residuals) == 3 and e.active[0] == 31
+    assert e.worst_residuals[-1] == e.worst_residual > critical.DEFAULT_TOL

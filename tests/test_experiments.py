@@ -15,7 +15,7 @@ from critpoint.experiments import (AnticoncentrationConfig, ConvergenceConfig,
                                    run_anticoncentration, run_convergence,
                                    run_experiment, run_growth, run_jensen,
                                    run_lln_logminus)
-from critpoint import logderiv
+from critpoint import farfield, logderiv
 from critpoint.logderiv import Circle, circle_sup_norm, eval_S
 from critpoint.measures import from_points, log_minus_integral
 from critpoint.sampler import BaseMeasure, SeedSpec, sample
@@ -460,3 +460,48 @@ def test_reports_deterministic():
     ja, jb = a.to_json(), b.to_json()
     ja.pop("wall_clock"), jb.pop("wall_clock")
     assert ja == jb
+
+
+@pytest.mark.parametrize("make, run", [
+    (lambda **kw: ConvergenceConfig(k_reference=500, improvement_factor=None,
+                                    quadrant_max=None, **kw), run_convergence),
+    (lambda **kw: JensenConfig(trials=5, m_circle=128, **kw), run_jensen)],
+    ids=["convergence", "jensen"])
+def test_solver_work_section_sums_the_solves(make, run, monkeypatch):
+    """report.json's solver_work section sums, per n, the sweeps, the active
+    points sweep by sweep and the direct and far pairs of every solve."""
+    solves = []
+    solve = experiments.critical_points
+
+    def recording(roots):
+        solves.append((len(roots), solve(roots)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(experiments, "critical_points", recording)
+    cfg = make(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(9, 0))
+    rep = run(cfg)
+    assert set(rep.solver_work) == set(rep.solver) == {"n=8", "n=16"}
+    for n in cfg.n_schedule:
+        sets = [cs for m, cs in solves if m == n]
+        work = rep.solver_work[f"n={n}"]
+        assert work["sweeps"] == sum(cs.sweeps for cs in sets) > 0
+        assert work["direct_pairs"] == sum(cs.direct_pairs for cs in sets) > 0
+        assert work["far_pairs"] == 0
+        assert work["active"] == [sum(cs.active[s] for cs in sets if s < cs.sweeps)
+                                  for s in range(max(cs.sweeps for cs in sets))]
+    assert rep.to_json()["solver_work"] == rep.solver_work
+
+
+def test_growth_grids_keep_the_direct_route(monkeypatch):
+    """The growth workload's circle grids (ComplexCauchy roots up to
+    n = 16384) and Jensen's small solves never take the far route."""
+    def no_far(*args):
+        raise AssertionError("the far route was taken")
+
+    monkeypatch.setattr(farfield, "far_sums", no_far)
+    cauchy = BaseMeasure.complex_cauchy()
+    rep = run_growth(GrowthConfig(measure=cauchy, n_schedule=(1024, 4096, 16384),
+                                  seed=SeedSpec(3, 0)))
+    assert set(rep.stats("sup_norm")) == {1024, 4096, 16384}
+    run_jensen(JensenConfig(measure=BaseMeasure.complex_gaussian(), n_schedule=(200,),
+                            trials=2, seed=SeedSpec(2, 0)))

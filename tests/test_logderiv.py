@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from critpoint import critical, logderiv
+from critpoint import critical, farfield, logderiv
 from critpoint.critical import critical_points_oracle
 from critpoint.errors import ParameterError, PoleOnContourError
 from critpoint.logderiv import (POLE_RTOL, Circle, as_roots, cauchy_sums, circle_abs_S,
@@ -498,6 +499,26 @@ def test_series_length_is_the_smallest_meeting_the_bound(rho):
             assert L == 1 or p ** (L - 1) > bound
 
 
+@given(st.floats(0.0, 0.9))
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+def test_squared_series_length_is_the_smallest_meeting_its_bound(rho):
+    """The far route's order for squared sums: the smallest L with
+    sum_{s >= L - 1} (s + 1) rho^s <= eps / (1 + rho)^2, the tail summed in
+    closed form in exact rationals."""
+    eps = Fraction(np.finfo(float).eps)
+
+    def tail(J, r):
+        return r ** J * (J + 1 - J * r) / (1 - r) ** 2
+
+    grid = np.concatenate([[rho, 0.0, 0.5, math.sqrt(2) / 2, 0.9], np.linspace(0.01, 0.89, 23)])
+    for p, L in zip(grid, farfield._series_lengths_squared(grid)):
+        r, L = Fraction(p), int(L)
+        bound = eps / (1 + r) ** 2
+        assert L >= 1 and L >= logderiv._series_lengths(np.array([p]))[0]
+        assert tail(L - 1, r) <= bound * (1 + Fraction(1, 10 ** 9))
+        assert L == 1 or tail(L - 2, r) > bound * (1 - Fraction(1, 10 ** 9))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(_circle_case(max_n=600))
 def test_circle_grid_nesting_property(case):
@@ -595,3 +616,165 @@ def test_circle_sup_norm_takes_no_series(monkeypatch):
         circle_abs_S(roots, c, 512)
     for m in (512, 4096):
         assert circle_sup_norm(roots, c, m) == _grid_max(roots, c, m)
+
+
+# ---------------------------------------------------------------------------
+# the far route of `cauchy_sums`
+
+
+def _force_far(mp, box_sources=8):
+    """Every 1-d call takes the far route, on boxes of about box_sources
+    sources (many boxes, so that most pairs are far)."""
+    mp.setattr(logderiv, "FAR_MIN_PAIRS", 0)
+    mp.setattr(logderiv, "FAR_NEAR_SHARE", 1.0)
+    mp.setattr(logderiv, "FAR_BOX_SOURCES", box_sources)
+
+
+def _far_and_direct(*args, **kw):
+    """cauchy_sums(*args, **kw) by the far route and by the direct route,
+    and the tally of the far call."""
+    with pytest.MonkeyPatch.context() as mp:
+        _force_far(mp)
+        with logderiv.counting_pairs() as tally:
+            got = cauchy_sums(*args, **kw)
+    with logderiv.counting_pairs() as direct:
+        want = cauchy_sums(*args, **kw)
+    assert direct.far == 0
+    return got, want, tally
+
+
+def _far_sets():
+    """name -> (600 targets, 500 sources)."""
+    rng = np.random.default_rng(31)
+
+    def disk(k):
+        return np.sqrt(rng.random(k)) * np.exp(2j * np.pi * rng.random(k))
+
+    def gauss(k):
+        return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+    sets = {"disk": (disk(600), disk(500)), "gauss": (gauss(600), gauss(500))}
+    both = (3 * gauss(5))[rng.integers(0, 5, 1100)] + 0.05 * gauss(1100)
+    sets["clustered"] = (both[:600], both[600:])
+    y = disk(500)
+    sets["near_duplicates"] = (y[rng.integers(0, 500, 600)] + 1e-12 * gauss(600), y)
+    return sets
+
+
+_FAR_CASES = [(name, shift, scale) for name in _far_sets()
+              for shift, scale in ((0, 1.0), (1e6 * (1 + 1j), 1.0), (0, 1e8), (0, 1e-8))]
+
+
+@pytest.mark.parametrize("name, shift, scale", _FAR_CASES)
+def test_far_route_agrees_with_direct_sums(name, shift, scale):
+    """S, the weighted sums and the squared sums of the far route are the
+    direct sums within 16 eps sum_k |c_k/(x - y_k)| (|.|^2 for the squared
+    ones): the truncation is at most eps times that, and the rest is
+    rounding of both routes.  The nearest distances are equal bit for bit,
+    with and without skips (a skip of the target itself, or of any source,
+    which may lie in the far field).  Near-duplicates moved by 1e6 round
+    onto their sources: those targets' sums are not finite on both routes."""
+    x, y = _far_sets()[name]
+    x, y = x * scale + shift, y * scale + shift
+    rng = np.random.default_rng(32)
+    c = rng.random(len(y)) + 0.5j
+    D = x[:, None] - y
+    for skip in (None, rng.integers(0, len(y), len(x))):
+        kept = np.ones(D.shape, bool)
+        if skip is not None:
+            kept[np.arange(len(x)), skip] = False
+        on = (kept & (D == 0)).any(axis=1)
+        size = np.where(kept & (D != 0), 1 / np.where(D == 0, 1.0, np.abs(D)), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want, tally = _far_and_direct(x, y, weights=(None, c), squared=(c, None),
+                                               skip=skip, nearest=True)
+        assert tally.far > 0 and tally.direct + tally.far >= len(x) * len(y)
+        bound = 16 * np.finfo(float).eps
+        for j, w in enumerate((1.0, abs(c), abs(c), 1.0)):
+            mag = ((size ** (1 + (j >= 2))) * w).sum(axis=1)
+            assert np.all(np.abs(got[j][~on] - want[j][~on]) <= bound * mag[~on]), j
+            assert not np.isfinite(got[j][on]).any() and not np.isfinite(want[j][on]).any()
+        assert np.array_equal(got[-1], want[-1])
+    # a target's own source skipped, as the solver's passes do
+    got, want, _ = _far_and_direct(y, y, skip=np.arange(len(y)), nearest=True)
+    assert np.array_equal(got[-1], want[-1])
+
+
+def test_far_route_nearest_beyond_the_near_field(monkeypatch):
+    """A target whose box has no source nearby, or only sources farther
+    than a box side, gets its nearest distance from all sources, directly:
+    bit for bit the direct route's."""
+    rng = np.random.default_rng(33)
+    y = np.concatenate([rng.random(300) + 1j * rng.random(300), [6 + 6j, -5 + 0.5j]])
+    x = np.concatenate([rng.random(400) + 1j * rng.random(400), [6.1 + 5.5j, 3 - 4j, -4j]])
+    fallback = []
+    direct_sums = logderiv._direct_sums
+
+    def recording(x, *args):
+        fallback.append(len(x))
+        return direct_sums(x, *args)
+
+    monkeypatch.setattr(logderiv, "_direct_sums", recording)
+    got, want, _ = _far_and_direct(x, y, squared=(None,), nearest=True)
+    assert fallback[0] < len(x)  # the far call summed the fallback rows alone
+    assert np.array_equal(got[-1], want[-1])
+    assert np.array_equal(got[-1][-3:], np.abs(x[-3:, None] - y).min(axis=1))
+
+
+def test_far_route_independent_of_workers_and_block_rows(monkeypatch):
+    """The far route's sums are the same bit for bit at 1, 2 and 3 workers
+    and at any block rows, skips, weights, a target on a source (non-finite
+    sums, distance 0) and the direct fallback included."""
+    x, y = _far_sets()["gauss"]
+    x = np.concatenate([x, y[:3], [40 + 40j]])
+    rng = np.random.default_rng(34)
+    c = rng.random(len(y)) + 0.5j
+    skip = rng.integers(0, len(y), len(x))
+    _force_far(monkeypatch)
+    monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 4096)
+
+    def run(rows):
+        with np.errstate(invalid="ignore"):
+            return (cauchy_sums(x, y, weights=(c, None), squared=(c,), skip=skip,
+                                nearest=True, rows=rows),
+                    cauchy_sums(x, y, squared=(None,), nearest=True, rows=rows))
+
+    monkeypatch.setattr(logderiv, "_workers", lambda: 1)
+    want = run(None)
+    assert not np.isfinite(want[1][0][-4:-1]).any() and np.all(want[1][-1][-4:-1] == 0)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(logderiv, "_workers", lambda: workers)
+        for rows in (1, 7, None):
+            for got_call, want_call in zip(run(rows), want):
+                for a, b in zip(got_call, want_call):
+                    assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_far_route_taken_by_spread_sets_only(monkeypatch):
+    """At the default crossover, 4000 roots uniform on the disk take the far
+    route in the solver's passes; 4000 Cauchy roots (heavy tails: a few
+    boxes hold nearly every root), small calls and the row form do not."""
+    rng = np.random.default_rng(35)
+    disk = np.sqrt(rng.random(4000)) * np.exp(2j * np.pi * rng.random(4000))
+    cauchy = rng.standard_cauchy(4000) + 1j * rng.standard_cauchy(4000)
+    for z, far in ((disk, True), (cauchy, False), (disk[:1000], False)):
+        with logderiv.counting_pairs() as tally:
+            cauchy_sums(z, z, skip=np.arange(len(z)), nearest=True)
+            cauchy_sums(z[1:], z, squared=(None,), nearest=True)
+        assert (tally.far > 0) == far
+    with logderiv.counting_pairs() as tally:
+        cauchy_sums(np.tile(disk[:100], (40, 1)), np.tile(disk, (40, 1)))
+    assert tally.far == 0 and tally.direct == 40 * 100 * 4000
+
+
+def test_counting_pairs_nests():
+    """An inner block's pairs reach the enclosing block's tally too."""
+    x = np.arange(3.0)
+    with logderiv.counting_pairs() as outer:
+        cauchy_sums(x, x + 0.5)
+        with logderiv.counting_pairs() as inner:
+            cauchy_sums(x, np.arange(5.0) + 0.5)
+        assert (inner.direct, outer.direct) == (15, 24)
+    assert (outer.direct, outer.far) == (24, 0)
+    cauchy_sums(x, x + 0.5)
+    assert outer.direct == 24
