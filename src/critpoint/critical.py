@@ -13,7 +13,7 @@ i.e. Newton on the numerator with Aberth repulsion between iterates.  The
 naive S/S' step is not used: S decays like n/z at infinity, so Newton on S
 chases the spurious zero at infinity from any exterior start.
 
-Every sum over the roots or the iterates goes through
+Every sum of the solver over the roots or the iterates goes through
 `logderiv.cauchy_sums`.  Its full passes at large degree (the first-order
 estimates, the first sweeps, the repulsion among all iterates) may take
 its far route, whose S, S' and repulsion differ from the direct sums by
@@ -21,7 +21,8 @@ at most eps sum_k |1/(w - z_k)| (|.|^2 for S') plus rounding, as the
 direct sums' own rounding does, and whose nearest-root distance is the
 direct one bit for bit.  The freeze and certificate rules are unchanged:
 a certificate |S(w)| dmin bounds the computed S of that pass, which is
-within that rounding of the exact sum on either route.
+within that rounding of the exact sum on either route.  The eigenvalue
+route's certificates are always the direct sums (`_residuals_against`).
 
 Closeness is relative to the spread s = max |z_k - c| of the distinct roots
 about their centroid c: roots within DUPLICATE_RTOL * s are one multiple
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .logderiv import as_roots, cauchy_sums, counting_pairs, spread
+from .logderiv import _direct_sums, as_roots, cauchy_sums, counting_pairs, spread
 
 _EPS = float(np.finfo(float).eps)
 
@@ -264,8 +265,10 @@ def critical_points(roots) -> CriticalSet:
 
 
 def _residuals_against(points: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """|S(W)| * min_k |W - Z_k| per point; zero where W sits on a root."""
-    S, dmin = cauchy_sums(points, roots, nearest=True)
+    """|S(W)| * min_k |W - Z_k| per point; zero where W sits on a root.
+    Always the direct sums, so the oracle's certificates share no far-field
+    code with the solver they check."""
+    S, dmin = _direct_sums(points, roots, nearest=True)
     return np.where(dmin == 0, 0.0, np.abs(S)) * dmin
 
 

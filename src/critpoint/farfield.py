@@ -192,17 +192,16 @@ def far_sums(g, x, y, weights, squared, skip, nearest, rows, tally):
                 v = v * v
             far[cut] -= v if c is None else np.asarray(c)[sk[cut]] * v
         out[j][to] += far
-    fallback = 0
     if nearest:
         # a far source is at least a box side away: where the near field
         # holds no closer source, the nearest is found over all sources
+        # (`_direct_sums` tallies those pairs)
         i = np.flatnonzero(~(out[-1] < h * (1 - 2.0 ** -30)))
-        fallback = len(i) * n
         if len(i):
             (out[-1][i],) = logderiv._direct_sums(
                 x[i], y, (), (), None if skip is None else np.asarray(skip)[i], True, rows)
     if tally is not None:
         near = int(np.diff(g.t_start) @ g.near)
-        tally.direct += near + fallback
+        tally.direct += near
         tally.far += q * n - near
     return out

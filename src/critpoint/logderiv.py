@@ -1,12 +1,14 @@
 """Logarithmic derivative S(z) = sum_k 1/(z - Z_k) and circle sup norms.
 
-`cauchy_sums` is the one entry point for every Cauchy sum
-sum_k c_k/(x_i - y_k) (S, S' and the repulsion in the solver, residual
-certificates, `eval_S`, the sup norm's grid values, the near roots of
-`circle_abs_S`'s grid, the probe sums of anticoncentration along each
-sample path), with one coincidence rule: a target on a source gives an
-infinite term.  Its rows are one target each
-against shared sources, or t targets each against the row's own sources.
+Every Cauchy sum sum_k c_k/(x_i - y_k) goes through `cauchy_sums` (S, S'
+and the repulsion in the solver, `eval_S`, the probe sums of
+anticoncentration along each sample path) or its direct route
+`_direct_sums` (the grid values of both circle routes, `_abs_S_on_points`,
+and the eigenvalue oracle's residual certificates,
+`critical._residuals_against`, whose contracts need each value to depend
+on its own point alone), with one coincidence rule: a target on a source
+gives an infinite term.  Its rows are one target each against shared
+sources, or t targets each against the row's own sources.
 Sums near the roots cancel, so each target is summed pairwise in source
 order, whatever its block.  It and the sup norm's bound pass (`_cover_sums`)
 share one block rule, `_blocked`: a pass of rows x elements per row that
@@ -15,9 +17,10 @@ larger one is cut into one contiguous range of rows per CPU the process may
 run on, each range a loop over blocks of BLOCK_ELEMS // workers elements,
 the caller's range in the calling thread and the others in threads that end
 with the call.  All ranges carve their buffers from one allocation, so a
-call holds the same scratch memory at any worker count.  Every row depends
-on its own targets and sources alone, so the sums are bit for bit the same
-however the rows are split.
+call holds the same scratch memory at any worker count.  On the direct
+route every row depends on its own targets and sources alone, so the sums
+are bit for bit the same however the rows are split, into blocks or into
+calls.
 
 The far route.  A call with 1-d targets x (q of them) and shared sources
 y (n), of at least FAR_MIN_PAIRS = q n pairs (the measured crossover on 2
@@ -28,9 +31,10 @@ block of boxes around its own; the call takes the route when the near
 fields hold at most FAR_NEAR_SHARE of the q n pairs, and the direct
 route otherwise.  So the choice rests on counts the call observes: points
 spread over an area take it, while a few boxes holding most points (heavy
-tails such as Cauchy roots), the n <= 200 solves of Jensen, growth's
-circle grids against the roots near the circle and the row form keep the
-direct sums.  The near field is summed directly, box by box, with
+tails such as Cauchy roots), the n <= 200 solves of Jensen and the row
+form keep the direct sums.  A value on the route depends on the whole
+call (its bounding box sets the boxes), so the callers of `_direct_sums`
+above never take it.  The near field is summed directly, box by box, with
 `_blocked` and its buffer: skips, coincidences and the nearest distance
 as on the direct route, each target's sum over its near sources in a
 fixed order.  A target whose near field holds no source within h gets
@@ -40,8 +44,12 @@ bit for bit.  The far field (`farfield`) expands each source box in a
 multipole series about its centre, translates it once per offset
 d = (c_A - c_B)/h (integers, a batched product) to a local series about
 each target box's centre c_A, and sums that series at each target by
-Horner's rule (Greengard & Rokhlin 1987).  It runs in the calling thread,
-so the result is the same at any worker count and block rows.
+Horner's rule (Greengard & Rokhlin 1987).  The far field does not depend
+on the worker count or block rows, so neither does the result; its
+translation products are numpy matrix products, which run in the BLAS
+library numpy was built with (on its own threads), so the far route's
+sums are bit for bit the same only on the same BLAS build, where the
+direct route's depend on numpy alone.
 
 The truncation bound.  In units of h write x = c_A + t, y = c_B + s and
 v = (s - t)/d with |v| <= rho = (r_A + r_B)/|d|, r = sqrt(2)/2 the half
@@ -73,7 +81,7 @@ start with one pole-on-contour test, `_check_contour`.  `circle_abs_S`
 (growth's full grids of up to 16k roots) is the only user of a truncated
 Laurent series: roots far from the circle add a series in
 e^{2 pi i j / m}, summed by Horner's rule at each grid point, and only the
-roots near the circle go through `cauchy_sums`.  `circle_sup_norm` uses no
+roots near the circle are summed directly.  `circle_sup_norm` uses no
 series: it is the maximum of the direct sums over all roots on the grid,
 found by a Lipschitz branch and bound over the grid (Piyavskii 1972,
 Shubert 1972).  An evaluated point rules out its neighbours when |S|
@@ -253,9 +261,9 @@ def _blocked(nx: int, ny: int, width: int, block, rows=None) -> None:
 
 
 class PairTally:
-    """Target-source pairs of `cauchy_sums` calls: summed directly (the
-    distances of the nearest-source fallback included), and summed through
-    the far route's expansions."""
+    """Target-source pairs of `cauchy_sums` and `_direct_sums` calls: summed
+    directly (the distances of the nearest-source fallback included), and
+    summed through the far route's expansions."""
 
     def __init__(self):
         self.direct = self.far = 0
@@ -267,7 +275,7 @@ _TALLY = contextvars.ContextVar("critpoint_pair_tally", default=None)
 
 @contextlib.contextmanager
 def counting_pairs():
-    """Yield a PairTally of the pairs that the `cauchy_sums` calls made in
+    """Yield a PairTally of the pairs that the Cauchy sum calls made in
     this thread (or task) within the block sum; an enclosing block's tally
     gets them too when this one ends."""
     tally = PairTally()
@@ -300,15 +308,12 @@ def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, row
     exact.  The pairs each route summed go to the tally of `counting_pairs`.
     """
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    tally = _TALLY.get()
     if x.ndim == 1 and y.ndim == 1:
         binned = _box_grid(x, y)
         if binned is not None:
             from . import farfield  # compiled on first use: most runs never take the route
             return farfield.far_sums(farfield.Grid(*binned), x, y, weights, squared, skip,
-                                     nearest, rows, tally)
-    if tally is not None:
-        tally.direct += x.size * y.shape[-1]
+                                     nearest, rows, _TALLY.get())
     return _direct_sums(x, y, weights, squared, skip, nearest, rows)
 
 
@@ -333,8 +338,13 @@ def _reduce(D, bufs, weights, squared, out, at, nearest) -> None:
             out[j][at] = cR.sum(axis=-1)
 
 
-def _direct_sums(x, y, weights, squared, skip, nearest, rows):
-    """`cauchy_sums` over every pair."""
+def _direct_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
+    """`cauchy_sums` over every pair, whatever the call's size and points,
+    for complex arrays x and y; the pairs go to the tally of
+    `counting_pairs`."""
+    tally = _TALLY.get()
+    if tally is not None:
+        tally.direct += x.size * y.shape[-1]
     row = x.shape[1:] + y.shape[-1:]  # a row's pairs: (n,), or (t, n) in the row form
     # products never overwrite an operand: numpy rounds an in-place product
     # of one-element arrays differently from its vector loop.  The buffers
@@ -417,9 +427,10 @@ def eval_S(roots, z: complex) -> complex:
 
 
 def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, far=None) -> np.ndarray:
-    """|S| on an array of points: the direct sum over `roots`, plus `far`
-    (the other roots' values at the points), if given."""
-    (S,) = cauchy_sums(pts, roots)
+    """|S| on an array of points: the direct sum over `roots` (never the far
+    route, so each value depends on its own point alone), plus `far` (the
+    other roots' values at the points), if given."""
+    (S,) = _direct_sums(pts, roots)
     if far is not None:
         S += far
     return np.abs(S)
@@ -500,8 +511,8 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     roots with L_k <= D, where the Horner degree D minimises D plus the
     number of roots left to the direct sum; the power sums of the series
     (`_power_sums`) are evaluated at each t_j by Horner's rule in t_j and
-    conj(t_j), and the other ("near") roots through `cauchy_sums`.  When no
-    root goes to a series, this is the direct sum over all roots.
+    conj(t_j), and the other ("near") roots by `_direct_sums`.  When no root
+    goes to a series, this is the direct sum over all roots.
 
     The split and the coefficients depend on the roots and the circle, not
     on m, and every grid value is computed from its own t_j alone, so the

@@ -34,7 +34,6 @@ that rounds to 2**64 has no key and raises ParameterError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,18 +89,6 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
-
-
-def _mix64_int(*words: int) -> int:
-    """`_mix64` of Python ints in [0, 2**64), in Python integers: the same
-    value, without numpy's per-call cost on one scalar."""
-    acc = 0
-    for w in words:
-        x = ((acc ^ w) + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        acc = x ^ (x >> 31)
-    return acc
 
 
 def _mix64(*words):
@@ -160,13 +147,8 @@ class SeedSpec:
         """Derive an independent stream for a named purpose.
 
         The derivation hashes (stream_id, purpose, index), so adjacent user
-        stream ids never collide with internally derived ones.  Integer
-        arguments in range take `_mix64_int`; anything else goes through
-        `substreams`, which computes the same id or raises.
+        stream ids never collide with internally derived ones.
         """
-        if all(isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
-               and 0 <= v <= _MASK64 for v in (purpose, index)):
-            return SeedSpec(self.master_seed, _mix64_int(self.stream_id, int(purpose), int(index)))
         return SeedSpec(self.master_seed, int(self.substreams(purpose, index)))
 
     def substreams(self, purpose: int, indexes) -> np.ndarray:

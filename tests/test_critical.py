@@ -400,10 +400,9 @@ def test_far_route_solve_certified_against_the_oracle(kind, monkeypatch):
     _force_far(monkeypatch)
     cs = critical_points(roots)
     assert cs.far_pairs > 0
-    with logderiv.counting_pairs() as tally:
-        monkeypatch.setattr(logderiv, "FAR_MIN_PAIRS", 10 ** 12)
+    with logderiv.counting_pairs() as tally:  # direct, though the route is forced
         res = critical._residuals_against(cs.points, roots)
-    assert tally.far == 0
+    assert tally.far == 0 and tally.direct == len(cs.points) * len(roots)
     assert np.all(res <= critical.DEFAULT_TOL)
     want = critical_points_oracle(roots).points
     assert multiset_match_distance(cs.points, want) <= 1e-12 * spread(roots)

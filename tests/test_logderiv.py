@@ -767,6 +767,24 @@ def test_far_route_taken_by_spread_sets_only(monkeypatch):
     assert tally.far == 0 and tally.direct == 40 * 100 * 4000
 
 
+def test_circle_grids_never_take_the_far_route(monkeypatch):
+    """The circle routes' grid values are the direct sums even where every
+    1-d call would take the far route: the same values bit for bit, no far
+    pairs, and the m grid still the even half of the 2m grid."""
+    rng = np.random.default_rng(36)
+    roots = np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
+    c = Circle(0.1j, 0.9)
+    want = circle_abs_S(roots, c, 2048), circle_sup_norm(roots, c, 4096)
+    _force_far(monkeypatch)
+    with logderiv.counting_pairs() as tally:
+        got = circle_abs_S(roots, c, 2048), circle_sup_norm(roots, c, 4096)
+        half = circle_abs_S(roots, c, 1024)
+    assert tally.far == 0 and tally.direct > 0
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(got[0][::2], half)
+    assert got[1] == _grid_max(roots, c, 4096)
+
+
 def test_counting_pairs_nests():
     """An inner block's pairs reach the enclosing block's tally too."""
     x = np.arange(3.0)

@@ -115,28 +115,6 @@ def test_substreams_is_substream_for_every_index():
     assert 2000 < np.count_nonzero(ids >= np.uint64(2**63)) < 3000
 
 
-def test_scalar_substream_is_the_mixer_on_ints():
-    """substream's pure-int path gives `substreams`' id (numpy's mixer) for
-    ids and arguments on both sides of 2**63, numpy integers included, and
-    rejects what `substreams` rejects, with the same error."""
-    words = [0, 1, 2**63 - 1, 2**63, 2**63 + 7, 2**64 - 1]
-    for stream in words:
-        s = SeedSpec(5, stream)
-        for purpose in words[:4] + [np.uint64(2**63 + 1), np.int64(3)]:
-            for index in words + [np.int32(9)]:
-                want = int(s.substreams(purpose, index))
-                assert s.substream(purpose, index) == SeedSpec(5, want)
-    s = SeedSpec(5, 2**63 + 1)
-    for bad in (-1, 2**64, 1.0, True, np.True_, np.int64(-3), "3", None, [1]):
-        # a list is a batch of indexes for `substreams`, not a bad index
-        for args in [(bad,), (bad, 0)] + [(2, bad)] * (not isinstance(bad, list)):
-            with pytest.raises(ParameterError) as scalar:
-                s.substream(*args)
-            with pytest.raises(ParameterError) as batch:
-                s.substreams(*(args + (0,))[:2])
-            assert str(scalar.value) == str(batch.value)
-
-
 WORDS = [0, 1, 7, 2**53 + 1, 2**62 + 3, 2**63 - 1, 2**63, 2**63 + 7, 2**63 + 1024,
          2**63 + 1025, 2**63 + 3072, 2**64 - 2049, 2**64 - 1025]
 
