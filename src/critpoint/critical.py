@@ -13,16 +13,17 @@ i.e. Newton on the numerator with Aberth repulsion between iterates.  The
 naive S/S' step is not used: S decays like n/z at infinity, so Newton on S
 chases the spurious zero at infinity from any exterior start.
 
-Every sum of the solver over the roots or the iterates goes through
-`logderiv.cauchy_sums`.  Its full passes at large degree (the first-order
-estimates, the first sweeps, the repulsion among all iterates) may take
-its far route, whose S, S' and repulsion differ from the direct sums by
-at most eps sum_k |1/(w - z_k)| (|.|^2 for S') plus rounding, as the
-direct sums' own rounding does, and whose nearest-root distance is the
-direct one bit for bit.  The freeze and certificate rules are unchanged:
+The solver's three passes over the roots or the iterates (the first-order
+estimates, the field sweeps and the repulsion) go through
+`farfield.cauchy_sums`, which takes the far route for a large pass of
+spread points and the direct kernel `logderiv.cauchy_sums` otherwise.  On
+the route S, S' and the repulsion differ from the direct sums by at most
+eps sum_k |1/(w - z_k)| (|.|^2 for S') plus rounding, as the direct sums'
+own rounding does, and the nearest-root distance is the direct one bit
+for bit.  The freeze and certificate rules are the same on either route:
 a certificate |S(w)| dmin bounds the computed S of that pass, which is
-within that rounding of the exact sum on either route.  The eigenvalue
-route's certificates are always the direct sums (`_residuals_against`).
+within that rounding of the exact sum.  The eigenvalue route's
+certificates are the kernel's sums (`_residuals_against`).
 
 Closeness is relative to the spread s = max |z_k - c| of the distinct roots
 about their centroid c: roots within DUPLICATE_RTOL * s are one multiple
@@ -44,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import farfield
 from .errors import ConvergenceError, ParameterError
-from .logderiv import _direct_sums, as_roots, cauchy_sums, counting_pairs, spread
+from .logderiv import as_roots, cauchy_sums, counting_pairs, spread
 
 _EPS = float(np.finfo(float).eps)
 
@@ -71,7 +73,7 @@ class CriticalSet:
     root as one multiple root (0 when every repeated root is exact).
     The solver's work: `active[s]` points were evaluated in sweep s, and
     the Cauchy sums of the solve summed `direct_pairs` target-source pairs
-    directly and `far_pairs` through the far route (`logderiv.cauchy_sums`).
+    directly and `far_pairs` through the far route (`farfield.cauchy_sums`).
     """
 
     points: np.ndarray
@@ -145,9 +147,10 @@ def _field_sums(w, z, m, chunk=None):
     kernel's block rule).  m = None means unit multiplicities, where the
     pole sum is S itself."""
     if m is None:
-        S, Sp, dmin = cauchy_sums(w, z, squared=(None,), nearest=True, rows=chunk)
+        S, Sp, dmin = farfield.cauchy_sums(w, z, squared=(None,), nearest=True, rows=chunk)
         return S, -Sp, S, dmin
-    S, U, Sp, dmin = cauchy_sums(w, z, weights=(m, None), squared=(m,), nearest=True, rows=chunk)
+    S, U, Sp, dmin = farfield.cauchy_sums(w, z, weights=(m, None), squared=(m,), nearest=True,
+                                          rows=chunk)
     return S, -Sp, U, dmin
 
 
@@ -156,7 +159,8 @@ def _initial_iterates(z, m, chunk=None):
     (displacement m_k/T_k capped at half the nearest-neighbour gap), then the
     two closest candidates merge into their midpoint, leaving q-1 points.
     m = None means unit multiplicities; `chunk` as in `_field_sums`."""
-    T, dnear = cauchy_sums(z, z, weights=(m,), skip=np.arange(len(z)), nearest=True, rows=chunk)
+    T, dnear = farfield.cauchy_sums(z, z, weights=(m,), skip=np.arange(len(z)), nearest=True,
+                                    rows=chunk)
     with np.errstate(divide="ignore", invalid="ignore"):
         disp = np.where(T != 0, (1.0 if m is None else m) / np.where(T == 0, 1.0, T), dnear / 2)
     cap = dnear / 2
@@ -220,7 +224,7 @@ def _aberth_zeros(z, m):
         act, wa, S, Sp, U = act[keep], wa[keep], S[keep], Sp[keep], U[keep]
         if len(act) == 0:
             return w, res, tuple(active)
-        (Rep,) = cauchy_sums(wa, w, skip=act)
+        (Rep,) = farfield.cauchy_sums(wa, w, skip=act)
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = 1.0 / (Sp / S + U - Rep)
         corr[S == 0] = 0.0
@@ -265,10 +269,8 @@ def critical_points(roots) -> CriticalSet:
 
 
 def _residuals_against(points: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """|S(W)| * min_k |W - Z_k| per point; zero where W sits on a root.
-    Always the direct sums, so the oracle's certificates share no far-field
-    code with the solver they check."""
-    S, dmin = _direct_sums(points, roots, nearest=True)
+    """|S(W)| * min_k |W - Z_k| per point; zero where W sits on a root."""
+    S, dmin = cauchy_sums(points, roots, nearest=True)
     return np.where(dmin == 0, 0.0, np.abs(S)) * dmin
 
 

@@ -1,10 +1,66 @@
-"""The far route of `logderiv.cauchy_sums`: the near field of each
-target's box summed directly, the far field by multipole and local
-expansions on a uniform grid of boxes.  The route, its selection rule
-(`logderiv._box_grid`) and its truncation bound are stated in the
-`logderiv` module docstring.  `cauchy_sums` imports this module on the
-first call that takes the route, so a run that never does compiles none
-of it.
+"""The solver's far route: `cauchy_sums`, a drop-in for
+`logderiv.cauchy_sums` that sums a large call of spread points by the near
+field of each target's box directly and the far field by multipole and
+local expansions on a uniform grid of boxes (Greengard & Rokhlin 1987).
+Only the solver's full passes call it (`critical`); every other Cauchy sum
+is the direct kernel, since a value on the route depends on the whole call
+(its bounding box sets the boxes).
+
+The rule.  A call with 1-d targets x (q of them) and shared sources y (n),
+of at least FAR_MIN_PAIRS = q n pairs (the measured crossover on 2 CPUs:
+1.5k-2k uniform disk points), with no skip or each target's own source
+skipped (y[skip] == x, as the solver's self passes send), is binned on a
+grid of square boxes of side h over the bounding box of x and y, about
+FAR_BOX_SOURCES sources per box (`_box_grid`).  The near field of a target
+is the 3 x 3 block of boxes around its own; the call takes the route when
+the near fields hold at most FAR_NEAR_SHARE of the q n pairs, and the
+kernel otherwise.  So the choice rests on counts the call observes: points
+spread over an area take it, while a few boxes holding most points (heavy
+tails such as Cauchy roots), the n <= 200 solves of Jensen, the row form
+and any other skip keep the direct sums.  A skipped own source lies in the
+target's own box, so the near field leaves it out and the far field never
+holds it.
+
+The route.  The near field is summed directly, box by box, with
+`logderiv._blocked` and its buffer: skips, coincidences and the nearest
+distance as in the kernel, each target's sum over its near sources in a
+fixed order.  A target whose near field holds no source within h gets its
+nearest distance from all sources by the kernel, since a source outside
+the near field is at least h away; the distances are the kernel's bit for
+bit.  The far field (`_far_field`) expands each source box in a multipole
+series about its centre, translates it once per offset d = (c_A - c_B)/h
+(integers, a batched product) to a local series about each target box's
+centre c_A, and sums that series at each target by Horner's rule.  The far
+field does not depend on the worker count or block rows, so neither does
+the result; its translation products are numpy matrix products, which run
+in the BLAS library numpy was built with (on its own threads), so the
+route's sums are bit for bit the same only on the same BLAS build, where
+the kernel's depend on numpy alone.
+
+The truncation bound.  In units of h write x = c_A + t, y = c_B + s and
+v = (s - t)/d with |v| <= rho = (r_A + r_B)/|d|, r = sqrt(2)/2 the half
+diagonal of a box (widened by 2^-30 for points that rounding puts a hair
+past a box edge), so rho <= sqrt(2)/2 for |d| >= 2.  Then
+1/(x - y) = (1/d) sum_{j >= 0} v^j, and its multipole coefficients
+sum_k c_k s_k^l and the local ones, (-1)^m binom(l + m, l) d^-(l+m+1)
+times them, regroup the terms of degree j = l + m; an offset keeps l, m
+< p.  Every term left out has j >= p, and the sum of a degree's terms is
+at most rho^j / |d| in size, so the tail is at most
+rho^p / ((1 - rho) |d|), while |1/(x - y)| >= 1/((1 + rho) |d|).  The
+order p of an offset is `logderiv._series_lengths` at rho, the smallest p
+with rho^p <= eps (1 - rho)/(1 + rho), so each pair's truncation error is
+at most eps |c_k/(x - y_k)|, and a target's at most eps sum_k
+|c_k/(x - y_k)|, the scale of the direct sum's own rounding.  The squared
+sums are minus the derivative of the local series in t:
+1/(x - y)^2 = d^-2 sum_j (j + 1) v^j, the extra factor (j + 1) coming
+from the derivative, and the terms left out have j >= p - 1, so with
+|1/(x - y)|^2 >= 1/((1 + rho) |d|)^2 the order is the smallest p with
+sum_{s >= p-1} (s + 1) rho^s <= eps / (1 + rho)^2
+(`_series_lengths_squared`): each pair's error is at most
+eps |c_k/(x - y_k)^2|.  The rest is rounding: every offset and term is
+taken relative to exact box centres (h has 9 significant bits and the
+grid's corner is a multiple of h), so a point's offset from its centre
+rounds once, and the products sum terms bounded by the same series.
 """
 
 from __future__ import annotations
@@ -14,6 +70,24 @@ import math
 import numpy as np
 
 from . import logderiv
+
+#: a 1-d call of at least FAR_MIN_PAIRS pairs is binned into boxes of about
+#: FAR_BOX_SOURCES sources each, and takes the route when the near field
+#: holds at most FAR_NEAR_SHARE of its pairs (module docstring)
+FAR_MIN_PAIRS = 1 << 21
+FAR_BOX_SOURCES = 64
+FAR_NEAR_SHARE = 0.25
+
+
+def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
+    """`logderiv.cauchy_sums`, by the far route when `_box_grid` bins the
+    call and by the kernel otherwise; the module docstring states when and
+    how exact."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    g = _box_grid(x, y, skip)
+    if g is None:
+        return logderiv.cauchy_sums(x, y, weights, squared, skip, nearest, rows)
+    return far_sums(g, x, y, weights, squared, skip, nearest, rows)
 
 
 class Grid:
@@ -50,17 +124,58 @@ class Grid:
 
     def near_column(self, k):
         """The column of source k[i] in the near field of the i-th sorted
-        target, or -1 where it lies outside."""
+        target, for a source in the target's own box: in the middle run."""
         rank = np.empty(len(self.s_order), np.intp)
         rank[self.s_order] = np.arange(len(rank))
-        k = rank[k]
-        tb, sb = self.t_box, self.s_box[k]
-        di, dj = sb // self.gy - tb // self.gy, sb % self.gy - tb % self.gy
-        run = np.clip(di + 1, 0, 2)
-        start = self.runs[tb, run, 0]
-        length = self.runs[..., 1] - self.runs[..., 0]
-        before = (np.cumsum(length, axis=1) - length)[tb, run]
-        return np.where((abs(di) <= 1) & (abs(dj) <= 1), before + k - start, -1)
+        left, own = self.runs[self.t_box, 0], self.runs[self.t_box, 1]
+        return left[:, 1] - left[:, 0] + rank[k] - own[:, 0]
+
+
+def _box_grid(x, y, skip):
+    """The far route's Grid for a call, or None for the kernel: when x or y
+    is not 1-d, when q n is below FAR_MIN_PAIRS, when skip leaves out other
+    than each target's own source, when the points are not finite or span
+    no area, or when the near fields would hold more than FAR_NEAR_SHARE
+    of the q n pairs (a few boxes hold most points).  The boxes hold about
+    FAR_BOX_SOURCES sources each on average over the bounding box of
+    targets and sources."""
+    if x.ndim != 1 or y.ndim != 1:
+        return None
+    q, n = len(x), len(y)
+    if q * n < FAR_MIN_PAIRS or not (skip is None or np.array_equal(y[skip], x)):
+        return None
+    lo = complex(min(x.real.min(), y.real.min()), min(x.imag.min(), y.imag.min()))
+    hi = complex(max(x.real.max(), y.real.max()), max(x.imag.max(), y.imag.max()))
+    w, t = hi.real - lo.real, hi.imag - lo.imag
+    boxes = n / FAR_BOX_SOURCES
+    side = max(math.sqrt(w * t / boxes), max(w, t) / boxes)
+    if not (math.isfinite(side) and side > 0):
+        return None
+    frac, e = math.frexp(side)
+    h = math.ldexp(math.ceil(math.ldexp(frac, 8)), e - 8)  # side rounded up to 9 bits
+    corner = []
+    for v in (lo.real, lo.imag):
+        k = math.floor(v / h)
+        if not abs(k) < 2.0 ** 40:  # the centres would not be doubles
+            return None
+        while k * h > v:
+            k -= 1
+        corner.append(k * h)
+    o = complex(*corner)
+    gx, gy = int((hi.real - o.real) // h) + 1, int((hi.imag - o.imag) // h) + 1
+
+    def box(p):
+        i = np.clip(np.floor((p.real - o.real) / h), 0, gx - 1).astype(np.intp)
+        j = np.clip(np.floor((p.imag - o.imag) / h), 0, gy - 1).astype(np.intp)
+        return i * gy + j
+
+    # the near field's pairs from the box counts, before any sorting
+    t_box, s_box = box(x), box(y)
+    near = np.pad(np.bincount(s_box, minlength=gx * gy).reshape(gx, gy), 1)
+    near = sum(near[a:a + gx, b:b + gy] for a in range(3) for b in range(3))
+    if np.bincount(t_box, minlength=gx * gy) @ near.ravel() > FAR_NEAR_SHARE * q * n:
+        return None
+    return Grid(h, o, gx, gy, t_box, s_box)
 
 
 def _sort_boxes(box, nb):
@@ -89,7 +204,7 @@ def _far_field(g, t, s, charges, slope):
     F = h sum over the far sources (box distance >= 2) of c_k/(x - y_k) and
     F' is its derivative in t (only if slope), from the multipoles of the
     source boxes translated to local expansions of the target boxes
-    (`logderiv`'s module docstring).  t and s are the sorted targets and sources
+    (module docstring).  t and s are the sorted targets and sources
     relative to their box centres, in units of h."""
     gx, gy, nc = g.gx, g.gy, len(charges)
     dx = np.arange(1 - gx, gx)[:, None]
@@ -139,10 +254,11 @@ def _far_field(g, t, s, charges, slope):
     return fields
 
 
-def far_sums(g, x, y, weights, squared, skip, nearest, rows, tally):
-    """`cauchy_sums` on the grid g: the near field of each target's box
-    summed directly, box by box through `logderiv._blocked`, plus the far
-    field of `_far_field`; the pairs of each go to `tally`, if given."""
+def far_sums(g, x, y, weights, squared, skip, nearest, rows):
+    """`cauchy_sums` on the grid g, skip None or each target's own source:
+    the near field of each target's box summed directly, box by box
+    through `logderiv._blocked`, plus the far field of `_far_field`; the
+    pairs of each go to the tally of `logderiv.counting_pairs`."""
     q, n, h = len(x), len(y), g.h
     to, so, tb = g.t_order, g.s_order, g.t_box
     xs, ys = x[to], y[so]
@@ -150,8 +266,7 @@ def far_sums(g, x, y, weights, squared, skip, nearest, rows, tally):
     cs = [None if c is None else np.asarray(c)[so] for c in entries]
     widths = logderiv._widths(weights, squared, nearest)
     out = [np.empty(q, complex) for _ in entries] + [np.empty(q)] * nearest
-    sk = None if skip is None else np.asarray(skip)[to]
-    col = None if skip is None else g.near_column(sk)
+    col = None if skip is None else g.near_column(np.asarray(skip)[to])
 
     def block(a, b, work):
         for box in range(tb[a], tb[b - 1] + 1):
@@ -165,8 +280,7 @@ def far_sums(g, x, y, weights, squared, skip, nearest, rows, tally):
                 np.subtract(xs[s:e, None], ys[r], out=D[:, at:at + r.stop - r.start])
                 at += r.stop - r.start
             if col is not None:
-                i = np.flatnonzero(col[s:e] >= 0)
-                D[i, col[s:e][i]] = np.inf
+                D[np.arange(e - s), col[s:e]] = np.inf
             coefs = [None if c is None else np.concatenate([c[r] for r in runs]) for c in cs]
             logderiv._reduce(D, bufs, coefs[:len(weights)], coefs[len(weights):], out,
                              to[s:e], nearest)
@@ -181,25 +295,18 @@ def far_sums(g, x, y, weights, squared, skip, nearest, rows, tally):
     fields = dict(zip(first, _far_field(
         g, g.offsets(xs, tb), g.offsets(ys, g.s_box),
         [np.ones(n) if cs[j] is None else cs[j] for j in first.values()], bool(squared))))
-    cut = None if col is None else np.flatnonzero(col < 0)
     for j, c in enumerate(entries):
         F, dF = fields[id(c)]
-        far = F / h if j < len(weights) else dF / -(h * h)
-        if cut is not None and len(cut):
-            # a skipped source outside the near field is in the far sum: take it out
-            v = 1.0 / (xs[cut] - y[sk[cut]])
-            if j >= len(weights):
-                v = v * v
-            far[cut] -= v if c is None else np.asarray(c)[sk[cut]] * v
-        out[j][to] += far
+        out[j][to] += F / h if j < len(weights) else dF / -(h * h)
     if nearest:
         # a far source is at least a box side away: where the near field
         # holds no closer source, the nearest is found over all sources
-        # (`_direct_sums` tallies those pairs)
+        # (the kernel tallies those pairs)
         i = np.flatnonzero(~(out[-1] < h * (1 - 2.0 ** -30)))
         if len(i):
-            (out[-1][i],) = logderiv._direct_sums(
+            (out[-1][i],) = logderiv.cauchy_sums(
                 x[i], y, (), (), None if skip is None else np.asarray(skip)[i], True, rows)
+    tally = logderiv._TALLY.get()
     if tally is not None:
         near = int(np.diff(g.t_start) @ g.near)
         tally.direct += near

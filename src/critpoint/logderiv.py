@@ -1,14 +1,9 @@
 """Logarithmic derivative S(z) = sum_k 1/(z - Z_k) and circle sup norms.
 
-Every Cauchy sum sum_k c_k/(x_i - y_k) goes through `cauchy_sums` (S, S'
-and the repulsion in the solver, `eval_S`, the probe sums of
-anticoncentration along each sample path) or its direct route
-`_direct_sums` (the grid values of both circle routes, `_abs_S_on_points`,
-and the eigenvalue oracle's residual certificates,
-`critical._residuals_against`, whose contracts need each value to depend
-on its own point alone), with one coincidence rule: a target on a source
-gives an infinite term.  Its rows are one target each against shared
-sources, or t targets each against the row's own sources.
+Every Cauchy sum sum_k c_k/(x_i - y_k) goes through one direct kernel,
+`cauchy_sums`, with one coincidence rule: a target on a source gives an
+infinite term.  Its rows are one target each against shared sources, or t
+targets each against the row's own sources.
 Sums near the roots cancel, so each target is summed pairwise in source
 order, whatever its block.  It and the sup norm's bound pass (`_cover_sums`)
 share one block rule, `_blocked`: a pass of rows x elements per row that
@@ -17,64 +12,9 @@ larger one is cut into one contiguous range of rows per CPU the process may
 run on, each range a loop over blocks of BLOCK_ELEMS // workers elements,
 the caller's range in the calling thread and the others in threads that end
 with the call.  All ranges carve their buffers from one allocation, so a
-call holds the same scratch memory at any worker count.  On the direct
-route every row depends on its own targets and sources alone, so the sums
-are bit for bit the same however the rows are split, into blocks or into
-calls.
-
-The far route.  A call with 1-d targets x (q of them) and shared sources
-y (n), of at least FAR_MIN_PAIRS = q n pairs (the measured crossover on 2
-CPUs: 1.5k-2k uniform disk points), is binned on a grid of square boxes
-of side h over the bounding box of x and y, about FAR_BOX_SOURCES
-sources per box (`_box_grid`).  The near field of a target is the 3 x 3
-block of boxes around its own; the call takes the route when the near
-fields hold at most FAR_NEAR_SHARE of the q n pairs, and the direct
-route otherwise.  So the choice rests on counts the call observes: points
-spread over an area take it, while a few boxes holding most points (heavy
-tails such as Cauchy roots), the n <= 200 solves of Jensen and the row
-form keep the direct sums.  A value on the route depends on the whole
-call (its bounding box sets the boxes), so the callers of `_direct_sums`
-above never take it.  The near field is summed directly, box by box, with
-`_blocked` and its buffer: skips, coincidences and the nearest distance
-as on the direct route, each target's sum over its near sources in a
-fixed order.  A target whose near field holds no source within h gets
-its nearest distance from all sources, directly, since a source outside
-the near field is at least h away; the distances are the direct route's
-bit for bit.  The far field (`farfield`) expands each source box in a
-multipole series about its centre, translates it once per offset
-d = (c_A - c_B)/h (integers, a batched product) to a local series about
-each target box's centre c_A, and sums that series at each target by
-Horner's rule (Greengard & Rokhlin 1987).  The far field does not depend
-on the worker count or block rows, so neither does the result; its
-translation products are numpy matrix products, which run in the BLAS
-library numpy was built with (on its own threads), so the far route's
-sums are bit for bit the same only on the same BLAS build, where the
-direct route's depend on numpy alone.
-
-The truncation bound.  In units of h write x = c_A + t, y = c_B + s and
-v = (s - t)/d with |v| <= rho = (r_A + r_B)/|d|, r = sqrt(2)/2 the half
-diagonal of a box (widened by 2^-30 for points that rounding puts a hair
-past a box edge), so rho <= sqrt(2)/2 for |d| >= 2.  Then
-1/(x - y) = (1/d) sum_{j >= 0} v^j, and its multipole coefficients
-sum_k c_k s_k^l and the local ones, (-1)^m binom(l + m, l) d^-(l+m+1)
-times them, regroup the terms of degree j = l + m; an offset keeps l, m
-< p.  Every term left out has j >= p, and the sum of a degree's terms is
-at most rho^j / |d| in size, so the tail is at most
-rho^p / ((1 - rho) |d|), while |1/(x - y)| >= 1/((1 + rho) |d|).  The
-order p of an offset is `_series_lengths` at rho, the smallest p with
-rho^p <= eps (1 - rho)/(1 + rho), so each pair's truncation error is at
-most eps |c_k/(x - y_k)|, and a target's at most eps sum_k
-|c_k/(x - y_k)|, the scale of the direct sum's own rounding.  The
-squared sums are minus the derivative of the local series in t:
-1/(x - y)^2 = d^-2 sum_j (j + 1) v^j, the extra factor (j + 1) coming
-from the derivative, and the terms left out have j >= p - 1, so with
-|1/(x - y)|^2 >= 1/((1 + rho) |d|)^2 the order is the smallest p with
-sum_{s >= p-1} (s + 1) rho^s <= eps / (1 + rho)^2
-(`farfield._series_lengths_squared`): each pair's error is at most
-eps |c_k/(x - y_k)^2|.  The rest is rounding: every offset and term is
-taken relative to exact box centres (h has 9 significant bits and the
-grid's corner is a multiple of h), so a point's offset from its centre
-rounds once, and the products sum terms bounded by the same series.
+call holds the same scratch memory at any worker count.  Every row depends
+on its own targets and sources alone, so the sums are bit for bit the same
+however the rows are split, into blocks or into calls.
 
 Two routes evaluate |S| on the grid a + r e^{2 pi i j / m}, and both
 start with one pole-on-contour test, `_check_contour`.  `circle_abs_S`
@@ -128,14 +68,6 @@ BLOCK_ELEMS = 1 << 17
 #: factor by which each later pass refines the spacing (even)
 SUP_COARSE = 64
 SUP_REFINE = 4
-
-#: the far route of `cauchy_sums` (module docstring): a 1-d call of at
-#: least FAR_MIN_PAIRS pairs is binned into boxes of about FAR_BOX_SOURCES
-#: sources each, and takes the route when the near field holds at most
-#: FAR_NEAR_SHARE of its pairs
-FAR_MIN_PAIRS = 1 << 21
-FAR_BOX_SOURCES = 64
-FAR_NEAR_SHARE = 0.25
 
 _EPS = float(np.finfo(float).eps)
 
@@ -261,9 +193,8 @@ def _blocked(nx: int, ny: int, width: int, block, rows=None) -> None:
 
 
 class PairTally:
-    """Target-source pairs of `cauchy_sums` and `_direct_sums` calls: summed
-    directly (the distances of the nearest-source fallback included), and
-    summed through the far route's expansions."""
+    """Target-source pairs of Cauchy sum calls: summed directly (every pair
+    of `cauchy_sums`), and summed by a caller's far-field expansions."""
 
     def __init__(self):
         self.direct = self.far = 0
@@ -303,45 +234,10 @@ def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, row
     A call of more than one block runs its rows on every CPU in the process's
     affinity mask (`os.sched_getaffinity`), with the same result bit for bit;
     start the process under `taskset -c 0` to keep it on one core, in the
-    calling thread alone.  A 1-d call that `_box_grid` bins takes the far
-    route (`farfield.far_sums`); the module docstring states when and how
-    exact.  The pairs each route summed go to the tally of `counting_pairs`.
+    calling thread alone.  The call's pairs go to the tally of
+    `counting_pairs`.
     """
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    if x.ndim == 1 and y.ndim == 1:
-        binned = _box_grid(x, y)
-        if binned is not None:
-            from . import farfield  # compiled on first use: most runs never take the route
-            return farfield.far_sums(farfield.Grid(*binned), x, y, weights, squared, skip,
-                                     nearest, rows, _TALLY.get())
-    return _direct_sums(x, y, weights, squared, skip, nearest, rows)
-
-
-def _widths(weights, squared, nearest) -> tuple:
-    """Floats per pair of a block's buffers: the differences, the weighted
-    and the squared terms, and the distances."""
-    return (2, 2 * any(c is not None for c in weights + squared), 2 * bool(squared), nearest)
-
-
-def _reduce(D, bufs, weights, squared, out, at, nearest) -> None:
-    """The sums over D's last axis, the differences x_i - y_k with skipped
-    pairs set to inf, into out[j][at]; D is divided in place."""
-    prod, sq, dist = bufs
-    if nearest:
-        out[-1][at] = np.abs(D, out=dist).min(axis=-1, initial=np.inf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        R = np.divide(1.0, D, out=D)
-        for j, c in enumerate(weights + squared):
-            cR = R if c is None else np.multiply(c, R, out=prod)
-            if j >= len(weights):
-                cR = np.multiply(cR, R, out=sq)
-            out[j][at] = cR.sum(axis=-1)
-
-
-def _direct_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
-    """`cauchy_sums` over every pair, whatever the call's size and points,
-    for complex arrays x and y; the pairs go to the tally of
-    `counting_pairs`."""
     tally = _TALLY.get()
     if tally is not None:
         tally.direct += x.size * y.shape[-1]
@@ -365,54 +261,25 @@ def _direct_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, ro
     return out
 
 
-# ---------------------------------------------------------------------------
-# the far route
+def _widths(weights, squared, nearest) -> tuple:
+    """Floats per pair of a block's buffers: the differences, the weighted
+    and the squared terms, and the distances."""
+    return (2, 2 * any(c is not None for c in weights + squared), 2 * bool(squared), nearest)
 
 
-def _box_grid(x, y):
-    """The far route's binning of a 1-d call, (h, o, gx, gy, the box of
-    each target, the box of each source) as `farfield.Grid` takes it, or
-    None for the direct route:
-    when q n is below FAR_MIN_PAIRS, when the points are not finite or span
-    no area, or when the near fields would hold more than FAR_NEAR_SHARE
-    of the q n pairs (a few boxes hold most points).  The boxes hold about
-    FAR_BOX_SOURCES sources each on average over the bounding box of
-    targets and sources."""
-    q, n = len(x), len(y)
-    if q * n < FAR_MIN_PAIRS:
-        return None
-    lo = complex(min(x.real.min(), y.real.min()), min(x.imag.min(), y.imag.min()))
-    hi = complex(max(x.real.max(), y.real.max()), max(x.imag.max(), y.imag.max()))
-    w, t = hi.real - lo.real, hi.imag - lo.imag
-    boxes = n / FAR_BOX_SOURCES
-    side = max(math.sqrt(w * t / boxes), max(w, t) / boxes)
-    if not (math.isfinite(side) and side > 0):
-        return None
-    frac, e = math.frexp(side)
-    h = math.ldexp(math.ceil(math.ldexp(frac, 8)), e - 8)  # side rounded up to 9 bits
-    corner = []
-    for v in (lo.real, lo.imag):
-        k = math.floor(v / h)
-        if not abs(k) < 2.0 ** 40:  # the centres would not be doubles
-            return None
-        while k * h > v:
-            k -= 1
-        corner.append(k * h)
-    o = complex(*corner)
-    gx, gy = int((hi.real - o.real) // h) + 1, int((hi.imag - o.imag) // h) + 1
-
-    def box(p):
-        i = np.clip(np.floor((p.real - o.real) / h), 0, gx - 1).astype(np.intp)
-        j = np.clip(np.floor((p.imag - o.imag) / h), 0, gy - 1).astype(np.intp)
-        return i * gy + j
-
-    # the near field's pairs from the box counts, before any sorting
-    t_box, s_box = box(x), box(y)
-    near = np.pad(np.bincount(s_box, minlength=gx * gy).reshape(gx, gy), 1)
-    near = sum(near[a:a + gx, b:b + gy] for a in range(3) for b in range(3))
-    if np.bincount(t_box, minlength=gx * gy) @ near.ravel() > FAR_NEAR_SHARE * q * n:
-        return None
-    return h, o, gx, gy, t_box, s_box
+def _reduce(D, bufs, weights, squared, out, at, nearest) -> None:
+    """The sums over D's last axis, the differences x_i - y_k with skipped
+    pairs set to inf, into out[j][at]; D is divided in place."""
+    prod, sq, dist = bufs
+    if nearest:
+        out[-1][at] = np.abs(D, out=dist).min(axis=-1, initial=np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        R = np.divide(1.0, D, out=D)
+        for j, c in enumerate(weights + squared):
+            cR = R if c is None else np.multiply(c, R, out=prod)
+            if j >= len(weights):
+                cR = np.multiply(cR, R, out=sq)
+            out[j][at] = cR.sum(axis=-1)
 
 
 def eval_S(roots, z: complex) -> complex:
@@ -427,10 +294,9 @@ def eval_S(roots, z: complex) -> complex:
 
 
 def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, far=None) -> np.ndarray:
-    """|S| on an array of points: the direct sum over `roots` (never the far
-    route, so each value depends on its own point alone), plus `far` (the
-    other roots' values at the points), if given."""
-    (S,) = _direct_sums(pts, roots)
+    """|S| on an array of points: the direct sum over `roots`, plus `far`
+    (the other roots' values at the points), if given."""
+    (S,) = cauchy_sums(pts, roots)
     if far is not None:
         S += far
     return np.abs(S)
@@ -511,7 +377,7 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     roots with L_k <= D, where the Horner degree D minimises D plus the
     number of roots left to the direct sum; the power sums of the series
     (`_power_sums`) are evaluated at each t_j by Horner's rule in t_j and
-    conj(t_j), and the other ("near") roots by `_direct_sums`.  When no root
+    conj(t_j), and the other ("near") roots by `cauchy_sums`.  When no root
     goes to a series, this is the direct sum over all roots.
 
     The split and the coefficients depend on the roots and the circle, not

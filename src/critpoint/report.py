@@ -6,8 +6,8 @@ precisely so the CSV is byte-identical across reruns.  The solver section
 (per n: the solves that returned, the roots they merged as near-duplicates
 and their points above DEFAULT_TOL) and the solver_work section (per n,
 summed over those solves: sweeps, active points per sweep, and the
-target-source pairs summed directly and by the far route of
-`logderiv.cauchy_sums`) are deterministic but not in series.csv.
+target-source pairs summed directly and by the solver's far route,
+`farfield.cauchy_sums`) are deterministic but not in series.csv.
 """
 
 from __future__ import annotations

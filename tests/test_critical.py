@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpoint.critical as critical
+import critpoint.farfield as farfield
 import critpoint.logderiv as logderiv
 from critpoint.critical import CriticalSet, critical_points, critical_points_oracle
 from critpoint.errors import ConvergenceError, ParameterError
@@ -361,10 +362,10 @@ def test_unit_weights_match_weighted_ones_bit_for_bit(monkeypatch):
 
 
 def _force_far(mp):
-    """Every 1-d Cauchy sum takes the far route, on boxes of about 8 roots."""
-    mp.setattr(logderiv, "FAR_MIN_PAIRS", 0)
-    mp.setattr(logderiv, "FAR_NEAR_SHARE", 1.0)
-    mp.setattr(logderiv, "FAR_BOX_SOURCES", 8)
+    """Every pass of the solver takes the far route, on boxes of about 8 roots."""
+    mp.setattr(farfield, "FAR_MIN_PAIRS", 0)
+    mp.setattr(farfield, "FAR_NEAR_SHARE", 1.0)
+    mp.setattr(farfield, "FAR_BOX_SOURCES", 8)
 
 
 def _pairs_of(q, active):

@@ -1,0 +1,35 @@
+"""The package's import layers: the direct Cauchy kernel (`logderiv`) knows
+nothing of the far route, the route (`farfield`) builds on the kernel
+alone, and the solver (`critical`) is the route's only caller."""
+
+import ast
+import pathlib
+
+import critpoint
+
+SRC = pathlib.Path(critpoint.__file__).parent
+
+
+def _package_imports(path: pathlib.Path) -> set:
+    """The package modules that a module's source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("critpoint."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module
+            elif node.module and node.module.split(".")[0] == "critpoint":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+    return found
+
+
+def test_only_the_solver_imports_the_far_route():
+    imports = {p.stem: _package_imports(p) for p in SRC.glob("*.py")}
+    assert imports["logderiv"] == {"errors"}
+    assert imports["farfield"] == {"logderiv"}
+    assert {name for name, deps in imports.items() if "farfield" in deps} == {"critical"}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from critpoint import critical, farfield, logderiv
+from critpoint import critical, experiments, farfield, logderiv
 from critpoint.critical import critical_points_oracle
 from critpoint.errors import ParameterError, PoleOnContourError
 from critpoint.logderiv import (POLE_RTOL, Circle, as_roots, cauchy_sums, circle_abs_S,
@@ -619,28 +619,26 @@ def test_circle_sup_norm_takes_no_series(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the far route of `cauchy_sums`
+# the solver's far route, `farfield.cauchy_sums`
 
 
 def _force_far(mp, box_sources=8):
-    """Every 1-d call takes the far route, on boxes of about box_sources
-    sources (many boxes, so that most pairs are far)."""
-    mp.setattr(logderiv, "FAR_MIN_PAIRS", 0)
-    mp.setattr(logderiv, "FAR_NEAR_SHARE", 1.0)
-    mp.setattr(logderiv, "FAR_BOX_SOURCES", box_sources)
+    """Every 1-d call that `farfield.cauchy_sums` may bin takes the far
+    route, on boxes of about box_sources sources (many boxes, so that most
+    pairs are far)."""
+    mp.setattr(farfield, "FAR_MIN_PAIRS", 0)
+    mp.setattr(farfield, "FAR_NEAR_SHARE", 1.0)
+    mp.setattr(farfield, "FAR_BOX_SOURCES", box_sources)
 
 
 def _far_and_direct(*args, **kw):
-    """cauchy_sums(*args, **kw) by the far route and by the direct route,
-    and the tally of the far call."""
+    """The call by the far route and by the kernel, and the tally of the
+    far call."""
     with pytest.MonkeyPatch.context() as mp:
         _force_far(mp)
         with logderiv.counting_pairs() as tally:
-            got = cauchy_sums(*args, **kw)
-    with logderiv.counting_pairs() as direct:
-        want = cauchy_sums(*args, **kw)
-    assert direct.far == 0
-    return got, want, tally
+            got = farfield.cauchy_sums(*args, **kw)
+    return got, logderiv.cauchy_sums(*args, **kw), tally
 
 
 def _far_sets():
@@ -671,15 +669,15 @@ def test_far_route_agrees_with_direct_sums(name, shift, scale):
     direct sums within 16 eps sum_k |c_k/(x - y_k)| (|.|^2 for the squared
     ones): the truncation is at most eps times that, and the rest is
     rounding of both routes.  The nearest distances are equal bit for bit,
-    with and without skips (a skip of the target itself, or of any source,
-    which may lie in the far field).  Near-duplicates moved by 1e6 round
-    onto their sources: those targets' sums are not finite on both routes."""
+    without skips and with each target's own source skipped, as the
+    solver's passes do.  Near-duplicates moved by 1e6 round onto their
+    sources: those targets' sums are not finite on both routes."""
     x, y = _far_sets()[name]
     x, y = x * scale + shift, y * scale + shift
     rng = np.random.default_rng(32)
     c = rng.random(len(y)) + 0.5j
-    D = x[:, None] - y
-    for skip in (None, rng.integers(0, len(y), len(x))):
+    for x, skip in ((x, None), (y, np.arange(len(y)))):
+        D = x[:, None] - y
         kept = np.ones(D.shape, bool)
         if skip is not None:
             kept[np.arange(len(x)), skip] = False
@@ -695,26 +693,44 @@ def test_far_route_agrees_with_direct_sums(name, shift, scale):
             assert np.all(np.abs(got[j][~on] - want[j][~on]) <= bound * mag[~on]), j
             assert not np.isfinite(got[j][on]).any() and not np.isfinite(want[j][on]).any()
         assert np.array_equal(got[-1], want[-1])
-    # a target's own source skipped, as the solver's passes do
-    got, want, _ = _far_and_direct(y, y, skip=np.arange(len(y)), nearest=True)
-    assert np.array_equal(got[-1], want[-1])
+
+
+def test_far_route_takes_only_self_skips(monkeypatch):
+    """A call the far route would take, but whose skip leaves out other
+    than each target's own source, is the kernel's bit for bit and sums no
+    far pairs: a skip at random, and the self-skip with one index moved
+    (its target on a source it keeps: a non-finite sum)."""
+    x, y = _far_sets()["disk"]
+    c = np.random.default_rng(37).random(len(y)) + 0.5j
+    moved = np.arange(len(y))
+    moved[7] = 8
+    _force_far(monkeypatch)
+    for x, skip in ((x, np.random.default_rng(38).integers(0, len(y), len(x))), (y, moved)):
+        with logderiv.counting_pairs() as tally, np.errstate(invalid="ignore"):
+            got = farfield.cauchy_sums(x, y, weights=(None, c), squared=(c,), skip=skip,
+                                       nearest=True)
+            want = logderiv.cauchy_sums(x, y, weights=(None, c), squared=(c,), skip=skip,
+                                        nearest=True)
+        assert tally.far == 0 and tally.direct == 2 * len(x) * len(y)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_far_route_nearest_beyond_the_near_field(monkeypatch):
     """A target whose box has no source nearby, or only sources farther
-    than a box side, gets its nearest distance from all sources, directly:
-    bit for bit the direct route's."""
+    than a box side, gets its nearest distance from all sources by the
+    kernel: bit for bit the kernel's."""
     rng = np.random.default_rng(33)
     y = np.concatenate([rng.random(300) + 1j * rng.random(300), [6 + 6j, -5 + 0.5j]])
     x = np.concatenate([rng.random(400) + 1j * rng.random(400), [6.1 + 5.5j, 3 - 4j, -4j]])
     fallback = []
-    direct_sums = logderiv._direct_sums
+    kernel = logderiv.cauchy_sums
 
-    def recording(x, *args):
+    def recording(x, *args, **kw):
         fallback.append(len(x))
-        return direct_sums(x, *args)
+        return kernel(x, *args, **kw)
 
-    monkeypatch.setattr(logderiv, "_direct_sums", recording)
+    monkeypatch.setattr(logderiv, "cauchy_sums", recording)
     got, want, _ = _far_and_direct(x, y, squared=(None,), nearest=True)
     assert fallback[0] < len(x)  # the far call summed the fallback rows alone
     assert np.array_equal(got[-1], want[-1])
@@ -723,25 +739,31 @@ def test_far_route_nearest_beyond_the_near_field(monkeypatch):
 
 def test_far_route_independent_of_workers_and_block_rows(monkeypatch):
     """The far route's sums are the same bit for bit at 1, 2 and 3 workers
-    and at any block rows, skips, weights, a target on a source (non-finite
-    sums, distance 0) and the direct fallback included."""
+    and at any block rows, self-skips, weights, a target on a source
+    (non-finite sums, distance 0) and the kernel's nearest fallback
+    included; every call takes the route."""
     x, y = _far_sets()["gauss"]
+    y = np.concatenate([y, y[:3], [40 + 40j]])
     x = np.concatenate([x, y[:3], [40 + 40j]])
     rng = np.random.default_rng(34)
     c = rng.random(len(y)) + 0.5j
-    skip = rng.integers(0, len(y), len(x))
     _force_far(monkeypatch)
     monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 4096)
 
     def run(rows):
         with np.errstate(invalid="ignore"):
-            return (cauchy_sums(x, y, weights=(c, None), squared=(c,), skip=skip,
-                                nearest=True, rows=rows),
-                    cauchy_sums(x, y, squared=(None,), nearest=True, rows=rows))
+            with logderiv.counting_pairs() as self_pass:
+                own = farfield.cauchy_sums(y, y, weights=(c, None), squared=(c,),
+                                           skip=np.arange(len(y)), nearest=True, rows=rows)
+            with logderiv.counting_pairs() as field_pass:
+                field = farfield.cauchy_sums(x, y, squared=(None,), nearest=True, rows=rows)
+        assert self_pass.far > 0 and field_pass.far > 0
+        return own, field
 
     monkeypatch.setattr(logderiv, "_workers", lambda: 1)
-    want = run(None)
-    assert not np.isfinite(want[1][0][-4:-1]).any() and np.all(want[1][-1][-4:-1] == 0)
+    want = own, field = run(None)
+    for sums, on in ((own, slice(0, 3)), (own, slice(-4, -1)), (field, slice(-4, -1))):
+        assert not np.isfinite(sums[0][on]).any() and np.all(sums[-1][on] == 0)
     for workers in (1, 2, 3):
         monkeypatch.setattr(logderiv, "_workers", lambda: workers)
         for rows in (1, 7, None):
@@ -750,7 +772,7 @@ def test_far_route_independent_of_workers_and_block_rows(monkeypatch):
                     assert np.array_equal(a, b, equal_nan=True)
 
 
-def test_far_route_taken_by_spread_sets_only(monkeypatch):
+def test_far_route_taken_by_spread_sets_only():
     """At the default crossover, 4000 roots uniform on the disk take the far
     route in the solver's passes; 4000 Cauchy roots (heavy tails: a few
     boxes hold nearly every root), small calls and the row form do not."""
@@ -759,30 +781,43 @@ def test_far_route_taken_by_spread_sets_only(monkeypatch):
     cauchy = rng.standard_cauchy(4000) + 1j * rng.standard_cauchy(4000)
     for z, far in ((disk, True), (cauchy, False), (disk[:1000], False)):
         with logderiv.counting_pairs() as tally:
-            cauchy_sums(z, z, skip=np.arange(len(z)), nearest=True)
-            cauchy_sums(z[1:], z, squared=(None,), nearest=True)
+            farfield.cauchy_sums(z, z, skip=np.arange(len(z)), nearest=True)
+            farfield.cauchy_sums(z[1:], z, squared=(None,), nearest=True)
         assert (tally.far > 0) == far
     with logderiv.counting_pairs() as tally:
-        cauchy_sums(np.tile(disk[:100], (40, 1)), np.tile(disk, (40, 1)))
+        farfield.cauchy_sums(np.tile(disk[:100], (40, 1)), np.tile(disk, (40, 1)))
     assert tally.far == 0 and tally.direct == 40 * 100 * 4000
 
 
-def test_circle_grids_never_take_the_far_route(monkeypatch):
-    """The circle routes' grid values are the direct sums even where every
-    1-d call would take the far route: the same values bit for bit, no far
-    pairs, and the m grid still the even half of the 2m grid."""
+def test_nothing_but_the_solver_takes_the_far_route(monkeypatch):
+    """Where every call of `farfield.cauchy_sums` would take the far route,
+    the solve does, and nothing else does: `eval_S`, the eigenvalue
+    oracle's certificates, both circle routes' grid values and the probe
+    sums of anticoncentration are their unforced values bit for bit and
+    sum no far pairs, and the m grid is still the even half of the 2m
+    grid."""
     rng = np.random.default_rng(36)
     roots = np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
     c = Circle(0.1j, 0.9)
-    want = circle_abs_S(roots, c, 2048), circle_sup_norm(roots, c, 4096)
+    paths = np.stack([roots[:300], roots[300:]])
+    probes = np.array([0.2 + 0.1j, -0.3j])
+
+    def others():
+        return (eval_S(roots, 0.3 - 0.2j), critical_points_oracle(roots[:200]).residuals,
+                circle_abs_S(roots, c, 2048), circle_sup_norm(roots, c, 4096),
+                experiments._probe_sums(paths, [100, 300], probes, 0.3, -1.7))
+
+    want = others()
     _force_far(monkeypatch)
     with logderiv.counting_pairs() as tally:
-        got = circle_abs_S(roots, c, 2048), circle_sup_norm(roots, c, 4096)
+        got = others()
         half = circle_abs_S(roots, c, 1024)
     assert tally.far == 0 and tally.direct > 0
-    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-    assert np.array_equal(got[0][::2], half)
-    assert got[1] == _grid_max(roots, c, 4096)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got[2][::2], half)
+    assert got[3] == _grid_max(roots, c, 4096)
+    assert critical.critical_points(roots).far_pairs > 0
 
 
 def test_counting_pairs_nests():
