@@ -15,8 +15,11 @@ growth.
     growth             m_circle, circle_center, circle_radius (both or neither)
     lln                k_reference, u_transform
 
-The solver's tolerance (`critical.DEFAULT_TOL`) and the other verdict
-thresholds are module constants, not settings.
+Three verdict thresholds are settings above: improvement_factor and
+quadrant_max (convergence) and jensen_slack (jensen).  The solver's
+tolerance (`critical.DEFAULT_TOL`) and the other thresholds, the
+`experiments` constants R_INFTY, JENSEN_PASS_RATE, SLOPE_MIN, SLOPE_MAX,
+MIN_HITS and GROWTH_RATIO_MAX, are not settings.
 
 report.json's "config" is the config as run, defaults filled in; it reads back as one.
 """

@@ -16,14 +16,17 @@ chases the spurious zero at infinity from any exterior start.
 The solver's three passes over the roots or the iterates (the first-order
 estimates, the field sweeps and the repulsion) go through
 `farfield.cauchy_sums`, which takes the far route for a large pass of
-spread points and the direct kernel `logderiv.cauchy_sums` otherwise.  On
-the route S, S' and the repulsion differ from the direct sums by at most
-eps sum_k |1/(w - z_k)| (|.|^2 for S') plus rounding, as the direct sums'
-own rounding does, and the nearest-root distance is the direct one bit
-for bit.  The freeze and certificate rules are the same on either route:
-a certificate |S(w)| dmin bounds the computed S of that pass, which is
-within that rounding of the exact sum.  The eigenvalue route's
-certificates are the kernel's sums (`_residuals_against`).
+spread points with unit charges and the direct kernel
+`logderiv.cauchy_sums` otherwise: with repeated roots the first-order and
+field passes are weighted by the multiplicities, so they take the kernel,
+and only the repulsion can take the route.  On the route S, S' and the
+repulsion differ from the direct sums by at most eps sum_k |1/(w - z_k)|
+(|.|^2 for S') plus rounding, as the direct sums' own rounding does, and
+the nearest-root distance is the direct one bit for bit.  The freeze and
+certificate rules are the same on either route: a certificate |S(w)| dmin
+bounds the computed S of that pass, which is within that rounding of the
+exact sum.  The eigenvalue route's certificates are the kernel's sums
+(`_residuals_against`).
 
 Closeness is relative to the spread s = max |z_k - c| of the distinct roots
 about their centroid c: roots within DUPLICATE_RTOL * s are one multiple

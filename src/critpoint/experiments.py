@@ -197,31 +197,26 @@ def _escaped_mass(points: np.ndarray, radius: float) -> float:
     return np.count_nonzero(np.abs(points) > radius) / len(points)
 
 
-#: an n's entry of `Report.solver` before its first solve returns
-_NO_SOLVES = {"solves": 0, "near_duplicate_clusters": 0, "points_above_tol": 0}
-
-
 def _start_solves(rep: Report, n: int) -> None:
-    """Empty `Report.solver` and `Report.solver_work` entries for n."""
-    rep.solver[f"n={n}"] = dict(_NO_SOLVES)
-    rep.solver_work[f"n={n}"] = {"sweeps": 0, "active": [], "direct_pairs": 0, "far_pairs": 0}
+    """An empty `Report.solver` entry for n."""
+    rep.solver[f"n={n}"] = {"solves": 0, "near_duplicate_clusters": 0, "points_above_tol": 0,
+                            "sweeps": 0, "active": [], "direct_pairs": 0, "far_pairs": 0}
 
 
 def _count_solve(rep: Report, n: int, cs) -> None:
-    """Add one returned solve to the entries of n: in `Report.solver` the
-    roots it merged as near-duplicates and its points whose certificate is
-    above the solver's DEFAULT_TOL (certified only at the double-precision
-    floor); in `Report.solver_work` its sweeps, its active points per sweep
-    (summed sweep by sweep) and the pairs its Cauchy sums summed directly
-    and by the far route."""
-    counts, work = rep.solver[f"n={n}"], rep.solver_work[f"n={n}"]
-    counts["solves"] += 1
-    counts["near_duplicate_clusters"] += cs.near_duplicate_clusters
-    counts["points_above_tol"] += int(np.count_nonzero(cs.residuals > DEFAULT_TOL))
-    work["sweeps"] += cs.sweeps
-    work["direct_pairs"] += cs.direct_pairs
-    work["far_pairs"] += cs.far_pairs
-    active = work["active"]
+    """Add one returned solve to the `Report.solver` entry of n: the roots
+    it merged as near-duplicates, its points whose certificate is above
+    the solver's DEFAULT_TOL (certified only at the double-precision
+    floor), its sweeps, its active points per sweep (summed sweep by sweep)
+    and the pairs its Cauchy sums summed directly and by the far route."""
+    entry = rep.solver[f"n={n}"]
+    entry["solves"] += 1
+    entry["near_duplicate_clusters"] += cs.near_duplicate_clusters
+    entry["points_above_tol"] += int(np.count_nonzero(cs.residuals > DEFAULT_TOL))
+    entry["sweeps"] += cs.sweeps
+    entry["direct_pairs"] += cs.direct_pairs
+    entry["far_pairs"] += cs.far_pairs
+    active = entry["active"]
     active += [0] * (cs.sweeps - len(active))
     for s, a in enumerate(cs.active):
         active[s] += a

@@ -8,18 +8,19 @@ is the direct kernel, since a value on the route depends on the whole call
 
 The rule.  A call with 1-d targets x (q of them) and shared sources y (n),
 of at least FAR_MIN_PAIRS = q n pairs (the measured crossover on 2 CPUs:
-1.5k-2k uniform disk points), with no skip or each target's own source
-skipped (y[skip] == x, as the solver's self passes send), is binned on a
-grid of square boxes of side h over the bounding box of x and y, about
+1.5k-2k uniform disk points), with unit charges only (every entry of
+weights and squared None) and no skip or each target's own source skipped
+(y[skip] == x, as the solver's self passes send), is binned on a grid of
+square boxes of side h over the bounding box of x and y, about
 FAR_BOX_SOURCES sources per box (`_box_grid`).  The near field of a target
 is the 3 x 3 block of boxes around its own; the call takes the route when
 the near fields hold at most FAR_NEAR_SHARE of the q n pairs, and the
 kernel otherwise.  So the choice rests on counts the call observes: points
 spread over an area take it, while a few boxes holding most points (heavy
-tails such as Cauchy roots), the n <= 200 solves of Jensen, the row form
-and any other skip keep the direct sums.  A skipped own source lies in the
-target's own box, so the near field leaves it out and the far field never
-holds it.
+tails such as Cauchy roots), the n <= 200 solves of Jensen, the row form,
+weighted sums (roots with multiplicities) and any other skip keep the
+direct sums.  A skipped own source lies in the target's own box, so the
+near field leaves it out and the far field never holds it.
 
 The route.  The near field is summed directly, box by box, with
 `logderiv._blocked` and its buffer: skips, coincidences and the nearest
@@ -27,37 +28,37 @@ distance as in the kernel, each target's sum over its near sources in a
 fixed order.  A target whose near field holds no source within h gets its
 nearest distance from all sources by the kernel, since a source outside
 the near field is at least h away; the distances are the kernel's bit for
-bit.  The far field (`_far_field`) expands each source box in a multipole
-series about its centre, translates it once per offset d = (c_A - c_B)/h
-(integers, a batched product) to a local series about each target box's
-centre c_A, and sums that series at each target by Horner's rule.  The far
-field does not depend on the worker count or block rows, so neither does
-the result; its translation products are numpy matrix products, which run
-in the BLAS library numpy was built with (on its own threads), so the
-route's sums are bit for bit the same only on the same BLAS build, where
-the kernel's depend on numpy alone.
+bit.  The far field (`_far_field`) expands each source box's unit charges
+in a multipole series about its centre, translates it once per offset
+d = (c_A - c_B)/h (integers, a batched product) to a local series about
+each target box's centre c_A, and sums that series at each target by
+Horner's rule.  The far field does not depend on the worker count or
+block rows, so neither does the result; its translation products are
+numpy matrix products, which run in the BLAS library numpy was built with
+(on its own threads), so the route's sums are bit for bit the same only
+on the same BLAS build, where the kernel's depend on numpy alone.
 
 The truncation bound.  In units of h write x = c_A + t, y = c_B + s and
 v = (s - t)/d with |v| <= rho = (r_A + r_B)/|d|, r = sqrt(2)/2 the half
 diagonal of a box (widened by 2^-30 for points that rounding puts a hair
 past a box edge), so rho <= sqrt(2)/2 for |d| >= 2.  Then
 1/(x - y) = (1/d) sum_{j >= 0} v^j, and its multipole coefficients
-sum_k c_k s_k^l and the local ones, (-1)^m binom(l + m, l) d^-(l+m+1)
-times them, regroup the terms of degree j = l + m; an offset keeps l, m
-< p.  Every term left out has j >= p, and the sum of a degree's terms is
-at most rho^j / |d| in size, so the tail is at most
-rho^p / ((1 - rho) |d|), while |1/(x - y)| >= 1/((1 + rho) |d|).  The
-order p of an offset is `logderiv._series_lengths` at rho, the smallest p
-with rho^p <= eps (1 - rho)/(1 + rho), so each pair's truncation error is
-at most eps |c_k/(x - y_k)|, and a target's at most eps sum_k
-|c_k/(x - y_k)|, the scale of the direct sum's own rounding.  The squared
-sums are minus the derivative of the local series in t:
+sum_k s_k^l and the local ones, (-1)^m binom(l + m, l) d^-(l+m+1) times
+them, regroup the terms of degree j = l + m; an offset keeps l, m < p.
+Every term left out has j >= p, and the sum of a degree's terms is at
+most rho^j / |d| in size, so the tail is at most rho^p / ((1 - rho) |d|),
+while |1/(x - y)| >= 1/((1 + rho) |d|).  The order p of an offset is
+`logderiv._series_lengths` at rho, the smallest p with
+rho^p <= eps (1 - rho)/(1 + rho), so each pair's truncation error is at
+most eps |1/(x - y_k)|, and a target's at most eps sum_k |1/(x - y_k)|,
+the scale of the direct sum's own rounding.  The squared sums are minus
+the derivative of the local series in t:
 1/(x - y)^2 = d^-2 sum_j (j + 1) v^j, the extra factor (j + 1) coming
 from the derivative, and the terms left out have j >= p - 1, so with
 |1/(x - y)|^2 >= 1/((1 + rho) |d|)^2 the order is the smallest p with
 sum_{s >= p-1} (s + 1) rho^s <= eps / (1 + rho)^2
 (`_series_lengths_squared`): each pair's error is at most
-eps |c_k/(x - y_k)^2|.  The rest is rounding: every offset and term is
+eps |1/(x - y_k)|^2.  The rest is rounding: every offset and term is
 taken relative to exact box centres (h has 9 significant bits and the
 grid's corner is a multiple of h), so a point's offset from its centre
 rounds once, and the products sum terms bounded by the same series.
@@ -80,11 +81,12 @@ FAR_NEAR_SHARE = 0.25
 
 
 def cauchy_sums(x, y, weights=(None,), squared=(), skip=None, nearest=False, rows=None):
-    """`logderiv.cauchy_sums`, by the far route when `_box_grid` bins the
-    call and by the kernel otherwise; the module docstring states when and
-    how exact."""
+    """`logderiv.cauchy_sums`, by the far route when every charge is unit
+    and `_box_grid` bins the call, and by the kernel otherwise; the module
+    docstring states when and how exact."""
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    g = _box_grid(x, y, skip)
+    unit = all(c is None for c in weights + squared)
+    g = _box_grid(x, y, skip) if unit else None
     if g is None:
         return logderiv.cauchy_sums(x, y, weights, squared, skip, nearest, rows)
     return far_sums(g, x, y, weights, squared, skip, nearest, rows)
@@ -102,10 +104,12 @@ class Grid:
     targets are [t_start[b], t_start[b + 1]) (`s_start` for sources), and
     `runs[b]` the three ranges of sorted sources in the columns i - 1, i,
     i + 1 and the rows j - 1..j + 1 of box b: its near field, of `near[b]`
-    sources."""
+    sources.  `near` and `near_pairs`, the pairs in the near fields of all
+    targets, are the counts `_box_grid` chose the route by."""
 
-    def __init__(self, h, o, gx, gy, t_box, s_box):
+    def __init__(self, h, o, gx, gy, t_box, s_box, near, near_pairs):
         self.h, self.o, self.gx, self.gy = h, o, gx, gy
+        self.near, self.near_pairs = near, near_pairs
         nb = gx * gy
         self.t_order, self.t_box, self.t_start = _sort_boxes(t_box, nb)
         self.s_order, self.s_box, self.s_start = _sort_boxes(s_box, nb)
@@ -114,7 +118,6 @@ class Grid:
         rows = np.stack([np.maximum(j - 1, 0), np.minimum(j + 1, gy - 1) + 1], axis=-1)
         self.runs = self.s_start[np.clip(cols, 0, gx - 1)[..., None] * gy + rows[:, None, :]]
         self.runs[(cols < 0) | (cols >= gx)] = 0  # a column off the grid is empty
-        self.near = (self.runs[..., 1] - self.runs[..., 0]).sum(axis=1)
 
     def offsets(self, p, box):
         """(p - c)/h for the points p in the boxes box, c the box centres."""
@@ -172,10 +175,11 @@ def _box_grid(x, y, skip):
     # the near field's pairs from the box counts, before any sorting
     t_box, s_box = box(x), box(y)
     near = np.pad(np.bincount(s_box, minlength=gx * gy).reshape(gx, gy), 1)
-    near = sum(near[a:a + gx, b:b + gy] for a in range(3) for b in range(3))
-    if np.bincount(t_box, minlength=gx * gy) @ near.ravel() > FAR_NEAR_SHARE * q * n:
+    near = sum(near[a:a + gx, b:b + gy] for a in range(3) for b in range(3)).ravel()
+    pairs = int(np.bincount(t_box, minlength=gx * gy) @ near)
+    if pairs > FAR_NEAR_SHARE * q * n:
         return None
-    return Grid(h, o, gx, gy, t_box, s_box)
+    return Grid(h, o, gx, gy, t_box, s_box, near, pairs)
 
 
 def _sort_boxes(box, nb):
@@ -199,14 +203,14 @@ def _series_lengths_squared(rho: np.ndarray) -> np.ndarray:
         L += short
 
 
-def _far_field(g, t, s, charges, slope):
-    """[(F, F')] per charge vector c at the sorted targets, where
-    F = h sum over the far sources (box distance >= 2) of c_k/(x - y_k) and
-    F' is its derivative in t (only if slope), from the multipoles of the
-    source boxes translated to local expansions of the target boxes
-    (module docstring).  t and s are the sorted targets and sources
-    relative to their box centres, in units of h."""
-    gx, gy, nc = g.gx, g.gy, len(charges)
+def _far_field(g, t, s, slope):
+    """(F, F') at the sorted targets, where F = h sum over the far sources
+    (box distance >= 2) of 1/(x - y_k) and F' is its derivative in t (only
+    if slope), from the multipoles of the source boxes translated to local
+    expansions of the target boxes (module docstring).  t and s are the
+    sorted targets and sources relative to their box centres, in units of
+    h."""
+    gx, gy = g.gx, g.gy
     dx = np.arange(1 - gx, gx)[:, None]
     dy = np.arange(1 - gy, gy)[None, :]
     far = np.maximum(abs(dx), abs(dy)) >= 2
@@ -214,14 +218,14 @@ def _far_field(g, t, s, charges, slope):
     rho = math.sqrt(2.0) * (1 + 2.0 ** -30) / np.maximum(np.hypot(dx, dy), 2.0)
     order = (_series_lengths_squared if slope else logderiv._series_lengths)(rho).astype(int)
     P = int(order[far].max(initial=1))
-    # multipoles a_l = sum_k c_k s_k^l of each source box, l < P
-    M = np.zeros((nc, P, gx * gy), complex)
+    # multipoles a_l = sum_k s_k^l of each source box, l < P
+    M = np.zeros((P, gx * gy), complex)
     full = np.flatnonzero(np.diff(g.s_start))
-    power = np.array(charges, dtype=complex)
+    power = np.ones(len(s), complex)
     for l in range(P):
-        M[:, l, full] = np.add.reduceat(power, g.s_start[full], axis=1)
+        M[l, full] = np.add.reduceat(power, g.s_start[full])
         power = power * s
-    M = M.reshape(nc, P, gx, gy)
+    M = M.reshape(P, gx, gy)
     # C[m, l] = (-1)^m binom(l + m, l), by rows of Pascal's triangle
     C = np.ones((P, P))
     for m in range(1, P):
@@ -237,35 +241,31 @@ def _far_field(g, t, s, charges, slope):
         upow = np.cumprod(np.full(p, 1.0 / complex(ox, oy)))  # u^1 .. u^p
         tx, ty = slice(max(ox, 0), gx + min(ox, 0)), slice(max(oy, 0), gy + min(oy, 0))
         sx, sy = slice(max(-ox, 0), gx + min(-ox, 0)), slice(max(-oy, 0), gy + min(-oy, 0))
-        for c in range(nc):
-            local = C[:p, :p] @ (M[c, :p, sx, sy].reshape(p, -1) * upow[:, None])
-            local[1:] *= upow[:-1, None]
-            L[c, :p, tx, ty] += local.reshape(p, tx.stop - tx.start, ty.stop - ty.start)
+        local = C[:p, :p] @ (M[:p, sx, sy].reshape(p, -1) * upow[:, None])
+        local[1:] *= upow[:-1, None]
+        L[:p, tx, ty] += local.reshape(p, tx.stop - tx.start, ty.stop - ty.start)
     # the local series at each target, by Horner's rule in t
-    L = L.reshape(nc, P, gx * gy)
-    fields = []
-    for Lc in L:
-        F, dF = Lc[P - 1][g.t_box], np.zeros(len(t), complex)
-        for m in range(P - 2, -1, -1):
-            if slope:
-                dF = dF * t + F
-            F = F * t + Lc[m][g.t_box]
-        fields.append((F, dF))
-    return fields
+    L = L.reshape(P, gx * gy)
+    F, dF = L[P - 1][g.t_box], np.zeros(len(t), complex)
+    for m in range(P - 2, -1, -1):
+        if slope:
+            dF = dF * t + F
+        F = F * t + L[m][g.t_box]
+    return F, dF
 
 
 def far_sums(g, x, y, weights, squared, skip, nearest, rows):
-    """`cauchy_sums` on the grid g, skip None or each target's own source:
-    the near field of each target's box summed directly, box by box
-    through `logderiv._blocked`, plus the far field of `_far_field`; the
-    pairs of each go to the tally of `logderiv.counting_pairs`."""
+    """`cauchy_sums` on the grid g for unit charges (every entry of weights
+    and squared None), skip None or each target's own source: the near
+    field of each target's box summed directly, box by box through
+    `logderiv._blocked`, plus the far field of `_far_field`; the near
+    pairs that chose the route (`Grid.near_pairs`) and the rest go to the
+    tally of `logderiv.counting_pairs`."""
     q, n, h = len(x), len(y), g.h
     to, so, tb = g.t_order, g.s_order, g.t_box
     xs, ys = x[to], y[so]
-    entries = weights + squared
-    cs = [None if c is None else np.asarray(c)[so] for c in entries]
     widths = logderiv._widths(weights, squared, nearest)
-    out = [np.empty(q, complex) for _ in entries] + [np.empty(q)] * nearest
+    out = [np.empty(q, complex) for _ in weights + squared] + [np.empty(q)] * nearest
     col = None if skip is None else g.near_column(np.asarray(skip)[to])
 
     def block(a, b, work):
@@ -273,30 +273,20 @@ def far_sums(g, x, y, weights, squared, skip, nearest, rows):
             s, e = max(a, g.t_start[box]), min(b, g.t_start[box + 1])
             if s >= e:
                 continue
-            runs = [slice(r0, r1) for r0, r1 in g.runs[box]]
             D, *bufs = logderiv._carve(work, (e - s, g.near[box]), widths)
             at = 0
-            for r in runs:
-                np.subtract(xs[s:e, None], ys[r], out=D[:, at:at + r.stop - r.start])
-                at += r.stop - r.start
+            for r0, r1 in g.runs[box]:
+                np.subtract(xs[s:e, None], ys[r0:r1], out=D[:, at:at + r1 - r0])
+                at += r1 - r0
             if col is not None:
                 D[np.arange(e - s), col[s:e]] = np.inf
-            coefs = [None if c is None else np.concatenate([c[r] for r in runs]) for c in cs]
-            logderiv._reduce(D, bufs, coefs[:len(weights)], coefs[len(weights):], out,
-                             to[s:e], nearest)
+            logderiv._reduce(D, bufs, weights, squared, out, to[s:e], nearest)
 
     logderiv._blocked(q, int(g.near.max()), sum(widths), block, rows)
 
-    # the far field, in the memory the near field's buffer left free: one
-    # per distinct weight vector (by identity; None is unit weights)
-    first = {}
-    for j, c in enumerate(entries):
-        first.setdefault(id(c), j)
-    fields = dict(zip(first, _far_field(
-        g, g.offsets(xs, tb), g.offsets(ys, g.s_box),
-        [np.ones(n) if cs[j] is None else cs[j] for j in first.values()], bool(squared))))
-    for j, c in enumerate(entries):
-        F, dF = fields[id(c)]
+    # the far field, in the memory the near field's buffer left free
+    F, dF = _far_field(g, g.offsets(xs, tb), g.offsets(ys, g.s_box), bool(squared))
+    for j in range(len(weights + squared)):
         out[j][to] += F / h if j < len(weights) else dF / -(h * h)
     if nearest:
         # a far source is at least a box side away: where the near field
@@ -308,7 +298,6 @@ def far_sums(g, x, y, weights, squared, skip, nearest, rows):
                 x[i], y, (), (), None if skip is None else np.asarray(skip)[i], True, rows)
     tally = logderiv._TALLY.get()
     if tally is not None:
-        near = int(np.diff(g.t_start) @ g.near)
-        tally.direct += near
-        tally.far += q * n - near
+        tally.direct += g.near_pairs
+        tally.far += q * n - g.near_pairs
     return out

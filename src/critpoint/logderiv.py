@@ -316,9 +316,10 @@ def _series_lengths(rho: np.ndarray) -> np.ndarray:
 
 def _series_degree(L: np.ndarray) -> float:
     """Horner degree D of one side's series: its roots with L_k <= D are
-    summed by the series and the rest directly.  D minimises the work per
-    grid point, D Horner steps plus one direct term per root with L_k > D;
-    D = 0 (no series) unless that saves work."""
+    summed by the series and the rest directly.  D minimises D plus the
+    number of roots with L_k > D, which weighs a Horner step like a direct
+    term, though a step costs about a quarter of one; D = 0 (no series)
+    unless that count is smaller."""
     D = np.concatenate([[0.0], np.sort(L)])
     return float(D[np.argmin(D + np.arange(len(L), -1, -1))])
 

@@ -3,11 +3,11 @@
 Reports are deterministic given the configuration, except for the
 wall-clock and environment sections, which are excluded from series.csv
 precisely so the CSV is byte-identical across reruns.  The solver section
-(per n: the solves that returned, the roots they merged as near-duplicates
-and their points above DEFAULT_TOL) and the solver_work section (per n,
-summed over those solves: sweeps, active points per sweep, and the
-target-source pairs summed directly and by the solver's far route,
-`farfield.cauchy_sums`) are deterministic but not in series.csv.
+(per n, summed over the solves that returned: their number, the roots
+they merged as near-duplicates, their points above DEFAULT_TOL, sweeps,
+active points per sweep, and the target-source pairs summed directly and
+by the solver's far route, `farfield.cauchy_sums`) is deterministic but
+not in series.csv.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class Report:
     verdicts: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
-    solver_work: dict = field(default_factory=dict)
     environment: dict = field(default_factory=run_environment)
 
     def add_row(self, n: int, stat: str, value) -> None:
@@ -88,7 +87,6 @@ class Report:
             "passed": self.passed,
             "wall_clock": self.wall_clock,
             "solver": self.solver,
-            "solver_work": self.solver_work,
             "environment": self.environment,
         }
 

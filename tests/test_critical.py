@@ -409,6 +409,30 @@ def test_far_route_solve_certified_against_the_oracle(kind, monkeypatch):
     assert multiset_match_distance(cs.points, want) <= 1e-12 * spread(roots)
 
 
+def test_far_route_solve_with_multiplicities(monkeypatch):
+    """With the far route forced, a solve of 150 distinct disk roots, each
+    twice, sends the route unit charges only (its weighted passes take the
+    kernel, its repulsion the route), and still certifies every point and
+    agrees with the eigenvalue route."""
+    z = _random_roots("disk", 150, 12)
+    roots = np.concatenate([z, z])
+    _force_far(monkeypatch)
+    charges = []
+    far_sums = farfield.far_sums
+
+    def recording(g, x, y, weights, squared, *args):
+        charges.extend(weights + squared)
+        return far_sums(g, x, y, weights, squared, *args)
+
+    monkeypatch.setattr(farfield, "far_sums", recording)
+    cs = critical_points(roots)
+    assert charges and all(c is None for c in charges)
+    assert cs.far_pairs > 0
+    assert np.all(cs.residuals <= critical.DEFAULT_TOL)
+    want = critical_points_oracle(roots).points
+    assert multiset_match_distance(cs.points, want) <= 1e-12 * spread(roots)
+
+
 def test_nonconvergence_carries_the_history(monkeypatch):
     """ConvergenceError carries each sweep's active count and worst residual."""
     roots = _random_roots("disk", 32, 9)

@@ -24,6 +24,9 @@ from helpers import affine, anticoncentration_hits, projected_probe_sums
 
 
 CIRCLE = BaseMeasure.uniform_circle()
+#: the keys of each n's entry of report.json's solver section
+_SOLVER_KEYS = {"solves", "near_duplicate_clusters", "points_above_tol", "sweeps", "active",
+                "direct_pairs", "far_pairs"}
 
 
 def test_config_validation():
@@ -160,8 +163,14 @@ def test_solver_section_counts_merges_and_points_above_tol(make, run, monkeypatc
     solves = 1 if run is run_convergence else cfg.trials
     clean = {f"n={n}": {"solves": solves, "near_duplicate_clusters": 0, "points_above_tol": 0}
              for n in cfg.n_schedule}
+
+    def counts(rep):
+        assert set(rep.solver) == set(clean)
+        assert all(set(entry) == _SOLVER_KEYS for entry in rep.solver.values())
+        return {k: {c: entry[c] for c in clean[k]} for k, entry in rep.solver.items()}
+
     rep = run(cfg)
-    assert rep.solver == clean
+    assert counts(rep) == clean
     solve = experiments.critical_points
 
     def planted(roots):
@@ -172,8 +181,8 @@ def test_solver_section_counts_merges_and_points_above_tol(make, run, monkeypatc
 
     monkeypatch.setattr(experiments, "critical_points", planted)
     got = run(cfg)
-    assert got.solver == {k: {"solves": solves, "near_duplicate_clusters": 2 * solves,
-                              "points_above_tol": 3 * solves} for k in clean}
+    assert counts(got) == {k: {"solves": solves, "near_duplicate_clusters": 2 * solves,
+                               "points_above_tol": 3 * solves} for k in clean}
     assert got.to_json()["solver"] == got.solver
     assert [row[:2] for row in got.rows] == [row[:2] for row in rep.rows]
 
@@ -468,7 +477,7 @@ def test_reports_deterministic():
     (lambda **kw: JensenConfig(trials=5, m_circle=128, **kw), run_jensen)],
     ids=["convergence", "jensen"])
 def test_solver_work_section_sums_the_solves(make, run, monkeypatch):
-    """report.json's solver_work section sums, per n, the sweeps, the active
+    """report.json's solver section sums, per n, the sweeps, the active
     points sweep by sweep and the direct and far pairs of every solve."""
     solves = []
     solve = experiments.critical_points
@@ -480,16 +489,17 @@ def test_solver_work_section_sums_the_solves(make, run, monkeypatch):
     monkeypatch.setattr(experiments, "critical_points", recording)
     cfg = make(measure=CIRCLE, n_schedule=(8, 16), seed=SeedSpec(9, 0))
     rep = run(cfg)
-    assert set(rep.solver_work) == set(rep.solver) == {"n=8", "n=16"}
+    assert set(rep.solver) == {"n=8", "n=16"}
     for n in cfg.n_schedule:
         sets = [cs for m, cs in solves if m == n]
-        work = rep.solver_work[f"n={n}"]
+        work = rep.solver[f"n={n}"]
+        assert set(work) == _SOLVER_KEYS
         assert work["sweeps"] == sum(cs.sweeps for cs in sets) > 0
         assert work["direct_pairs"] == sum(cs.direct_pairs for cs in sets) > 0
         assert work["far_pairs"] == 0
         assert work["active"] == [sum(cs.active[s] for cs in sets if s < cs.sweeps)
                                   for s in range(max(cs.sweeps for cs in sets))]
-    assert rep.to_json()["solver_work"] == rep.solver_work
+    assert rep.to_json()["solver"] == rep.solver
 
 
 def test_growth_grids_keep_the_direct_route(monkeypatch):

@@ -665,17 +665,14 @@ _FAR_CASES = [(name, shift, scale) for name in _far_sets()
 
 @pytest.mark.parametrize("name, shift, scale", _FAR_CASES)
 def test_far_route_agrees_with_direct_sums(name, shift, scale):
-    """S, the weighted sums and the squared sums of the far route are the
-    direct sums within 16 eps sum_k |c_k/(x - y_k)| (|.|^2 for the squared
-    ones): the truncation is at most eps times that, and the rest is
-    rounding of both routes.  The nearest distances are equal bit for bit,
-    without skips and with each target's own source skipped, as the
-    solver's passes do.  Near-duplicates moved by 1e6 round onto their
+    """S and the squared sums of the far route are the direct sums within
+    16 eps sum_k |1/(x - y_k)| (|.|^2 for the squared ones): the truncation
+    is at most eps times that, and the rest is rounding of both routes.
+    The nearest distances are equal bit for bit, without skips and with
+    each target's own source skipped, as the solver's passes do.  Near-duplicates moved by 1e6 round onto their
     sources: those targets' sums are not finite on both routes."""
     x, y = _far_sets()[name]
     x, y = x * scale + shift, y * scale + shift
-    rng = np.random.default_rng(32)
-    c = rng.random(len(y)) + 0.5j
     for x, skip in ((x, None), (y, np.arange(len(y)))):
         D = x[:, None] - y
         kept = np.ones(D.shape, bool)
@@ -684,12 +681,12 @@ def test_far_route_agrees_with_direct_sums(name, shift, scale):
         on = (kept & (D == 0)).any(axis=1)
         size = np.where(kept & (D != 0), 1 / np.where(D == 0, 1.0, np.abs(D)), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            got, want, tally = _far_and_direct(x, y, weights=(None, c), squared=(c, None),
+            got, want, tally = _far_and_direct(x, y, weights=(None,), squared=(None,),
                                                skip=skip, nearest=True)
         assert tally.far > 0 and tally.direct + tally.far >= len(x) * len(y)
         bound = 16 * np.finfo(float).eps
-        for j, w in enumerate((1.0, abs(c), abs(c), 1.0)):
-            mag = ((size ** (1 + (j >= 2))) * w).sum(axis=1)
+        for j in range(2):
+            mag = (size ** (1 + j)).sum(axis=1)
             assert np.all(np.abs(got[j][~on] - want[j][~on]) <= bound * mag[~on]), j
             assert not np.isfinite(got[j][on]).any() and not np.isfinite(want[j][on]).any()
         assert np.array_equal(got[-1], want[-1])
@@ -701,19 +698,40 @@ def test_far_route_takes_only_self_skips(monkeypatch):
     far pairs: a skip at random, and the self-skip with one index moved
     (its target on a source it keeps: a non-finite sum)."""
     x, y = _far_sets()["disk"]
-    c = np.random.default_rng(37).random(len(y)) + 0.5j
     moved = np.arange(len(y))
     moved[7] = 8
     _force_far(monkeypatch)
     for x, skip in ((x, np.random.default_rng(38).integers(0, len(y), len(x))), (y, moved)):
         with logderiv.counting_pairs() as tally, np.errstate(invalid="ignore"):
-            got = farfield.cauchy_sums(x, y, weights=(None, c), squared=(c,), skip=skip,
+            got = farfield.cauchy_sums(x, y, weights=(None,), squared=(None,), skip=skip,
                                        nearest=True)
-            want = logderiv.cauchy_sums(x, y, weights=(None, c), squared=(c,), skip=skip,
+            want = logderiv.cauchy_sums(x, y, weights=(None,), squared=(None,), skip=skip,
                                         nearest=True)
         assert tally.far == 0 and tally.direct == 2 * len(x) * len(y)
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_far_route_takes_only_unit_charges(monkeypatch):
+    """A call the far route takes with unit charges, without a skip and
+    with each target's own source skipped, is the kernel's bit for bit and
+    sums no far pairs once a weight vector is among its weights or its
+    squared sums (roots with multiplicities)."""
+    x, y = _far_sets()["disk"]
+    c = np.random.default_rng(37).random(len(y)) + 0.5j
+    _force_far(monkeypatch)
+    for x, skip in ((x, None), (y, np.arange(len(y)))):
+        with logderiv.counting_pairs() as unit:
+            farfield.cauchy_sums(x, y, weights=(None,), squared=(None,), skip=skip,
+                                 nearest=True)
+        assert unit.far > 0
+        for weights, squared in (((None, c), (None,)), ((None,), (c,)), ((c,), ())):
+            with logderiv.counting_pairs() as tally:
+                got = farfield.cauchy_sums(x, y, weights, squared, skip=skip, nearest=True)
+            want = logderiv.cauchy_sums(x, y, weights, squared, skip=skip, nearest=True)
+            assert tally.far == 0 and tally.direct == len(x) * len(y)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 def test_far_route_nearest_beyond_the_near_field(monkeypatch):
@@ -739,21 +757,19 @@ def test_far_route_nearest_beyond_the_near_field(monkeypatch):
 
 def test_far_route_independent_of_workers_and_block_rows(monkeypatch):
     """The far route's sums are the same bit for bit at 1, 2 and 3 workers
-    and at any block rows, self-skips, weights, a target on a source
-    (non-finite sums, distance 0) and the kernel's nearest fallback
-    included; every call takes the route."""
+    and at any block rows, self-skips, a target on a source (non-finite
+    sums, distance 0) and the kernel's nearest fallback included; every
+    call takes the route."""
     x, y = _far_sets()["gauss"]
     y = np.concatenate([y, y[:3], [40 + 40j]])
     x = np.concatenate([x, y[:3], [40 + 40j]])
-    rng = np.random.default_rng(34)
-    c = rng.random(len(y)) + 0.5j
     _force_far(monkeypatch)
     monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 4096)
 
     def run(rows):
         with np.errstate(invalid="ignore"):
             with logderiv.counting_pairs() as self_pass:
-                own = farfield.cauchy_sums(y, y, weights=(c, None), squared=(c,),
+                own = farfield.cauchy_sums(y, y, weights=(None,), squared=(None,),
                                            skip=np.arange(len(y)), nearest=True, rows=rows)
             with logderiv.counting_pairs() as field_pass:
                 field = farfield.cauchy_sums(x, y, squared=(None,), nearest=True, rows=rows)
