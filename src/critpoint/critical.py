@@ -77,6 +77,8 @@ class CriticalSet:
     The solver's work: `active[s]` points were evaluated in sweep s, and
     the Cauchy sums of the solve summed `direct_pairs` target-source pairs
     directly and `far_pairs` through the far route (`farfield.cauchy_sums`).
+    `nudges` counts the iterates nudged apart, summed over the sweeps
+    (collided iterates, or an iterate on a pole: `_aberth_zeros`).
     """
 
     points: np.ndarray
@@ -86,6 +88,7 @@ class CriticalSet:
     active: tuple = ()
     direct_pairs: int = 0
     far_pairs: int = 0
+    nudges: int = 0
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.atleast_1d(np.asarray(self.points, dtype=complex)))
@@ -192,7 +195,7 @@ def _closest_pair(c):
 def _aberth_zeros(z, m):
     """Zeros of S(w) = sum m_k/(w - z_k) for distinct z_k of spread 1 about 0,
     so |w| <= 1 at every zero (Gauss-Lucas); returns (w, residuals, the
-    number of points evaluated in each sweep).
+    number of points evaluated in each sweep, the number of nudges).
 
     Iterate i is frozen once its last Newton correction was small,
     |corr_i| / (1 + |w_i|) < DEFAULT_TOL, and its residual is certified,
@@ -208,14 +211,14 @@ def _aberth_zeros(z, m):
     """
     nz = len(z) - 1
     if nz == 0:
-        return np.empty(0, complex), np.empty(0), ()
+        return np.empty(0, complex), np.empty(0), (), 0
     if np.all(m == 1):
         m = None
     w = _initial_iterates(z, m)
     res = np.full(nz, np.inf)
     small = np.zeros(nz, bool)
     act = np.arange(nz)
-    active, worst = [], []
+    active, worst, nudges = [], [], 0
     for sweep in range(MAX_SWEEPS):
         wa = w[act]
         active.append(len(act))
@@ -226,7 +229,7 @@ def _aberth_zeros(z, m):
         keep = ~(small[act] & (res[act] <= np.maximum(DEFAULT_TOL, floor)))
         act, wa, S, Sp, U = act[keep], wa[keep], S[keep], Sp[keep], U[keep]
         if len(act) == 0:
-            return w, res, tuple(active)
+            return w, res, tuple(active), nudges
         (Rep,) = farfield.cauchy_sums(wa, w, skip=act)
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = 1.0 / (Sp / S + U - Rep)
@@ -235,6 +238,7 @@ def _aberth_zeros(z, m):
         if bad.any():
             # collided iterates or an iterate sitting on a pole: nudge apart
             corr[bad] = 0.0
+            nudges += int(np.count_nonzero(bad))
             wa[bad] += (1.0 + np.abs(wa[bad])) * 1e-9 * np.exp(1j * _GOLDEN_ANGLE * (sweep + act[bad]))
         w[act] = wa - corr
         small[act] = np.abs(corr) / (1.0 + np.abs(w[act])) < DEFAULT_TOL
@@ -262,13 +266,13 @@ def critical_points(roots) -> CriticalSet:
     repeated = np.repeat(z, (mult - 1).astype(int))
     c, s = z.mean(), spread(z) or 1.0  # one distinct root: nothing to solve
     with counting_pairs() as tally:
-        zeros, res, active = _aberth_zeros((z - c) / s, mult)
+        zeros, res, active, nudges = _aberth_zeros((z - c) / s, mult)
     points = np.concatenate([zeros * s + c, repeated])
     residuals = np.concatenate([res, np.zeros(len(repeated))])
     order = np.argsort(points)
     return CriticalSet(points[order], residuals[order], "aberth",
                        near_duplicate_clusters=inexact, active=active,
-                       direct_pairs=tally.direct, far_pairs=tally.far)
+                       direct_pairs=tally.direct, far_pairs=tally.far, nudges=nudges)
 
 
 def _residuals_against(points: np.ndarray, roots: np.ndarray) -> np.ndarray:

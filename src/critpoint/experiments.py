@@ -20,7 +20,7 @@ from . import mobius as mb
 from .critical import DEFAULT_TOL, critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError, as_complex, as_count, as_list, as_positive, as_real)
-from .logderiv import (BLOCK_ELEMS, Circle, cauchy_sums, circle_abs_S, circle_sup_norm, eval_S,
+from .logderiv import (BLOCK_ELEMS, Circle, _circle_field, cauchy_sums, circle_sup_norm, eval_S,
                        log_minus, log_plus)
 from .measures import (log_minus_integral, reference_quantization, sliced_w1,
                        sliced_w1_many, quadrant_discrepancy)
@@ -200,15 +200,17 @@ def _escaped_mass(points: np.ndarray, radius: float) -> float:
 def _start_solves(rep: Report, n: int) -> None:
     """An empty `Report.solver` entry for n."""
     rep.solver[f"n={n}"] = {"solves": 0, "near_duplicate_clusters": 0, "points_above_tol": 0,
-                            "sweeps": 0, "active": [], "direct_pairs": 0, "far_pairs": 0}
+                            "sweeps": 0, "active": [], "direct_pairs": 0, "far_pairs": 0,
+                            "nudges": 0}
 
 
 def _count_solve(rep: Report, n: int, cs) -> None:
     """Add one returned solve to the `Report.solver` entry of n: the roots
     it merged as near-duplicates, its points whose certificate is above
     the solver's DEFAULT_TOL (certified only at the double-precision
-    floor), its sweeps, its active points per sweep (summed sweep by sweep)
-    and the pairs its Cauchy sums summed directly and by the far route."""
+    floor), its sweeps, its active points per sweep (summed sweep by sweep),
+    the pairs its Cauchy sums summed directly and by the far route, and
+    its nudged iterates."""
     entry = rep.solver[f"n={n}"]
     entry["solves"] += 1
     entry["near_duplicate_clusters"] += cs.near_duplicate_clusters
@@ -216,6 +218,7 @@ def _count_solve(rep: Report, n: int, cs) -> None:
     entry["sweeps"] += cs.sweeps
     entry["direct_pairs"] += cs.direct_pairs
     entry["far_pairs"] += cs.far_pairs
+    entry["nudges"] += cs.nudges
     active = entry["active"]
     active += [0] * (cs.sweeps - len(active))
     for s, a in enumerate(cs.active):
@@ -473,7 +476,9 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
 
 def run_growth(config: GrowthConfig) -> Report:
     """log^+ of the discrete circle sup norm, against log n, along one
-    trajectory on a fixed generic circle."""
+    trajectory on a fixed generic circle.  Per n, `Report.series` records
+    how the 2m grid was summed (`logderiv.circle_abs_S`): the roots summed
+    directly and by each side's series, and each side's series length."""
     rep = Report("growth", config.to_json())
     t_all = time.perf_counter()
     if config.circle_center is not None:
@@ -488,21 +493,23 @@ def run_growth(config: GrowthConfig) -> Report:
                   config.n_schedule[-1])
     ratios = []
     for n in config.n_schedule:
-        roots = traj.samples[:n]
+        t_n = time.perf_counter()
         try:
             # the m grid is the even-indexed half of the 2m grid
-            fine = circle_abs_S(roots, circle, 2 * config.m_circle)
+            fine, rep.series[f"n={n}"] = _circle_field(traj.samples[:n], circle,
+                                                       2 * config.m_circle)
         except PoleOnContourError:
             rep.add_row(n, "pole_on_contour", 1.0)
-            continue
-        sup, sup2 = float(np.max(fine[::2])), float(np.max(fine))
-        ratio = log_plus(sup) / math.log(n)
-        ratio2 = log_plus(sup2) / math.log(n)
-        ratios.append(ratio)
-        rep.add_row(n, "sup_norm", sup)
-        rep.add_row(n, "ratio", ratio)
-        rep.add_row(n, "ratio_refined", ratio2)
-        rep.add_row(n, "refine_delta", abs(ratio2 - ratio))
+        else:
+            sup, sup2 = float(np.max(fine[::2])), float(np.max(fine))
+            ratio = log_plus(sup) / math.log(n)
+            ratio2 = log_plus(sup2) / math.log(n)
+            ratios.append(ratio)
+            rep.add_row(n, "sup_norm", sup)
+            rep.add_row(n, "ratio", ratio)
+            rep.add_row(n, "ratio_refined", ratio2)
+            rep.add_row(n, "refine_delta", abs(ratio2 - ratio))
+        rep.wall_clock[f"n={n}"] = time.perf_counter() - t_n
     if ratios:
         worst = max(ratios)
         rep.add_verdict("growth_ratio", worst <= GROWTH_RATIO_MAX, GROWTH_RATIO_MAX, worst,

@@ -19,9 +19,12 @@ however the rows are split, into blocks or into calls.
 Two routes evaluate |S| on the grid a + r e^{2 pi i j / m}, and both
 start with one pole-on-contour test, `_check_contour`.  `circle_abs_S`
 (growth's full grids of up to 16k roots) is the only user of a truncated
-Laurent series: roots far from the circle add a series in
-e^{2 pi i j / m}, summed by Horner's rule at each grid point, and only the
-roots near the circle are summed directly.  `circle_sup_norm` uses no
+Laurent series: the power sums of the roots far from the circle are the
+coefficients of one trigonometric polynomial, evaluated on the whole grid
+by one DFT that nests (`_grid_dft`: folds and radix-2 stages in numpy,
+numpy's FFT for the odd part, so numpy.fft loads on its first call only),
+and the roots near the circle, or too near for the series' rounding bound,
+are summed directly.  `circle_sup_norm` uses no
 series: it is the maximum of the direct sums over all roots on the grid,
 found by a Lipschitz branch and bound over the grid (Piyavskii 1972,
 Shubert 1972).  An evaluated point rules out its neighbours when |S|
@@ -314,42 +317,132 @@ def _series_lengths(rho: np.ndarray) -> np.ndarray:
     return L
 
 
-def _series_degree(L: np.ndarray) -> float:
-    """Horner degree D of one side's series: its roots with L_k <= D are
-    summed by the series and the rest directly.  D minimises D plus the
-    number of roots with L_k > D, which weighs a Horner step like a direct
-    term, though a step costs about a quarter of one; D = 0 (no series)
-    unless that count is smaller."""
+def _series_weights(rho: np.ndarray, n: int, kappa: float) -> np.ndarray:
+    """W_k, the bound on the rounding that root k's series adds at a grid
+    point, in units of u = 2^-53 times the root's term there, for n roots
+    about a circle of kappa = (|a| + r)/r and padded DFT lengths up to 2^20
+    (derived in `circle_abs_S`)."""
+    return (32 * kappa + 16 + (1 + rho) * (math.log2(n) + 215)) / (1 - rho)
+
+
+def _series_degree(L: np.ndarray) -> int:
+    """Series length D of one side of the circle: its roots with L_k <= D
+    are summed by the series and the rest directly.  D minimises the cost
+
+        D/128 + (sum of the L_k <= D)/4096 + #(L_k > D) + 32 [D > 0]
+
+    in units of one direct root on growth's finer grid (m = 8192, 2-vCPU
+    Xeon, medians of 15 in-process calls): a direct root costs 37 us, a
+    term of `_power_sums` 9 ns and an exponent's numpy calls 0.3 us on
+    top, and `_grid_dft` plus the series' set-up about 32 roots' worth
+    (1.1 ms).  So D = 0 (no series) unless the series saves more than 32
+    direct roots, and small sets stay direct.  It leaves out m, so every
+    grid size takes the same split.
+    """
     D = np.concatenate([[0.0], np.sort(L)])
-    return float(D[np.argmin(D + np.arange(len(L), -1, -1))])
+    terms = np.concatenate([[0.0], np.cumsum(D[1:])])
+    return int(D[np.argmin(D / 128 + terms / 4096 + np.arange(len(L), -1, -1)
+                           + 32 * (D > 0))])
 
 
 def _power_sums(s: np.ndarray, L: np.ndarray, e: int) -> np.ndarray:
     """c_l = sum of s_k^(l+e) over the k with L_k > l, l = 0..max L - 1.
 
     In order of decreasing L_k, the terms of power l are the first
-    #(L_k > l) roots, so one running product over that shrinking prefix
-    makes exactly the sum_k L_k powers needed.
+    #(L_k > l) roots.  Each power is the previous one times s_k, and each
+    c_l is a pairwise sum over its prefix.  The powers go in blocks of
+    consecutive exponents over the prefix of the block's first one, at
+    most BLOCK_ELEMS / 16 terms a block: one product per exponent over a
+    long prefix, one running product per root over a short one, and one
+    `reduceat` for the block's sums, so the long tail of a few roots with
+    large L_k costs a few numpy calls per block, not per exponent.
     """
     order = np.argsort(-L, kind="stable")
     s, negL = s[order], -L[order]
-    c = np.empty(int(-negL[0]), complex)
-    p = s if e else np.ones_like(s)
-    for l, k in enumerate(np.searchsorted(negL, -np.arange(len(c)))):
-        p = p[:k]
-        c[l] = p.sum()
-        p = p * s[:k]
+    D = int(-negL[0])
+    k = np.searchsorted(negL, -np.arange(D + 1))  # k[l] = #(L_k > l)
+    c = np.empty(D, complex)
+    p = s if e else np.ones_like(s)  # the powers of exponent l + e
+    l = 0
+    while l < D:
+        width = k[l]
+        rows = max(1, min(D - l, (BLOCK_ELEMS >> 4) // width))
+        P = np.empty((rows + 1, width), complex)
+        P[0] = p[:width]
+        if width > rows:
+            sw = s[:width]
+            for i in range(rows):
+                np.multiply(P[i], sw, out=P[i + 1])
+        else:
+            P[1:] = s[:width]
+            np.multiply.accumulate(P, axis=0, out=P)
+        # row i's prefix of k[l + i] terms, from its start in the flat block
+        bounds = np.empty(2 * rows, np.intp)
+        bounds[0::2] = np.arange(0, rows * width, width)
+        bounds[1::2] = bounds[0::2] + k[l:l + rows]
+        c[l:l + rows] = np.add.reduceat(P.ravel(), bounds)[0::2]
+        p, l = P[rows], l + rows
     return c
 
 
-def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_l coef[l] x^l at every x.  Products never overwrite an operand
-    (see `cauchy_sums`), so each value depends on its own x alone."""
-    acc = np.full(len(x), coef[-1])
-    tmp = np.empty_like(acc)
-    for a in coef[-2::-1]:
-        np.add(np.multiply(acc, x, out=tmp), a, out=acc)
-    return acc
+def _twiddles(n: int) -> np.ndarray:
+    """e^{-2 pi i q/n} for q = 0..n/2 - 1 (n even), each from the cosine
+    and sine of 2 pi q'/n, q' its reflection into [0, n/8] (into [0, n/4]
+    when n is 2 mod 4): e^{-i(pi - x)} = -conj(e^{-ix}) and
+    e^{-i(pi/2 - x)} = -i conj(e^{-ix}).  The angle is within 3u of itself,
+    relatively, and a cosine or sine below 1 within an ulp, u, so a twiddle
+    is within 4u of e^{-2 pi i q/n} (6.2u when n is 2 mod 4)."""
+    q = np.arange(n // 2)
+    back = 4 * q > n
+    q = np.where(back, n // 2 - q, q)
+    swap = (n % 4 == 0) & (8 * q > n)
+    q = np.where(swap, n // 4 - q, q)
+    e = np.exp(1j * (2 * np.pi * q / n))
+    tw = np.empty(n // 2, complex)
+    tw.real = np.where(swap, e.imag, e.real)
+    tw.real[back] *= -1
+    tw.imag = -np.where(swap, e.real, e.imag)
+    return tw
+
+
+def _grid_dft(coef: np.ndarray, m: int) -> np.ndarray:
+    """sum_q coef[q] e^{-2 pi i j q/m} at j = 0..m-1.
+
+    coef, padded with zeros to the smallest length m 2^k that holds it, is
+    folded onto m terms by halving (a[:h] + a[h:]); radix-2
+    decimation-in-frequency stages split the m-term DFT down to rows of its
+    odd part o (row i, entry p holding output i + p m/o), and numpy's FFT
+    does the rows when o > 1.  A fold is the even half of a stage, so the
+    2m result's even half is the m result bit for bit: the 2m call folds
+    to the same 2m terms (or pads to them with zeros), its first stage's
+    even half is the m call's folded input, and every later step runs
+    elementwise on rows that the m call holds too.
+
+    Rounding: a fold or an even half rounds within u = 2^-53 of its
+    terms, an odd half within u + 2 sqrt(2) u + 6.2u < 10u (difference,
+    product, `_twiddles`), and every row of a stage has at most the 1-norm
+    of the input.  So each output is within 10 log2(N) u sum_q |coef_q| of
+    the exact DFT, N = m 2^k, where the rows of o > 1 terms take numpy's
+    FFT (pocketfft) at 10u per factor of 2 in o, which the tests check
+    against an exact DFT.
+    """
+    size = m
+    while size < len(coef):
+        size *= 2
+    a = np.zeros(size, complex)
+    a[:len(coef)] = coef
+    while size > m:
+        size //= 2
+        a = a[:size] + a[size:]
+    rows = a[None]
+    while size % 2 == 0:
+        h = size // 2
+        lo, hi = rows[:, :h], rows[:, h:]
+        rows = np.concatenate([lo + hi, (lo - hi) * _twiddles(size)])
+        size = h
+    if size > 1:
+        rows = np.fft.fft(rows)
+    return rows.T.ravel()
 
 
 def _check_contour(roots: np.ndarray, c: Circle) -> None:
@@ -371,39 +464,87 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     inside the circle adds (1/r) sum_{l >= 0} w_k^l t_j^{-(l+1)} and a root
     outside adds -(1/r) sum_{l >= 0} w_k^{-(l+1)} t_j^l.  Each series stops
     after L_k terms, the smallest L with rho_k^L <= eps (1 - rho_k)/(1 + rho_k),
-    eps = 2^-52.  The dropped tail is then at most eps times the root's
-    smallest term on the circle, so at every grid point the truncation
-    error is at most eps * sum_k |1/(x_j - Z_k)|, the scale of the direct
-    sum's own rounding.  On each side of the circle the series takes the
-    roots with L_k <= D, where the Horner degree D minimises D plus the
-    number of roots left to the direct sum; the power sums of the series
-    (`_power_sums`) are evaluated at each t_j by Horner's rule in t_j and
-    conj(t_j), and the other ("near") roots by `cauchy_sums`.  When no root
-    goes to a series, this is the direct sum over all roots.
+    eps = 2^-52: the dropped tail is at most eps times the root's smallest
+    term on the circle.  The power sums of the series roots (`_power_sums`)
+    are the coefficients of one trigonometric polynomial in t_j, which
+    `_grid_dft` evaluates on the whole grid at once, and the other ("near")
+    roots are summed by `cauchy_sums`.  When no root goes to a series, this
+    is the direct sum over all roots.
 
-    The split and the coefficients depend on the roots and the circle, not
-    on m, and every grid value is computed from its own t_j alone, so the
-    m grid is bit for bit the even-indexed half of the 2m grid.
+    The split.  A root may take the series only if its rounding weight W_k
+    (`_series_weights`, below) is at most B = n + 8 + 2^12, so that the
+    series adds at most B u A_j: gamma A_j, gamma = (n + 8) u the direct
+    sum's own bound (`circle_sup_norm`), plus 2^12 u A_j (about
+    4.5e-13 A_j), so that small sets can take a series too.  Of those,
+    each side takes the roots with L_k <= D, D from the cost model
+    `_series_degree`.  The split depends on the roots and the circle, not
+    on m, and `_grid_dft` nests, so the m grid is bit for bit the
+    even-indexed half of the 2m grid.
+
+    Rounding.  Let u = 2^-53, A_j = sum_k |1/(x_j - Z_k)|, kappa =
+    (|a| + r)/r, delta_k = 1 - rho_k and e = 0 inside, 1 outside.  Root k's
+    term at x_j is at least rho_k^e / (r (1 + rho_k)) in size, and its
+    series' error, relative to that term, is at most
+    - 2u from the dropped tail, at most 2u / delta_k;
+    - 32 kappa u / delta_k because the series is the sum at the exact
+      point a + r e^{2 pi i j/m}, and x_j is within 32u (|a| + r) of it
+      (`circle_sup_norm`);
+    - 14u / delta_k from the powers: w_k (or 1/w_k) is within 8u of
+      itself, relatively, and each power is the previous one times it,
+      within 2 sqrt(2) u, which telescopes to the series of a perturbed
+      root;
+    - (1 + rho_k)(log2 n + 15 + 10 log2 N) u / delta_k from the
+      coefficients: each c_l is a pairwise sum within (log2 n + 15) u of
+      the sum of its terms' sizes, the DFT within 10 log2(N) u
+      sum_l |c_l| (`_grid_dft`, N its padded length), and
+      sum_l |c_l| <= sum_k rho_k^e / delta_k.
+    For N <= 2^20 their sum is at most W_k, so the series roots add at most
+    B u A_j, and the computed |S| is within (B + n + 12) u A_j of |S| at
+    x_j: gamma A_j for the direct sum, 4u A_j for dividing by r, adding the
+    parts and |.|.  At every N the DFT's share grows by
+    10 (1 + rho_k) u / delta_k per doubling of N past 2^20.
     """
+    return _circle_field(roots, c, m)[0]
+
+
+def _circle_field(roots, c: Circle, m: int):
+    """(`circle_abs_S`, the split): the roots summed directly and by each
+    side's series, and each side's series length D."""
     roots = as_roots(roots)
     m = as_count(m, "m")
     _check_contour(roots, c)
+    n = len(roots)
     w = (roots - c.center) / c.radius
     aw = np.abs(w)
     inside = aw < 1.0
     with np.errstate(divide="ignore"):
-        L = _series_lengths(np.minimum(aw, 1.0 / aw))
-    series = L <= np.where(inside, _series_degree(L[inside]), _series_degree(L[~inside]))
-    s_in, s_out = series & inside, series & ~inside
-    t = _unit_grid(m)
-    far = np.zeros(m, complex)
-    if s_in.any():
-        u = np.conj(t)
-        far += np.multiply(u, _horner(_power_sums(w[s_in], L[s_in], 0), u))
-    if s_out.any():
-        far -= _horner(_power_sums(1.0 / w[s_out], L[s_out], 1), t)
-    far /= c.radius
-    return _abs_S_on_points(roots[~series], c.center + c.radius * t, far)
+        rho = np.minimum(aw, 1.0 / aw)
+    L = _series_lengths(rho)
+    able = _series_weights(rho, n, (abs(c.center) + c.radius) / c.radius) <= n + 8 + (1 << 12)
+    d_in, d_out = (_series_degree(L[able & side]) for side in (inside, ~inside))
+    s_in = able & inside & (L <= d_in)
+    s_out = able & ~inside & (L <= d_out)
+    series = s_in | s_out
+    far = None
+    if series.any():
+        # inside c_l at index l + 1 and outside -c_l at -l (mod size), each
+        # index one term: the m and 2m grids fold the same terms
+        size = m
+        while size <= d_in + d_out:
+            size *= 2
+        a = np.zeros(size, complex)
+        if d_in:
+            a[1:d_in + 1] = _power_sums(w[s_in], L[s_in], 0)
+        if d_out:
+            c_out = _power_sums(1.0 / w[s_out], L[s_out], 1)
+            a[0] = -c_out[0]
+            a[size - d_out + 1:] = -c_out[:0:-1]
+        far = _grid_dft(a, m)
+        far /= c.radius
+    split = {"direct_roots": n - int(series.sum()),
+             "series_roots_inside": int(s_in.sum()), "series_roots_outside": int(s_out.sum()),
+             "series_length_inside": d_in, "series_length_outside": d_out}
+    return _abs_S_on_points(roots[~series], c.points(m), far), split
 
 
 def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float):

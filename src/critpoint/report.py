@@ -5,9 +5,12 @@ wall-clock and environment sections, which are excluded from series.csv
 precisely so the CSV is byte-identical across reruns.  The solver section
 (per n, summed over the solves that returned: their number, the roots
 they merged as near-duplicates, their points above DEFAULT_TOL, sweeps,
-active points per sweep, and the target-source pairs summed directly and
-by the solver's far route, `farfield.cauchy_sums`) is deterministic but
-not in series.csv.
+active points per sweep, the target-source pairs summed directly and
+by the solver's far route, `farfield.cauchy_sums`, and the iterates
+nudged apart) and the series section (per n of a growth run, how its
+circle grid was summed: the roots summed directly and by each side's
+Laurent series, and each side's series length) are deterministic but not
+in series.csv.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ class Report:
     verdicts: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
+    series: dict = field(default_factory=dict)
     environment: dict = field(default_factory=run_environment)
 
     def add_row(self, n: int, stat: str, value) -> None:
@@ -87,6 +91,7 @@ class Report:
             "passed": self.passed,
             "wall_clock": self.wall_clock,
             "solver": self.solver,
+            "series": self.series,
             "environment": self.environment,
         }
 

@@ -401,7 +401,9 @@ def test_cli_import_skips_scipy_optimize(tmp_path):
     # scipy is a test-side oracle only: neither starting the CLI nor a run,
     # Gaussian sampling (the in-repo ndtri) included, may load any of it.
     # Nor may the import build tables (binomials for the far route's
-    # translations, say): every run would pay for them in its set-up
+    # translations, say): every run would pay for them in its set-up.
+    # numpy.fft loads on first use only (growth's circle grids), so these
+    # runs load none of it either
     gaussian = {"kind": "ComplexGaussian", "params": {"mean": [0, 0], "scale": 1}}
     disk = {"kind": "UniformDisk", "params": {"center": [0, 0], "radius": 1}}
     jensen = {**small_config("jensen", str(tmp_path / "j"), trials=3), "measure": gaussian}
@@ -420,7 +422,8 @@ def test_cli_import_skips_scipy_optimize(tmp_path):
                         "      for k, v in vars(mod).items() if isinstance(v, np.ndarray)))\n"
                         "for c in sys.argv[1:]:\n"
                         "    assert critpoint.cli.main(['run', '--config', c, '--quiet']) == 0\n"
-                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                        "             or m.startswith('numpy.fft')))",
                         *configs],
                        env=dict(os.environ, PYTHONPATH=path),
                        capture_output=True, text=True, timeout=120)

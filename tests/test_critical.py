@@ -392,6 +392,25 @@ def test_critical_set_counts_its_work(monkeypatch):
     assert critical_points_oracle(roots).sweeps == 0
 
 
+def test_critical_set_counts_its_nudges(monkeypatch):
+    """Two iterates started at one point have no finite corrections, so the
+    solve nudges them apart and counts both nudges; a clean solve counts
+    none."""
+    roots = _random_roots("disk", 40, 3)
+    assert critical_points(roots).nudges == 0
+    first = critical._initial_iterates
+
+    def collided(z, m, chunk=None):
+        w = first(z, m, chunk)
+        w[1] = w[0]
+        return w
+
+    monkeypatch.setattr(critical, "_initial_iterates", collided)
+    cs = critical_points(roots)
+    assert cs.nudges == 2
+    assert np.all(cs.residuals <= critical.DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("kind", ["disk", "gauss"])
 def test_far_route_solve_certified_against_the_oracle(kind, monkeypatch):
     """With every full pass on the far route, the solve still certifies

@@ -26,7 +26,7 @@ from helpers import affine, anticoncentration_hits, projected_probe_sums
 CIRCLE = BaseMeasure.uniform_circle()
 #: the keys of each n's entry of report.json's solver section
 _SOLVER_KEYS = {"solves", "near_duplicate_clusters", "points_above_tol", "sweeps", "active",
-                "direct_pairs", "far_pairs"}
+                "direct_pairs", "far_pairs", "nudges"}
 
 
 def test_config_validation():
@@ -411,6 +411,30 @@ def test_growth_with_every_root_on_the_circle_is_inconclusive(tmp_path):
     assert [(v["name"], v["passed"], v["observed"]) for v in doc["verdicts"]] == [
         ("growth_ratio", False, "inconclusive")]
     assert rep.stats("pole_on_contour") == {4: 1.0, 8: 1.0}
+
+
+def test_growth_records_time_and_series_split_per_n():
+    """report.json has, per n of a growth run and outside its rows, the
+    wall-clock time and how the 2m grid was summed (`circle_abs_S`): the
+    roots summed directly and by each side's series, and each side's
+    series length; an n whose circle meets a root has only its time."""
+    cfg = GrowthConfig(measure=BaseMeasure.complex_cauchy(), n_schedule=(16, 2048),
+                       seed=SeedSpec(3, 0), m_circle=256)
+    rep = run_growth(cfg)
+    assert set(rep.wall_clock) == {"n=16", "n=2048", "total"}
+    assert set(rep.series) == {"n=16", "n=2048"}
+    for n in cfg.n_schedule:
+        split = rep.series[f"n={n}"]
+        assert set(split) == {"direct_roots", "series_roots_inside", "series_roots_outside",
+                              "series_length_inside", "series_length_outside"}
+        assert split["direct_roots"] + split["series_roots_inside"] + split[
+            "series_roots_outside"] == n
+    assert rep.series["n=16"]["direct_roots"] == 16  # too few roots to pay for a series
+    assert rep.series["n=2048"]["series_length_inside"] > 0
+    assert rep.series["n=2048"]["series_length_outside"] > 0
+    assert rep.to_json()["series"] == rep.series
+    assert {f"n={n}" for n in (4, 8)} <= set(run_growth(ROOTS_ON_CIRCLE).wall_clock)
+    assert run_growth(ROOTS_ON_CIRCLE).series == {}
 
 
 def test_growth_refinement_stability():

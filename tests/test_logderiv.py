@@ -482,6 +482,71 @@ def test_circle_abs_S_takes_the_series_for_far_roots(monkeypatch):
     assert seen[-1] == (0, True)
 
 
+def _exact_dft(coef, m):
+    """sum_q coef[q] e^{-2 pi i j q/m}, j = 0..m-1, each sum exact
+    (`math.fsum`) over products rounded within u and twiddles from
+    angles of at most pi, within 12u: within 13u sum_q |coef_q| in all."""
+    out = []
+    for j in range(m):
+        re, im = [], []
+        for q, x in enumerate(coef):
+            k = j * q % m
+            angle = 2 * math.pi * min(k, m - k) / m
+            cos, sin = math.cos(angle), math.sin(angle)
+            sin = sin if 2 * k > m else -sin  # e^{-i theta} = cos theta - i sin theta
+            re += [x.real * cos, -x.imag * sin]
+            im += [x.real * sin, x.imag * cos]
+        out.append(complex(math.fsum(re), math.fsum(im)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 41, 64])
+def test_grid_dft_matches_an_exact_dft_and_nests(m):
+    """`_grid_dft` is within its stated 10 log2(N) u sum_q |coef_q| of
+    the DFT, N the padded length, at coefficient lengths below, at and
+    above m, and the 2m result's even half is the m result bit for bit."""
+    rng = np.random.default_rng(m)
+    u = 2.0 ** -53
+    for size in sorted({1, max(1, m - 1), m, m + 1, 2 * m + 1, 5 * m}):
+        coef = ((rng.standard_normal(size) + 1j * rng.standard_normal(size))
+                * 10.0 ** rng.uniform(-3, 3, size))
+        got = logderiv._grid_dft(coef, m)
+        N = m
+        while N < size:
+            N *= 2
+        bound = (10 * math.log2(N) + 13) * u * np.abs(coef).sum()
+        assert np.all(np.abs(got - _exact_dft(coef, m)) <= bound)
+        assert np.array_equal(logderiv._grid_dft(coef, 2 * m)[::2], got)
+
+
+def test_growth_workload_grid_within_its_rounding_bound(monkeypatch):
+    """The largest grid of growth-cauchy-16k (seed 3, n = 16384, its generic
+    circle, 2m = 8192) agrees with the direct sum over all roots within the
+    bound `circle_abs_S` states, (B + n + 12) u A_j, B = n + 8 + 2^12,
+    plus the direct sum's own gamma A_j, and leaves few roots to the direct
+    sum, so a regression of the split shows."""
+    field, calls = logderiv._circle_field, []
+
+    def recording(roots, c, m):
+        calls.append((roots, c, m))
+        return field(roots, c, m)
+
+    monkeypatch.setattr(experiments, "_circle_field", recording)
+    experiments.run_growth(experiments.GrowthConfig(
+        measure=BaseMeasure.complex_cauchy(), n_schedule=(16384,), seed=SeedSpec(3, 0)))
+    ((roots, c, m),) = calls
+    assert (len(roots), m) == (16384, 8192)
+    got, split = field(roots, c, m)
+    assert split["direct_roots"] <= 400
+    x = c.points(m)
+    want = _direct(roots, x)
+    A, _ = logderiv._cover_sums(x, roots, 0.0, 1.0)  # sum_k 1/|x_j - Z_k|
+    n, u = len(roots), 2.0 ** -53
+    err = np.abs(got - want)
+    assert np.all(err <= ((n + 8 + 4096) + n + 12 + (n + 8)) * u * A)
+    assert np.all(err <= 1e-14 * A)  # what the grid shows, far inside the bound
+
+
 @given(st.floats(0.0, 1.0, exclude_max=True))
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 def test_series_length_is_the_smallest_meeting_the_bound(rho):
@@ -611,7 +676,7 @@ def test_circle_sup_norm_takes_no_series(monkeypatch):
     roots = rng.standard_cauchy(4000) + 1j * rng.standard_cauchy(4000)
     c = Circle(0.1 - 0.2j, 1.5)
     monkeypatch.setattr(logderiv, "_power_sums", no_series)
-    monkeypatch.setattr(logderiv, "_horner", no_series)
+    monkeypatch.setattr(logderiv, "_grid_dft", no_series)
     with pytest.raises(RuntimeError):
         circle_abs_S(roots, c, 512)
     for m in (512, 4096):
