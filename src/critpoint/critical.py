@@ -202,7 +202,8 @@ def _aberth_zeros(z, m):
     |S(w_i)| * dmin_i <= max(DEFAULT_TOL, floor_i) with floor_i = 8 eps (1+|w_i|)
     |S'(w_i)| dmin_i, the representable double-precision limit (an iterate
     cannot sit closer than eps(1+|w_i|) to the true zero, which bounds the
-    attainable |S|).  S depends on the roots alone, so a frozen point's
+    attainable |S|).  An iterate on a root has residual inf, and is nudged
+    off it.  S depends on the roots alone, so a frozen point's
     certificate stays valid while the others move.  Each sweep evaluates
     the field only at the active points; frozen points still repel them, so
     a sweep costs O(active * q).  The iteration returns when no point is
@@ -223,9 +224,10 @@ def _aberth_zeros(z, m):
         wa = w[act]
         active.append(len(act))
         S, Sp, U, dmin = _field_sums(wa, z, m)
-        res[act] = np.where(S == 0, 0.0, np.abs(S) * dmin)
+        with np.errstate(invalid="ignore"):  # an iterate on a root: S infinite, dmin 0
+            res[act] = np.where(dmin == 0, np.inf, np.abs(S) * dmin)
+            floor = 8.0 * _EPS * (1.0 + np.abs(wa)) * np.abs(Sp) * dmin
         worst.append(float(res.max()))
-        floor = 8.0 * _EPS * (1.0 + np.abs(wa)) * np.abs(Sp) * dmin
         keep = ~(small[act] & (res[act] <= np.maximum(DEFAULT_TOL, floor)))
         act, wa, S, Sp, U = act[keep], wa[keep], S[keep], Sp[keep], U[keep]
         if len(act) == 0:

@@ -20,8 +20,8 @@ from . import mobius as mb
 from .critical import DEFAULT_TOL, critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError, as_complex, as_count, as_list, as_positive, as_real)
-from .logderiv import (BLOCK_ELEMS, Circle, _circle_field, cauchy_sums, circle_sup_norm, eval_S,
-                       log_minus, log_plus)
+from .logderiv import (BLOCK_ELEMS, Circle, _blocked, _circle_field, cauchy_sums,
+                       circle_sup_norm, eval_S, log_minus, log_plus)
 from .measures import (log_minus_integral, reference_quantization, sliced_w1,
                        sliced_w1_many, quadrant_discrepancy)
 from .report import Report
@@ -416,6 +416,12 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
     <= r) of the projected sums, the quantity the n^{-d/2} bound controls.
     A ball around a fixed point would be useless here: the raw sums drift
     at speed n, so that event has exponentially vanishing probability.
+
+    The trials run as one blocked pass (`logderiv._blocked`), each CPU over
+    its own range of trials: a block draws its trials' paths and sums their
+    probes in the thread that runs it.  `wall_clock`'s "sample" and
+    "probe_sums" are busy seconds summed over those threads, so together
+    they may exceed "total".
     """
     _check_probes_nondegenerate(config.measure, config.probes)
     rep = Report("anticoncentration", config.to_json())
@@ -427,24 +433,26 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
     ns = config.n_schedule
     nmax = ns[-1]
     trials = config.trials
-    hits = {n: 0 for n in ns}
-    batch = max(1, BLOCK_ELEMS // nmax)
-    clock = rep.wall_clock
-    clock["sample"] = clock["probe_sums"] = 0.0
-    for t0 in range(0, trials, batch):
+    # hit[k, t]: trial t's projected difference at ns[k] is in the ball;
+    # busy[:, a]: the seconds of sampling and summing of the block from trial a
+    hit = np.zeros((len(ns), trials), bool)
+    busy = np.zeros((2, trials))
+
+    def block(a, b, work):
         t_sample = time.perf_counter()
-        # row 2 i + half: path `half` of trial t0 + i
-        streams = config.seed.substreams(
-            _P_ANTICONC, np.arange(2 * t0, 2 * min(t0 + batch, trials)))
+        # row 2 i + half: path `half` of trial a + i
+        streams = config.seed.substreams(_P_ANTICONC, np.arange(2 * a, 2 * b))
         paths = sample(config.measure, config.seed, nmax, streams).samples
         t_sums = time.perf_counter()
         acc = _probe_sums(paths, ns, probes, aproj, bproj)
-        for k, n in enumerate(ns):
+        for k in range(len(ns)):
             delta = acc[k, 0::2] - acc[k, 1::2]
-            norms = np.sqrt((delta * delta).sum(axis=1))
-            hits[n] += int(np.count_nonzero(norms <= r_ball))
-        clock["sample"] += t_sums - t_sample
-        clock["probe_sums"] += time.perf_counter() - t_sums
+            hit[k, a:b] = np.sqrt((delta * delta).sum(axis=1)) <= r_ball
+        busy[:, a] = t_sums - t_sample, time.perf_counter() - t_sums
+
+    _blocked(trials, 2 * nmax, 0, block)
+    hits = dict(zip(ns, map(int, np.count_nonzero(hit, axis=1))))
+    rep.wall_clock["sample"], rep.wall_clock["probe_sums"] = map(float, busy.sum(axis=1))
     fit_pts = []
     for n in ns:
         p = hits[n] / trials

@@ -12,9 +12,14 @@ larger one is cut into one contiguous range of rows per CPU the process may
 run on, each range a loop over blocks of BLOCK_ELEMS // workers elements,
 the caller's range in the calling thread and the others in threads that end
 with the call.  All ranges carve their buffers from one allocation, so a
-call holds the same scratch memory at any worker count.  Every row depends
-on its own targets and sources alone, so the sums are bit for bit the same
-however the rows are split, into blocks or into calls.
+call holds the same scratch memory at any worker count.  A pass started
+inside a range (a block that makes a blocked pass of its own) is nested: it
+starts no thread and runs in that range's thread, block by block, on a
+scratch buffer the range's nested passes share.  So a pass over trials
+whose blocks sample and sum their own rows keeps each CPU on its own range
+and starts its threads once.  Every row depends on its own targets and
+sources alone, so the sums are bit for bit the same however the rows are
+split, into blocks or into calls, and whichever thread runs them.
 
 Two routes evaluate |S| on the grid a + r e^{2 pi i j / m}, and both
 start with one pole-on-contour test, `_check_contour`.  `circle_abs_S`
@@ -142,6 +147,11 @@ def _carve(work: np.ndarray, shape: tuple, widths) -> list:
     return views
 
 
+#: `held` is a list in a thread while it runs a range of a split pass (the
+#: scratch buffers its nested passes take turns with), None or unset outside
+_RANGE = threading.local()
+
+
 def _run_range(block, lo: int, hi: int, step: int, work: np.ndarray) -> None:
     """The block loop: block(a, b, work) over rows [a, b) of lo..hi, step at a time."""
     for a in range(lo, hi, step):
@@ -162,24 +172,49 @@ def _blocked(nx: int, ny: int, width: int, block, rows=None) -> None:
     joined before the call returns, and the first exception of any range
     is raised in the caller.  numpy releases the GIL inside the ufunc
     loops, so the ranges run at once.
+
+    A larger pass started while the calling thread runs a range of a split
+    pass (`_RANGE`) is nested: it starts no thread, and its blocks, of the
+    rows one of its ranges would take, run one after another in that
+    thread.  Its buffer is the range's scratch, grown to the largest nested
+    pass so far and freed when the range ends, so a range that makes a
+    nested pass per block allocates no buffer per pass.
     """
     per_block = BLOCK_ELEMS // max(1, ny)
     if nx <= (rows or per_block):
         block(0, nx, np.empty(width * nx * ny))
         return
     workers = min(_workers(), nx)
-    bounds = [r * nx // workers for r in range(workers + 1)]
     step = max(1, min(rows or per_block // workers, -(-nx // workers)))
     # every split pass of a width takes the same buffer, so the allocator
     # hands the last one's freed block to the next
     size = width * max(step * ny, BLOCK_ELEMS // workers)
+    held = getattr(_RANGE, "held", None)
+    if held is not None:
+        # borrowed, so that a pass nested in this one takes a buffer of its own
+        buf = held.pop() if held else np.empty(0)
+        if len(buf) < size:
+            buf = np.empty(size)
+        try:
+            _run_range(block, 0, nx, step, buf)
+        finally:
+            held.append(buf)
+        return
+    bounds = [r * nx // workers for r in range(workers + 1)]
     work = np.empty(workers * size)
     err, errors, threads = np.geterr(), [], []
+
+    def run(r):
+        _RANGE.held = []
+        try:
+            _run_range(block, bounds[r], bounds[r + 1], step, work[r * size:(r + 1) * size])
+        finally:
+            _RANGE.held = None
 
     def worker(r):
         try:
             with np.errstate(**err):  # numpy's error state is per thread
-                _run_range(block, bounds[r], bounds[r + 1], step, work[r * size:(r + 1) * size])
+                run(r)
         except BaseException as exc:
             errors.append(exc)
 
@@ -187,7 +222,7 @@ def _blocked(nx: int, ny: int, width: int, block, rows=None) -> None:
         for r in range(1, workers):
             threads.append(threading.Thread(target=worker, args=(r,)))
             threads[-1].start()
-        _run_range(block, 0, bounds[1], step, work[:size])
+        run(0)
     finally:
         for t in threads:
             t.join()

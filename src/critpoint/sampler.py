@@ -10,11 +10,11 @@ of (measure, seed, k).
 Stream ids of derived streams come from a splitmix64 fold over
 (stream_id, purpose, index), one numpy pass for any number of indexes
 (`SeedSpec.substreams`).  `sample` draws one path, or with `streams` one
-row per stream id: each row's uniforms come from one reused Philox reset
-to that stream's key at counter 0, in the calling thread, and the measure
-transform then runs over row blocks on every CPU (`logderiv._blocked`),
-written over the uniforms' buffer.  Every row is bit for bit the path of
-its stream drawn alone.
+row per stream id, over row blocks on every CPU (`logderiv._blocked`): in
+the thread that runs a block, each of its rows' uniforms come from one
+reused Philox reset to that stream's key at counter 0, and the measure
+transform then writes the block's points over its uniforms.  Every row is
+bit for bit the path of its stream drawn alone.
 
 The measure transforms need numpy alone.  The Gaussian one is the normal
 quantile of each uniform, `_ndtri`: a numpy port of the Cephes `ndtri` that
@@ -284,18 +284,16 @@ class Trajectory:
     samples: np.ndarray
 
 
-def _uniform_pairs(keys: np.ndarray, count: int) -> np.ndarray:
-    """(len(keys), count, 2) uniforms, row i from Philox(key=keys[i]) at
-    counter 0.  The row-major fill makes pair k of a row depend only on
-    (key, k): prefix stable."""
-    u = np.empty((len(keys), count, 2))
+def _uniform_pairs(keys: np.ndarray, u: np.ndarray) -> None:
+    """Fill the (len(keys), count, 2) float array u with uniforms, row i
+    from Philox(key=keys[i]) at counter 0.  The row-major fill makes pair k
+    of a row depend only on (key, k): prefix stable."""
     bits = Philox(key=0)
     draw, state = Generator(bits).random, bits.state  # state: counter 0, empty buffer
     for row, key in zip(u, keys):
         state["state"]["key"] = key
         bits.state = state
         draw(out=row)
-    return u
 
 
 def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
@@ -407,16 +405,18 @@ def sample(measure: BaseMeasure, seed: SeedSpec, count: int, streams=None) -> Tr
     With `streams`, a sequence of stream ids under seed.master_seed, the
     samples are one row per stream id, row i bit for bit
     sample(measure, SeedSpec(seed.master_seed, streams[i]), count).samples.
-    The uniforms are drawn in the calling thread; the transform runs over
-    blocks of TRANSFORM_BLOCK // count rows (`_blocked`, on every CPU) and
-    writes each row's points over its uniforms.
+    The rows run in blocks of TRANSFORM_BLOCK // count rows (`_blocked`, on
+    every CPU): the thread that runs a block draws its rows' uniforms and
+    writes their points over them.
     """
     count = as_count(count)
     ids = seed.stream_id if streams is None else _stream_ids(streams)
-    u = _uniform_pairs(_philox_keys(seed.master_seed, ids), count)
+    keys = _philox_keys(seed.master_seed, ids)
+    u = np.empty((len(keys), count, 2))
     z = u.view(complex)[..., 0]
 
     def block(a, b, work):
+        _uniform_pairs(keys[a:b], u[a:b])
         z[a:b] = _points(measure, u[a:b])
 
     _blocked(len(z), count, 0, block, max(1, TRANSFORM_BLOCK // count))

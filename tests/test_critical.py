@@ -411,6 +411,31 @@ def test_critical_set_counts_its_nudges(monkeypatch):
     assert np.all(cs.residuals <= critical.DEFAULT_TOL)
 
 
+def test_iterate_on_a_root_gets_an_infinite_residual(monkeypatch):
+    """An iterate started exactly on a root (S infinite, distance 0) has
+    residual inf, never NaN, raises no warning, and is nudged off the root;
+    the solve still certifies every point."""
+    roots = _random_roots("disk", 40, 3)
+    first = critical._initial_iterates
+
+    def on_root(z, m, chunk=None):
+        w = first(z, m, chunk)
+        w[0] = z[5]
+        return w
+
+    monkeypatch.setattr(critical, "_initial_iterates", on_root)
+    cs = critical_points(roots)
+    assert cs.nudges >= 1
+    assert not np.isnan(cs.residuals).any()
+    assert np.all(cs.residuals <= critical.DEFAULT_TOL)
+    monkeypatch.setattr(critical, "MAX_SWEEPS", 2)
+    with pytest.raises(ConvergenceError) as err:
+        critical_points(roots)
+    assert err.value.worst_residuals[0] == np.inf
+    assert not np.isnan(err.value.worst_residuals).any()
+    assert not np.isnan(err.value.worst_residual)
+
+
 @pytest.mark.parametrize("kind", ["disk", "gauss"])
 def test_far_route_solve_certified_against_the_oracle(kind, monkeypatch):
     """With every full pass on the far route, the solve still certifies

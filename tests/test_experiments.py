@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +292,32 @@ def test_anticoncentration_independent_of_batching_and_workers(measure, monkeypa
             assert rep.stats("hits") == want
             csvs.add(rep.series_csv())
         assert len(csvs) == 1
+
+
+def test_anticoncentration_starts_one_thread_per_other_worker(monkeypatch):
+    """The trials are one split pass: a run on 3 workers starts 2 threads,
+    whatever the sampler's and the probe sums' passes within it split, and
+    its 23 one-trial blocks, switched between often, write every hit."""
+    started, start = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    monkeypatch.setattr(logderiv, "_workers", lambda: 3)
+    monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 40)
+    cfg = AnticoncentrationConfig(measure=CIRCLE, n_schedule=(4, 9, 16), trials=23,
+                                  seed=SeedSpec(3, 0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in (1, 2):
+            rep = run_anticoncentration(cfg)
+            assert len(started) == 2 * run
+    finally:
+        sys.setswitchinterval(interval)
+    assert rep.stats("hits") == anticoncentration_hits(cfg)
 
 
 @pytest.mark.parametrize("workers, block_elems", [(1, None), (2, 300), (3, 64)])

@@ -1,6 +1,7 @@
 """The package's import layers: the direct Cauchy kernel (`logderiv`) knows
 nothing of the far route, the route (`farfield`) builds on the kernel
-alone, and the solver (`critical`) is the route's only caller."""
+alone, and the solver (`critical`) is the route's only caller.  The
+kernel's block rule is also the one place that starts threads."""
 
 import ast
 import pathlib
@@ -26,6 +27,25 @@ def _package_imports(path: pathlib.Path) -> set:
                 continue
             found.update([module.split(".")[0]] if module else [a.name for a in node.names])
     return found
+
+
+def _absolute_imports(path: pathlib.Path) -> set:
+    """The top-level names of the absolute imports of a module's source, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_the_kernel_imports_threads_or_processes():
+    """`logderiv._blocked` is the one place that starts threads: no second
+    pool runs beside it."""
+    concurrency = {"threading", "_thread", "concurrent", "multiprocessing"}
+    users = {p.stem for p in SRC.glob("*.py") if _absolute_imports(p) & concurrency}
+    assert users == {"logderiv"}
 
 
 def test_only_the_solver_imports_the_far_route():

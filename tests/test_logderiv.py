@@ -351,6 +351,52 @@ def test_split_pass_threads_end_with_the_call(monkeypatch):
             assert np.array_equal(a, b)
 
 
+def _counting_thread_starts(monkeypatch) -> list:
+    """A list that gains one entry per `threading.Thread.start` call."""
+    started, start = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def test_nested_pass_runs_in_its_range_thread(monkeypatch):
+    """A split pass started inside a range of another split pass starts no
+    thread and sums bit for bit as a flat call; a pass nested in a nested
+    pass takes a buffer of its own; after the call, passes split again."""
+    x, y = _split_case()
+    monkeypatch.setattr(logderiv, "BLOCK_ELEMS", 64)
+    monkeypatch.setattr(logderiv, "_workers", lambda: 3)
+    want = cauchy_sums(x, y, squared=(None,), nearest=True)
+    want_cover = logderiv._cover_sums(x, y, 0.1, 1.0)
+    started = _counting_thread_starts(monkeypatch)
+    rows, got = [], []
+
+    def inner(a, b, work):
+        # a pass nested in this nested pass must not write over its buffer
+        work[:] = a
+        got.append((want, cauchy_sums(x, y, squared=(None,), nearest=True)))
+        assert np.all(work == a)
+
+    def outer(a, b, work):
+        rows.extend(range(a, b))
+        got.append((want, cauchy_sums(x, y, squared=(None,), nearest=True)))
+        got.append((want_cover, logderiv._cover_sums(x, y, 0.1, 1.0)))
+        logderiv._blocked(len(x), len(y), 1, inner)
+
+    logderiv._blocked(9, 8, 1, outer)  # 3 ranges of blocks of 2 rows
+    assert len(started) == 2
+    assert sorted(rows) == list(range(9)) and len(got) > 3 * 6
+    for expected, sums in got:
+        for a, b in zip(sums, expected):
+            assert np.array_equal(a, b)
+    cauchy_sums(x, y)
+    assert len(started) == 4
+
+
 def test_split_pass_raises_a_worker_error_in_the_caller(monkeypatch):
     """An exception in a range run by another thread reaches the caller, and
     every thread is joined first."""
