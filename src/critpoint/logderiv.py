@@ -21,23 +21,21 @@ and starts its threads once.  Every row depends on its own targets and
 sources alone, so the sums are bit for bit the same however the rows are
 split, into blocks or into calls, and whichever thread runs them.
 
-Two routes evaluate |S| on the grid a + r e^{2 pi i j / m}, and both
-start with one pole-on-contour test, `_check_contour`.  `circle_abs_S`
-(growth's full grids of up to 16k roots) is the only user of a truncated
-Laurent series: the power sums of the roots far from the circle are the
+Two routes evaluate |S| on the grid a + r e^{2 pi i j / m}, and both start
+with one pole-on-contour test, `_check_contour`.  `circle_abs_S` (growth's
+full grids of up to 16k roots) is the only user of a truncated Laurent
+series: the power sums of the roots far from the circle are the
 coefficients of one trigonometric polynomial, evaluated on the whole grid
-by one DFT that nests (`_grid_dft`: folds and radix-2 stages in numpy,
-numpy's FFT for the odd part, so numpy.fft loads on its first call only),
+by numpy's FFT (`_grid_dft`, so numpy.fft loads on its first call only),
 and the roots near the circle, or too near for the series' rounding bound,
-are summed directly.  `circle_sup_norm` uses no
-series: it is the maximum of the direct sums over all roots on the grid,
-found by a Lipschitz branch and bound over the grid (Piyavskii 1972,
-Shubert 1972).  An evaluated point rules out its neighbours when |S|
-there plus a proven bound on how far the computed |S| can rise within
-their arc, h sum_k (d_k - h)^-2 plus a rounding margin
-2 gamma sum_k (d_k - h)^-1 (d_k the distance to root k, h the arc), stays
-below the running maximum.  The proof of gamma and of the margins is in
-`circle_sup_norm`'s docstring.
+are summed directly.  `circle_sup_norm` uses no series: it is the maximum
+of the direct sums over all roots on the grid, found by a Lipschitz branch
+and bound over the grid (Piyavskii 1972, Shubert 1972).  An evaluated
+point rules out its neighbours when |S| there plus a proven bound on how
+far the computed |S| can rise within their arc, h sum_k (d_k - h)^-2 plus
+a rounding margin 2 gamma sum_k (d_k - h)^-1 (d_k the distance to root k,
+h the arc), stays below the running maximum.  The proof of gamma and of
+the margins is in `circle_sup_norm`'s docstring.
 
 The roots are a plain multiset: every entry point checks them with
 `as_roots`, which returns them as a read-only 1-d complex array, and
@@ -366,13 +364,14 @@ def _series_degree(L: np.ndarray) -> int:
 
         D/128 + (sum of the L_k <= D)/4096 + #(L_k > D) + 32 [D > 0]
 
-    in units of one direct root on growth's finer grid (m = 8192, 2-vCPU
-    Xeon, medians of 15 in-process calls): a direct root costs 37 us, a
-    term of `_power_sums` 9 ns and an exponent's numpy calls 0.3 us on
-    top, and `_grid_dft` plus the series' set-up about 32 roots' worth
-    (1.1 ms).  So D = 0 (no series) unless the series saves more than 32
-    direct roots, and small sets stay direct.  It leaves out m, so every
-    grid size takes the same split.
+    in units of one direct root on growth's finer grid (m = 8192).  Timed
+    at growth-cauchy-16k's n = 16384 (2-vCPU Xeon, medians of 15 in-process
+    calls): a direct root 45 us, the power sums 4.5 ns a term with their
+    exponents' calls, and `_grid_dft` plus the set-up 0.2 ms, about 5 roots'
+    worth.  The weights are from a slower DFT (1.1 ms), so 32 is high.  So
+    D = 0 (no series) unless the series saves more than 32 direct roots,
+    and small sets stay direct.  It leaves out m, so every grid size takes
+    the same split.
     """
     D = np.concatenate([[0.0], np.sort(L)])
     terms = np.concatenate([[0.0], np.cumsum(D[1:])])
@@ -420,47 +419,11 @@ def _power_sums(s: np.ndarray, L: np.ndarray, e: int) -> np.ndarray:
     return c
 
 
-def _twiddles(n: int) -> np.ndarray:
-    """e^{-2 pi i q/n} for q = 0..n/2 - 1 (n even), each from the cosine
-    and sine of 2 pi q'/n, q' its reflection into [0, n/8] (into [0, n/4]
-    when n is 2 mod 4): e^{-i(pi - x)} = -conj(e^{-ix}) and
-    e^{-i(pi/2 - x)} = -i conj(e^{-ix}).  The angle is within 3u of itself,
-    relatively, and a cosine or sine below 1 within an ulp, u, so a twiddle
-    is within 4u of e^{-2 pi i q/n} (6.2u when n is 2 mod 4)."""
-    q = np.arange(n // 2)
-    back = 4 * q > n
-    q = np.where(back, n // 2 - q, q)
-    swap = (n % 4 == 0) & (8 * q > n)
-    q = np.where(swap, n // 4 - q, q)
-    e = np.exp(1j * (2 * np.pi * q / n))
-    tw = np.empty(n // 2, complex)
-    tw.real = np.where(swap, e.imag, e.real)
-    tw.real[back] *= -1
-    tw.imag = -np.where(swap, e.real, e.imag)
-    return tw
-
-
 def _grid_dft(coef: np.ndarray, m: int) -> np.ndarray:
-    """sum_q coef[q] e^{-2 pi i j q/m} at j = 0..m-1.
-
-    coef, padded with zeros to the smallest length m 2^k that holds it, is
-    folded onto m terms by halving (a[:h] + a[h:]); radix-2
-    decimation-in-frequency stages split the m-term DFT down to rows of its
-    odd part o (row i, entry p holding output i + p m/o), and numpy's FFT
-    does the rows when o > 1.  A fold is the even half of a stage, so the
-    2m result's even half is the m result bit for bit: the 2m call folds
-    to the same 2m terms (or pads to them with zeros), its first stage's
-    even half is the m call's folded input, and every later step runs
-    elementwise on rows that the m call holds too.
-
-    Rounding: a fold or an even half rounds within u = 2^-53 of its
-    terms, an odd half within u + 2 sqrt(2) u + 6.2u < 10u (difference,
-    product, `_twiddles`), and every row of a stage has at most the 1-norm
-    of the input.  So each output is within 10 log2(N) u sum_q |coef_q| of
-    the exact DFT, N = m 2^k, where the rows of o > 1 terms take numpy's
-    FFT (pocketfft) at 10u per factor of 2 in o, which the tests check
-    against an exact DFT.
-    """
+    """sum_q coef[q] e^{-2 pi i j q/m} at j = 0..m-1: numpy's FFT of coef,
+    padded with zeros to the smallest length N = m 2^k that holds it and
+    folded onto m terms by halving (a[:h] + a[h:]).  Each output is within
+    10 log2(N) u sum_q |coef_q| of the exact DFT (`circle_abs_S`)."""
     size = m
     while size < len(coef):
         size *= 2
@@ -469,15 +432,7 @@ def _grid_dft(coef: np.ndarray, m: int) -> np.ndarray:
     while size > m:
         size //= 2
         a = a[:size] + a[size:]
-    rows = a[None]
-    while size % 2 == 0:
-        h = size // 2
-        lo, hi = rows[:, :h], rows[:, h:]
-        rows = np.concatenate([lo + hi, (lo - hi) * _twiddles(size)])
-        size = h
-    if size > 1:
-        rows = np.fft.fft(rows)
-    return rows.T.ravel()
+    return np.fft.fft(a)
 
 
 def _check_contour(roots: np.ndarray, c: Circle) -> None:
@@ -513,8 +468,7 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     4.5e-13 A_j), so that small sets can take a series too.  Of those,
     each side takes the roots with L_k <= D, D from the cost model
     `_series_degree`.  The split depends on the roots and the circle, not
-    on m, and `_grid_dft` nests, so the m grid is bit for bit the
-    even-indexed half of the 2m grid.
+    on m.
 
     Rounding.  Let u = 2^-53, A_j = sum_k |1/(x_j - Z_k)|, kappa =
     (|a| + r)/r, delta_k = 1 - rho_k and e = 0 inside, 1 outside.  Root k's
@@ -531,7 +485,8 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     - (1 + rho_k)(log2 n + 15 + 10 log2 N) u / delta_k from the
       coefficients: each c_l is a pairwise sum within (log2 n + 15) u of
       the sum of its terms' sizes, the DFT within 10 log2(N) u
-      sum_l |c_l| (`_grid_dft`, N its padded length), and
+      sum_l |c_l| (`_grid_dft`, N its padded length: each fold within u,
+      numpy's FFT within 10 log2(m) u, as the tests check), and
       sum_l |c_l| <= sum_k rho_k^e / delta_k.
     For N <= 2^20 their sum is at most W_k, so the series roots add at most
     B u A_j, and the computed |S| is within (B + n + 12) u A_j of |S| at
@@ -563,7 +518,7 @@ def _circle_field(roots, c: Circle, m: int):
     far = None
     if series.any():
         # inside c_l at index l + 1 and outside -c_l at -l (mod size), each
-        # index one term: the m and 2m grids fold the same terms
+        # index one term
         size = m
         while size <= d_in + d_out:
             size *= 2

@@ -1,7 +1,8 @@
 """The package's import layers: the direct Cauchy kernel (`logderiv`) knows
 nothing of the far route, the route (`farfield`) builds on the kernel
 alone, and the solver (`critical`) is the route's only caller.  The
-kernel's block rule is also the one place that starts threads."""
+kernel's block rule is also the one place that starts threads, and
+growth's grid DFT the one place that uses numpy's FFT."""
 
 import ast
 import pathlib
@@ -40,6 +41,25 @@ def _absolute_imports(path: pathlib.Path) -> set:
     return found
 
 
+def _fft_users(path: pathlib.Path) -> set:
+    """The innermost functions of a module's source that name an FFT
+    (`np.fft`, an import of a module or name `fft`), '' at module level."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                or isinstance(node, ast.alias) and "fft" in node.name.split(".")
+                or isinstance(node, ast.ImportFrom) and "fft" in (node.module or "").split(".")):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
 def test_only_the_kernel_imports_threads_or_processes():
     """`logderiv._blocked` is the one place that starts threads: no second
     pool runs beside it."""
@@ -53,3 +73,10 @@ def test_only_the_solver_imports_the_far_route():
     assert imports["logderiv"] == {"errors"}
     assert imports["farfield"] == {"logderiv"}
     assert {name for name, deps in imports.items() if "farfield" in deps} == {"critical"}
+
+
+def test_only_the_grid_dft_uses_the_fft():
+    """One DFT path, `logderiv._grid_dft`, which loads numpy.fft on its
+    first call and not at import."""
+    users = {f"{p.stem}.{name}" for p in SRC.glob("*.py") for name in _fft_users(p)}
+    assert users == {"logderiv._grid_dft"}

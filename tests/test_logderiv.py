@@ -127,7 +127,6 @@ def test_circle_grid_is_the_even_half_of_the_doubled_grid():
         for j in (np.arange(0, m, 16), rng.permutation(m)[: m // 3], np.array([m - 1, 0, 5])):
             assert np.array_equal(c.points(m, j), c.points(m)[j])
         fine = circle_abs_S(roots, c, 2 * m)
-        assert np.array_equal(fine[::2], circle_abs_S(roots, c, m))
         # the search sums every root directly, the grid takes the far ones
         # by their series: the two agree to the direct sum's rounding
         sup, direct = circle_sup_norm(roots, c, m), _direct(roots, c.points(m))
@@ -546,14 +545,16 @@ def _exact_dft(coef, m):
     return np.array(out)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 41, 64])
-def test_grid_dft_matches_an_exact_dft_and_nests(m):
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 41, 64, 96, 256])
+def test_grid_dft_matches_an_exact_dft(m):
     """`_grid_dft` is within its stated 10 log2(N) u sum_q |coef_q| of
     the DFT, N the padded length, at coefficient lengths below, at and
-    above m, and the 2m result's even half is the m result bit for bit."""
+    above m; at m = 96 (mixed radix) and 256 (a power of two, as growth's
+    grids are) at lengths m and 2m + 1 only."""
     rng = np.random.default_rng(m)
     u = 2.0 ** -53
-    for size in sorted({1, max(1, m - 1), m, m + 1, 2 * m + 1, 5 * m}):
+    sizes = {m, 2 * m + 1} if m > 64 else {1, max(1, m - 1), m, m + 1, 2 * m + 1, 5 * m}
+    for size in sorted(sizes):
         coef = ((rng.standard_normal(size) + 1j * rng.standard_normal(size))
                 * 10.0 ** rng.uniform(-3, 3, size))
         got = logderiv._grid_dft(coef, m)
@@ -562,7 +563,6 @@ def test_grid_dft_matches_an_exact_dft_and_nests(m):
             N *= 2
         bound = (10 * math.log2(N) + 13) * u * np.abs(coef).sum()
         assert np.all(np.abs(got - _exact_dft(coef, m)) <= bound)
-        assert np.array_equal(logderiv._grid_dft(coef, 2 * m)[::2], got)
 
 
 def test_growth_workload_grid_within_its_rounding_bound(monkeypatch):
@@ -628,13 +628,6 @@ def test_squared_series_length_is_the_smallest_meeting_its_bound(rho):
         assert L >= 1 and L >= logderiv._series_lengths(np.array([p]))[0]
         assert tail(L - 1, r) <= bound * (1 + Fraction(1, 10 ** 9))
         assert L == 1 or tail(L - 2, r) > bound * (1 - Fraction(1, 10 ** 9))
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(_circle_case(max_n=600))
-def test_circle_grid_nesting_property(case):
-    roots, c, m = case
-    assert np.array_equal(circle_abs_S(roots, c, 2 * m)[::2], circle_abs_S(roots, c, m))
 
 
 @st.composite
@@ -921,8 +914,7 @@ def test_nothing_but_the_solver_takes_the_far_route(monkeypatch):
     the solve does, and nothing else does: `eval_S`, the eigenvalue
     oracle's certificates, both circle routes' grid values and the probe
     sums of anticoncentration are their unforced values bit for bit and
-    sum no far pairs, and the m grid is still the even half of the 2m
-    grid."""
+    sum no far pairs."""
     rng = np.random.default_rng(36)
     roots = np.sqrt(rng.random(600)) * np.exp(2j * np.pi * rng.random(600))
     c = Circle(0.1j, 0.9)
@@ -938,11 +930,9 @@ def test_nothing_but_the_solver_takes_the_far_route(monkeypatch):
     _force_far(monkeypatch)
     with logderiv.counting_pairs() as tally:
         got = others()
-        half = circle_abs_S(roots, c, 1024)
     assert tally.far == 0 and tally.direct > 0
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    assert np.array_equal(got[2][::2], half)
     assert got[3] == _grid_max(roots, c, 4096)
     assert critical.critical_points(roots).far_pairs > 0
 
