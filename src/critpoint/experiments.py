@@ -20,8 +20,8 @@ from . import mobius as mb
 from .critical import DEFAULT_TOL, critical_points
 from .errors import (ConvergenceError, NonDegeneracyError, ParameterError,
                      PoleOnContourError, as_complex, as_count, as_list, as_positive, as_real)
-from .logderiv import (BLOCK_ELEMS, Circle, _blocked, _circle_field, cauchy_sums,
-                       circle_sup_norm, eval_S, log_minus, log_plus)
+from .logderiv import (Circle, _blocked, _circle_field, cauchy_sums, circle_sup_norm,
+                       eval_S, log_minus, log_plus)
 from .measures import (log_minus_integral, reference_quantization, sliced_w1,
                        sliced_w1_many, quadrant_discrepancy)
 from .report import Report
@@ -484,9 +484,17 @@ def run_anticoncentration(config: AnticoncentrationConfig) -> Report:
 
 def run_growth(config: GrowthConfig) -> Report:
     """log^+ of the discrete circle sup norm, against log n, along one
-    trajectory on a fixed generic circle.  Per n, `Report.series` records
-    how the 2m grid was summed (`logderiv.circle_abs_S`): the roots summed
-    directly and by each side's series, and each side's series length."""
+    trajectory on a fixed generic circle.
+
+    The 2m grid is a running sum along the trajectory: each n adds S of
+    the roots that entered since the previous n (`logderiv._circle_field`,
+    one block) into the previous n's grid, so each root is summed once.
+    Once a root lies on the circle, every later n reports only
+    `pole_on_contour`.  Per n, `wall_clock` is the time of that n's block
+    and its rows, and `Report.series` records how the grid of the prefix
+    was summed: the roots summed directly and by each side's series,
+    counted over the prefix's blocks, and each side's longest series
+    length among them."""
     rep = Report("growth", config.to_json())
     t_all = time.perf_counter()
     if config.circle_center is not None:
@@ -499,16 +507,25 @@ def run_growth(config: GrowthConfig) -> Report:
     circle = Circle(a, r)
     traj = sample(config.measure, config.seed.substream(_P_TRAJECTORY),
                   config.n_schedule[-1])
-    ratios = []
+    # the m grid is the even-indexed half of the 2m grid
+    x = circle.points(2 * config.m_circle)
+    S = np.zeros(len(x), complex)  # S on x of the first `done` roots
+    ratios, split, done, pole = [], {}, 0, False
     for n in config.n_schedule:
         t_n = time.perf_counter()
-        try:
-            # the m grid is the even-indexed half of the 2m grid
-            fine, rep.series[f"n={n}"] = _circle_field(traj.samples[:n], circle,
-                                                       2 * config.m_circle)
-        except PoleOnContourError:
+        if not pole:
+            try:
+                fine, block = _circle_field(traj.samples[done:n], circle, x, n, S)
+            except PoleOnContourError:
+                pole = True
+            else:
+                done = n
+                split = {k: max(split.get(k, 0), v) if k.startswith("series_length")
+                         else split.get(k, 0) + v for k, v in block.items()}
+        if pole:
             rep.add_row(n, "pole_on_contour", 1.0)
         else:
+            rep.series[f"n={n}"] = split
             sup, sup2 = float(np.max(fine[::2])), float(np.max(fine))
             ratio = log_plus(sup) / math.log(n)
             ratio2 = log_plus(sup2) / math.log(n)

@@ -22,19 +22,21 @@ sources alone, so the sums are bit for bit the same however the rows are
 split, into blocks or into calls, and whichever thread runs them.
 
 Two routes evaluate |S| on the grid a + r e^{2 pi i j / m}, and both start
-with one pole-on-contour test, `_check_contour`.  `circle_abs_S` (growth's
-full grids of up to 16k roots) is the only user of a truncated Laurent
-series: the power sums of the roots far from the circle are the
-coefficients of one trigonometric polynomial, evaluated on the whole grid
-by numpy's FFT (`_grid_dft`, so numpy.fft loads on its first call only),
-and the roots near the circle, or too near for the series' rounding bound,
-are summed directly.  `circle_sup_norm` uses no series: it is the maximum
-of the direct sums over all roots on the grid, found by a Lipschitz branch
-and bound over the grid (Piyavskii 1972, Shubert 1972).  An evaluated
-point rules out its neighbours when |S| there plus a proven bound on how
-far the computed |S| can rise within their arc, h sum_k (d_k - h)^-2 plus
-a rounding margin 2 gamma sum_k (d_k - h)^-1 (d_k the distance to root k,
-h the arc), stays below the running maximum.  The proof of gamma and of
+with one pole-on-contour test, `_check_contour`.  `circle_abs_S` and its
+block form `_circle_field` (growth's grids of up to 16k roots, summed
+along the trajectory: each n adds the roots new since the last) are the
+only users of a truncated Laurent series: the power sums of the roots far
+from the circle are the coefficients of one trigonometric polynomial,
+evaluated on the whole grid by numpy's FFT (`_grid_dft`, so numpy.fft
+loads on its first call only), and the roots near the circle, or too near
+for the series' rounding bound, are summed directly.  `circle_sup_norm`
+uses no series: it is the maximum of the direct sums over all roots on
+the grid, found by a Lipschitz branch and bound over the grid (Piyavskii
+1972, Shubert 1972).  An evaluated point rules out its neighbours when
+|S| there plus a proven bound on how far the computed |S| can rise within
+their arc, h sum_k (d_k - h)^-2 plus a rounding margin
+2 gamma sum_k (d_k - h)^-1 (d_k the distance to root k, h the arc), stays
+below the running maximum.  The proof of gamma and of
 the margins is in `circle_sup_norm`'s docstring.
 
 The roots are a plain multiset: every entry point checks them with
@@ -331,10 +333,12 @@ def eval_S(roots, z: complex) -> complex:
 
 def _abs_S_on_points(roots: np.ndarray, pts: np.ndarray, far=None) -> np.ndarray:
     """|S| on an array of points: the direct sum over `roots`, plus `far`
-    (the other roots' values at the points), if given."""
+    (the other roots' values at the points), if given, which then holds
+    the whole sum S."""
     (S,) = cauchy_sums(pts, roots)
     if far is not None:
-        S += far
+        far += S
+        S = far
     return np.abs(S)
 
 
@@ -350,12 +354,13 @@ def _series_lengths(rho: np.ndarray) -> np.ndarray:
     return L
 
 
-def _series_weights(rho: np.ndarray, n: int, kappa: float) -> np.ndarray:
+def _series_weights(rho: np.ndarray, n: int, kappa: float, N: int) -> np.ndarray:
     """W_k, the bound on the rounding that root k's series adds at a grid
-    point, in units of u = 2^-53 times the root's term there, for n roots
-    about a circle of kappa = (|a| + r)/r and padded DFT lengths up to 2^20
-    (derived in `circle_abs_S`)."""
-    return (32 * kappa + 16 + (1 + rho) * (math.log2(n) + 215)) / (1 - rho)
+    point, in units of u = 2^-53 times the root's term there, for series
+    of at most n roots about a circle of kappa = (|a| + r)/r, evaluated by
+    a DFT of padded length N (derived in `circle_abs_S`).  W_k grows with
+    n and N, so it bounds any shorter series or DFT too."""
+    return (32 * kappa + 16 + (1 + rho) * (math.log2(n) + 15 + 10 * math.log2(N))) / (1 - rho)
 
 
 def _series_degree(L: np.ndarray) -> int:
@@ -370,8 +375,8 @@ def _series_degree(L: np.ndarray) -> int:
     exponents' calls, and `_grid_dft` plus the set-up 0.2 ms, about 5 roots'
     worth.  The weights are from a slower DFT (1.1 ms), so 32 is high.  So
     D = 0 (no series) unless the series saves more than 32 direct roots,
-    and small sets stay direct.  It leaves out m, so every grid size takes
-    the same split.
+    and small sets stay direct.  It leaves out m: a grid size changes the
+    split only through the rounding weights' DFT length (`circle_abs_S`).
     """
     D = np.concatenate([[0.0], np.sort(L)])
     terms = np.concatenate([[0.0], np.cumsum(D[1:])])
@@ -448,7 +453,9 @@ def _check_contour(roots: np.ndarray, c: Circle) -> None:
 def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     """|S| at the m grid points x_j = a + r t_j, t_j = e^{2 pi i j / m},
     j = 0..m-1.  Raises PoleOnContourError when a root lies within
-    POLE_RTOL (|a| + r) of the circle (`_check_contour`).
+    POLE_RTOL (|a| + r) of the circle (`_check_contour`).  It is the
+    one-block case of `_circle_field`, which growth runs block by block
+    along its trajectory.
 
     With w_k = (Z_k - a)/r and rho_k = min(|w_k|, 1/|w_k|) < 1, a root
     inside the circle adds (1/r) sum_{l >= 0} w_k^l t_j^{-(l+1)} and a root
@@ -467,8 +474,12 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
     sum's own bound (`circle_sup_norm`), plus 2^12 u A_j (about
     4.5e-13 A_j), so that small sets can take a series too.  Of those,
     each side takes the roots with L_k <= D, D from the cost model
-    `_series_degree`.  The split depends on the roots and the circle, not
-    on m.
+    `_series_degree`.  The DFT runs at N = m unless the two lengths need
+    more terms (d_in + d_out >= m); then N doubles until they fit and the
+    split is chosen again with the weights at that N.  A larger N only
+    raises the weights, so the admitted roots and their lengths only
+    shrink, the lengths still fit, and the weights bound the DFT that
+    runs.  The split depends on the roots, the circle and N.
 
     Rounding.  Let u = 2^-53, A_j = sum_k |1/(x_j - Z_k)|, kappa =
     (|a| + r)/r, delta_k = 1 - rho_k and e = 0 inside, 1 outside.  Root k's
@@ -488,53 +499,72 @@ def circle_abs_S(roots, c: Circle, m: int) -> np.ndarray:
       sum_l |c_l| (`_grid_dft`, N its padded length: each fold within u,
       numpy's FFT within 10 log2(m) u, as the tests check), and
       sum_l |c_l| <= sum_k rho_k^e / delta_k.
-    For N <= 2^20 their sum is at most W_k, so the series roots add at most
+    Their sum is W_k at the call's N, so the series roots add at most
     B u A_j, and the computed |S| is within (B + n + 12) u A_j of |S| at
-    x_j: gamma A_j for the direct sum, 4u A_j for dividing by r, adding the
-    parts and |.|.  At every N the DFT's share grows by
-    10 (1 + rho_k) u / delta_k per doubling of N past 2^20.
+    x_j: gamma A_j for the direct sum, 4u A_j for dividing by r, adding
+    the parts and |.|.  Summed in s blocks along a trajectory
+    (`_circle_field`), each block after the first adds two roundings
+    more, each within u A_j: (B + n + 10 + 2s) u A_j.
     """
-    return _circle_field(roots, c, m)[0]
-
-
-def _circle_field(roots, c: Circle, m: int):
-    """(`circle_abs_S`, the split): the roots summed directly and by each
-    side's series, and each side's series length D."""
     roots = as_roots(roots)
     m = as_count(m, "m")
+    return _circle_field(roots, c, c.points(m), len(roots), np.zeros(m, complex))[0]
+
+
+def _circle_field(roots: np.ndarray, c: Circle, x: np.ndarray, n: int, S: np.ndarray):
+    """Add the sums of one block of roots at the grid points x = c.points(m)
+    into the running sums S, in place, and return (|S|, the block's split:
+    its roots summed directly and by each side's series, and each side's
+    series length D).  Raises PoleOnContourError, before S changes, when a
+    root of the block lies on the circle.
+
+    The block is the newest of a prefix of n roots, and its split and
+    weights are the prefix's (B = n + 8 + 2^12 and log2 n in W_k, see
+    `circle_abs_S`).  So block b's series add at most B u A_j^b, A_j^b the
+    sum of |1/(x_j - Z_k)| over its roots, and its direct sum gamma A_j^b:
+    over the blocks of the prefix, at most B u A_j and gamma A_j.  Each
+    block after the first adds two more roundings, each within u A_j, as
+    its series and then its direct sum join the running sums.  So after s
+    blocks the computed |S| is within (B + n + 10 + 2s) u A_j of |S| at
+    x_j, (B + n + 12) u A_j for one block.
+    """
     _check_contour(roots, c)
-    n = len(roots)
+    m = len(x)
     w = (roots - c.center) / c.radius
     aw = np.abs(w)
     inside = aw < 1.0
     with np.errstate(divide="ignore"):
         rho = np.minimum(aw, 1.0 / aw)
     L = _series_lengths(rho)
-    able = _series_weights(rho, n, (abs(c.center) + c.radius) / c.radius) <= n + 8 + (1 << 12)
-    d_in, d_out = (_series_degree(L[able & side]) for side in (inside, ~inside))
+    kappa = (abs(c.center) + c.radius) / c.radius
+    N = m  # the DFT's padded length, m 2^k > d_in + d_out
+    while True:
+        able = _series_weights(rho, n, kappa, N) <= n + 8 + (1 << 12)
+        d_in, d_out = (_series_degree(L[able & side]) for side in (inside, ~inside))
+        if d_in + d_out < N:
+            break
+        while N <= d_in + d_out:
+            N *= 2
     s_in = able & inside & (L <= d_in)
     s_out = able & ~inside & (L <= d_out)
     series = s_in | s_out
-    far = None
     if series.any():
-        # inside c_l at index l + 1 and outside -c_l at -l (mod size), each
+        # inside c_l at index l + 1 and outside -c_l at -l (mod N), each
         # index one term
-        size = m
-        while size <= d_in + d_out:
-            size *= 2
-        a = np.zeros(size, complex)
+        a = np.zeros(N, complex)
         if d_in:
             a[1:d_in + 1] = _power_sums(w[s_in], L[s_in], 0)
         if d_out:
             c_out = _power_sums(1.0 / w[s_out], L[s_out], 1)
             a[0] = -c_out[0]
-            a[size - d_out + 1:] = -c_out[:0:-1]
+            a[N - d_out + 1:] = -c_out[:0:-1]
         far = _grid_dft(a, m)
         far /= c.radius
-    split = {"direct_roots": n - int(series.sum()),
+        S += far
+    split = {"direct_roots": len(roots) - int(series.sum()),
              "series_roots_inside": int(s_in.sum()), "series_roots_outside": int(s_out.sum()),
              "series_length_inside": d_in, "series_length_outside": d_out}
-    return _abs_S_on_points(roots[~series], c.points(m), far), split
+    return _abs_S_on_points(roots[~series], x, S), split
 
 
 def _cover_sums(x: np.ndarray, y: np.ndarray, h: float, scale: float):

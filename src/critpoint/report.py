@@ -9,8 +9,11 @@ active points per sweep, the target-source pairs summed directly and
 by the solver's far route, `farfield.cauchy_sums`, and the iterates
 nudged apart) and the series section (per n of a growth run, how its
 circle grid was summed: the roots summed directly and by each side's
-Laurent series, and each side's series length) are deterministic but not
-in series.csv.
+Laurent series, counted over the prefix of n roots, and each side's
+longest series length) are deterministic but not in series.csv.  A
+growth run sums its grid along the trajectory, each n adding the roots
+new since the last, so its per-n wall-clock is the time of that n's
+block alone.
 """
 
 from __future__ import annotations

@@ -287,7 +287,6 @@ def test_anticoncentration_independent_of_batching_and_workers(measure, monkeypa
         for workers, block_elems in ((1, default), (2, 48), (3, 40), (1, 40)):
             monkeypatch.setattr(logderiv, "_workers", lambda: workers)
             monkeypatch.setattr(logderiv, "BLOCK_ELEMS", block_elems)
-            monkeypatch.setattr(experiments, "BLOCK_ELEMS", block_elems)
             rep = run_anticoncentration(cfg)
             assert rep.stats("hits") == want
             csvs.add(rep.series_csv())
@@ -444,8 +443,9 @@ def test_growth_with_every_root_on_the_circle_is_inconclusive(tmp_path):
 def test_growth_records_time_and_series_split_per_n():
     """report.json has, per n of a growth run and outside its rows, the
     wall-clock time and how the 2m grid was summed (`circle_abs_S`): the
-    roots summed directly and by each side's series, and each side's
-    series length; an n whose circle meets a root has only its time."""
+    roots summed directly and by each side's series, counted over the
+    prefix, and each side's series length; an n whose circle meets a root
+    has only its time."""
     cfg = GrowthConfig(measure=BaseMeasure.complex_cauchy(), n_schedule=(16, 2048),
                        seed=SeedSpec(3, 0), m_circle=256)
     rep = run_growth(cfg)
@@ -463,6 +463,48 @@ def test_growth_records_time_and_series_split_per_n():
     assert rep.to_json()["series"] == rep.series
     assert {f"n={n}" for n in (4, 8)} <= set(run_growth(ROOTS_ON_CIRCLE).wall_clock)
     assert run_growth(ROOTS_ON_CIRCLE).series == {}
+
+
+def test_growth_sums_each_root_once(monkeypatch):
+    """Each n adds only the roots new since the previous n: the blocks are
+    consecutive slices of the trajectory, of n_1, n_2 - n_1 and n_3 - n_2
+    roots, each weighed at its prefix length, and the series counts of
+    each n add up to n."""
+    field, blocks = experiments._circle_field, []
+
+    def recording(roots, c, x, n, S):
+        blocks.append((roots.copy(), n))
+        return field(roots, c, x, n, S)
+
+    monkeypatch.setattr(experiments, "_circle_field", recording)
+    cfg = GrowthConfig(measure=BaseMeasure.complex_cauchy(), n_schedule=(16, 300, 2048),
+                       seed=SeedSpec(3, 0), m_circle=256)
+    rep = run_growth(cfg)
+    assert [(len(roots), n) for roots, n in blocks] == [(16, 16), (284, 300), (1748, 2048)]
+    traj = sample(cfg.measure, cfg.seed.substream(experiments._P_TRAJECTORY), 2048).samples
+    assert np.array_equal(np.concatenate([roots for roots, _ in blocks]), traj)
+    for n in cfg.n_schedule:
+        split = rep.series[f"n={n}"]
+        assert split["direct_roots"] + split["series_roots_inside"] + split[
+            "series_roots_outside"] == n
+
+
+def test_growth_pole_carries_forward_along_the_path():
+    """A root on the circle that enters at the second n: the first n keeps
+    its rows, and every later n reports only pole_on_contour and has no
+    series record, though the third n's own block holds no root on the
+    circle."""
+    measure, seed, ns = BaseMeasure.complex_gaussian(), SeedSpec(5, 0), (16, 32, 64)
+    traj = sample(measure, seed.substream(experiments._P_TRAJECTORY), ns[-1]).samples
+    cfg = GrowthConfig(measure=measure, n_schedule=ns, seed=seed, m_circle=64,
+                       circle_center=0j, circle_radius=float(abs(traj[20])))
+    rep = run_growth(cfg)
+    assert set(rep.series) == {"n=16"}
+    assert {stat for n, stat, _ in rep.rows if n == 16} == {
+        "sup_norm", "ratio", "ratio_refined", "refine_delta"}
+    assert [(n, stat) for n, stat, _ in rep.rows if n > 16] == [
+        (32, "pole_on_contour"), (64, "pole_on_contour")]
+    assert {f"n={n}" for n in ns} <= set(rep.wall_clock)
 
 
 def test_growth_refinement_stability():

@@ -527,6 +527,33 @@ def test_circle_abs_S_takes_the_series_for_far_roots(monkeypatch):
     assert seen[-1] == (0, True)
 
 
+def test_series_weighed_at_the_dft_length_it_runs(monkeypatch):
+    """The split weighs each series at the padded length N of the DFT that
+    runs: N = m when the series lengths fit in m terms (m = 4096, 8192
+    here).  When they do not (m = 64), N is the next m 2^k past a first
+    split, the roots are weighed again at N, and the split is the N grid's.
+    The grid is within the one-block bound (B + n + 12) u A_j plus gamma A_j."""
+    dft, sizes = logderiv._grid_dft, []
+
+    def recording(coef, m):
+        sizes.append(len(coef))
+        return dft(coef, m)
+
+    monkeypatch.setattr(logderiv, "_grid_dft", recording)
+    rng = np.random.default_rng(12)
+    roots = rng.standard_cauchy(4000) + 1j * rng.standard_cauchy(4000)
+    c, n, u = Circle(0.1 - 0.2j, 1.5), 4000, 2.0 ** -53
+    splits = {}
+    for m in (8192, 4096, 64):
+        x = c.points(m)
+        got, splits[m] = logderiv._circle_field(roots, c, x, n, np.zeros(m, complex))
+        assert sizes[-1] == max(m, 4096)
+        A, _ = logderiv._cover_sums(x, roots, 0.0, 1.0)
+        bound = ((n + 8 + 4096) + n + 12 + (n + 8)) * u * A
+        assert np.all(np.abs(got - _direct(roots, x)) <= bound)
+    assert splits[64] == splits[4096] != splits[8192]
+
+
 def _exact_dft(coef, m):
     """sum_q coef[q] e^{-2 pi i j q/m}, j = 0..m-1, each sum exact
     (`math.fsum`) over products rounded within u and twiddles from
@@ -566,31 +593,36 @@ def test_grid_dft_matches_an_exact_dft(m):
 
 
 def test_growth_workload_grid_within_its_rounding_bound(monkeypatch):
-    """The largest grid of growth-cauchy-16k (seed 3, n = 16384, its generic
-    circle, 2m = 8192) agrees with the direct sum over all roots within the
-    bound `circle_abs_S` states, (B + n + 12) u A_j, B = n + 8 + 2^12,
-    plus the direct sum's own gamma A_j, and leaves few roots to the direct
-    sum, so a regression of the split shows."""
-    field, calls = logderiv._circle_field, []
+    """Every n's grid of growth-cauchy-16k (seed 3, n = 1024, 4096, 16384,
+    its generic circle, 2m = 8192), summed block by block along the
+    trajectory, agrees with the direct sum over that prefix within the
+    bound `_circle_field` states for s blocks, (B + n + 10 + 2s) u A_j,
+    B = n + 8 + 2^12, plus the direct sum's own gamma A_j, and leaves few
+    roots to the direct sum, so a regression of the split shows."""
+    field, blocks = logderiv._circle_field, []
 
-    def recording(roots, c, m):
-        calls.append((roots, c, m))
-        return field(roots, c, m)
+    def recording(roots, c, x, n, S):
+        got, split = field(roots, c, x, n, S)
+        blocks.append((roots, c, x, n, got.copy()))
+        return got, split
 
     monkeypatch.setattr(experiments, "_circle_field", recording)
-    experiments.run_growth(experiments.GrowthConfig(
-        measure=BaseMeasure.complex_cauchy(), n_schedule=(16384,), seed=SeedSpec(3, 0)))
-    ((roots, c, m),) = calls
-    assert (len(roots), m) == (16384, 8192)
-    got, split = field(roots, c, m)
-    assert split["direct_roots"] <= 400
-    x = c.points(m)
-    want = _direct(roots, x)
-    A, _ = logderiv._cover_sums(x, roots, 0.0, 1.0)  # sum_k 1/|x_j - Z_k|
-    n, u = len(roots), 2.0 ** -53
-    err = np.abs(got - want)
-    assert np.all(err <= ((n + 8 + 4096) + n + 12 + (n + 8)) * u * A)
-    assert np.all(err <= 1e-14 * A)  # what the grid shows, far inside the bound
+    rep = experiments.run_growth(experiments.GrowthConfig(
+        measure=BaseMeasure.complex_cauchy(), n_schedule=(1024, 4096, 16384),
+        seed=SeedSpec(3, 0)))
+    assert [(n, len(x)) for _, _, x, n, _ in blocks] == [(1024, 8192), (4096, 8192),
+                                                         (16384, 8192)]
+    u = 2.0 ** -53
+    for s, (_, c, x, n, got) in enumerate(blocks, 1):
+        roots = np.concatenate([b[0] for b in blocks[:s]])
+        assert len(roots) == n
+        A, _ = logderiv._cover_sums(x, roots, 0.0, 1.0)  # sum_k 1/|x_j - Z_k|
+        err = np.abs(got - _direct(roots, x))
+        assert np.all(err <= ((n + 8 + 4096) + n + 10 + 2 * s + (n + 8)) * u * A)
+        assert np.all(err <= 1e-14 * A)  # what the grid shows, far inside the bound
+    # the three grids' direct sums take 364 roots in all (611 when each
+    # n summed its whole prefix with weights for a 2^20-point DFT)
+    assert rep.series["n=16384"]["direct_roots"] <= 380
 
 
 @given(st.floats(0.0, 1.0, exclude_max=True))
